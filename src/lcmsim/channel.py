@@ -40,23 +40,6 @@ def unit_norm(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
-def check_precoder(v: np.ndarray) -> np.ndarray:
-    """Validate a precoding vector: 1-D complex, length >= 2, unit norm.
-
-    Norm is checked to a relative tolerance of 1e-9. Returns the array
-    unchanged so the call can be chained.
-    """
-    v = np.asarray(v)
-    if v.ndim != 1 or v.size < 2:
-        raise ValueError("precoder must be a 1-D vector of length >= 2")
-    if not np.iscomplexobj(v):
-        raise ValueError("precoder must be complex-valued")
-    n = np.linalg.norm(v)
-    if abs(n - 1.0) > 1e-9:
-        raise ValueError(f"precoder norm {n!r} is not 1 within 1e-9")
-    return v
-
-
 def ula_steering(num_antennas: int, angle_rad: float) -> np.ndarray:
     """Steering vector of a half-wavelength ULA toward ``angle_rad``."""
     n = np.arange(num_antennas)
@@ -170,15 +153,6 @@ class ChannelTrace:
     def num_slots(self) -> int:
         return self.true_precoders.shape[0]
 
-    def regime_at(self, slot: int) -> ChannelRegime:
-        current = self.regime_schedule[0][1]
-        for start, regime in self.regime_schedule:
-            if start <= slot:
-                current = regime
-            else:
-                break
-        return current
-
 
 def _segment_bounds(schedule: RegimeSchedule, num_slots: int):
     starts = [s for s, _ in schedule] + [num_slots]
@@ -250,21 +224,6 @@ def generate_trace(
         seed=seed,
         beam_codebook=codebook,
     )
-
-
-def inject_shift(
-    config: TraceConfig, shift_slot: int, new_regime: ChannelRegime
-) -> RegimeSchedule:
-    """Return a schedule equal to config's up to ``shift_slot``, then
-    ``new_regime`` from there on. Gains re-seed at the shift slot when
-    the trace is generated."""
-    if shift_slot <= 0 or shift_slot >= config.num_slots:
-        raise ValueError(
-            f"shift_slot must lie strictly inside (0, {config.num_slots})"
-        )
-    new_regime.validate(config.num_tx_antennas)
-    kept = [(s, r) for s, r in config.regime_schedule if s < shift_slot]
-    return kept + [(shift_slot, new_regime)]
 
 
 def measure_csi(

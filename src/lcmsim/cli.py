@@ -71,16 +71,19 @@ def _add_trace_args(parser: argparse.ArgumentParser, slots_default: int) -> None
     parser.add_argument("--regime-id", default="cli-regime")
 
 
-def _make_trace(args):
-    regime = ChannelRegime(
+def _regime(args) -> ChannelRegime:
+    return ChannelRegime(
         regime_id=args.regime_id,
         num_paths=args.paths,
         doppler_norm=args.doppler,
         angle_spread=args.angle_spread,
         mean_snr_db=args.snr_db,
     )
+
+
+def _make_trace(args):
     codebook = dft_codebook(args.antennas)
-    return generate_trace([(0, regime)], args.slots, args.antennas, codebook, args.seed)
+    return generate_trace([(0, _regime(args))], args.slots, args.antennas, codebook, args.seed)
 
 
 def _measure_all(trace, seed: int):
@@ -122,13 +125,19 @@ def _override_key(text: str, key: str, value: str) -> str:
 # --------------------------------------------------------------------------
 # subcommands
 
-def _cmd_simulate(args) -> int:
-    config = load_scenario_config(args.config)
-    out = _out_root(args.out)
+def _run_into(config, out: Path):
+    """Run one scenario with its registry and outputs under ``out``."""
     out.mkdir(parents=True, exist_ok=True)
     result = run_scenario(config, str(out / config.registry_path))
     write_metrics(result, str(out / config.metrics_path))
     write_events(result, str(out / config.events_path))
+    return result
+
+
+def _cmd_simulate(args) -> int:
+    config = load_scenario_config(args.config)
+    out = _out_root(args.out)
+    result = _run_into(config, out)
     for key, value in result.summary.items():
         print(f"{key} = {value}")
     print(f"metrics = {out / config.metrics_path}")
@@ -148,12 +157,7 @@ def _cmd_sweep(args) -> int:
     print(f"sweep {args.param} over {', '.join(values)}")
     for value in values:
         config = parse_scenario_config(_override_key(text, args.param, value))
-        subdir = root / f"{args.param}-{value}"
-        subdir.mkdir(parents=True, exist_ok=True)
-        result = run_scenario(config, str(subdir / config.registry_path))
-        write_metrics(result, str(subdir / config.metrics_path))
-        write_events(result, str(subdir / config.events_path))
-        s = result.summary
+        s = _run_into(config, root / f"{args.param}-{value}").summary
         print(
             f"{args.param}={value} evaluations={s['evaluations']} "
             f"overhead_bits={s['monitor_overhead_bits']} "
@@ -334,15 +338,8 @@ def _cmd_intervendor(args) -> int:
     if not latents:
         raise ConfigError("need at least one candidate")
     candidates = [AutoencoderConfig(l, b, args.antennas) for l, b in zip(latents, bits)]
-    regime = ChannelRegime(
-        regime_id=args.regime_id,
-        num_paths=args.paths,
-        doppler_norm=args.doppler,
-        angle_spread=args.angle_spread,
-        mean_snr_db=args.snr_db,
-    )
     spec = DerivationSpec(
-        regime=regime,
+        regime=_regime(args),
         num_antennas=args.antennas,
         num_train=args.train_samples,
         num_eval=args.eval_samples,

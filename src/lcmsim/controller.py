@@ -277,11 +277,6 @@ class ExecutionContext:
     delta_rank: int = 8
 
 
-def _activate(ctx: ExecutionContext, package: ModelPackage) -> None:
-    ctx.registry.activate(package.descriptor.model_id, package.descriptor.model_version)
-    ctx.agent.activate(package)
-
-
 def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> ControlEvent | None:
     """Carry out an action; returns the follow-up event, if any.
 
@@ -292,44 +287,6 @@ def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> Co
         if action.kind is ActionKind.KEEP:
             return None
 
-        if action.kind in (ActionKind.SWITCH, ActionKind.ROLLBACK, ActionKind.REACTIVATE_AI):
-            package = ctx.registry.fetch_by_id(action.target_model_id, action.target_version)
-            _activate(ctx, package)
-            return ControlEvent(
-                kind=EventKind.MODEL_ACTIVATED,
-                slot_index=slot_index,
-                source="controller",
-                detail=f"{package.descriptor.model_id}:v{package.descriptor.model_version}",
-            )
-
-        if action.kind is ActionKind.DELTA_UPDATE:
-            base = ctx.agent.active_model
-            if base is None or ctx.fit_delta is None:
-                raise NotFoundError("no active model to adapt")
-            delta = ctx.fit_delta(base, ctx.delta_rank)
-            updated = apply_delta(base, delta)
-            ctx.registry.store(updated, stored_at_slot=slot_index)
-            _activate(ctx, updated)
-            return ControlEvent(
-                kind=EventKind.MODEL_ACTIVATED,
-                slot_index=slot_index,
-                source="controller",
-                detail=f"{updated.descriptor.model_id}:v{updated.descriptor.model_version}",
-            )
-
-        if action.kind is ActionKind.RETRAIN:
-            if ctx.retrain is None:
-                raise NotFoundError("no training capability attached")
-            package = ctx.retrain()
-            ctx.registry.store(package, stored_at_slot=slot_index)
-            _activate(ctx, package)
-            return ControlEvent(
-                kind=EventKind.MODEL_ACTIVATED,
-                slot_index=slot_index,
-                source="controller",
-                detail=f"{package.descriptor.model_id}:v{package.descriptor.model_version}",
-            )
-
         if action.kind is ActionKind.FALLBACK:
             active = ctx.registry.active_entry(ctx.functionality_tag)
             if active is not None:
@@ -337,30 +294,46 @@ def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> Co
             ctx.agent.enter_fallback()
             return None
 
-        raise ValueError(f"unhandled action kind {action.kind}")
-    except IntegrityError as exc:
+        if action.kind in (ActionKind.SWITCH, ActionKind.ROLLBACK, ActionKind.REACTIVATE_AI):
+            package = ctx.registry.fetch_by_id(action.target_model_id, action.target_version)
+        else:
+            if action.kind is ActionKind.DELTA_UPDATE:
+                base = ctx.agent.active_model
+                if base is None or ctx.fit_delta is None:
+                    raise NotFoundError("no active model to adapt")
+                package = apply_delta(base, ctx.fit_delta(base, ctx.delta_rank))
+            elif action.kind is ActionKind.RETRAIN:
+                if ctx.retrain is None:
+                    raise NotFoundError("no training capability attached")
+                package = ctx.retrain()
+            else:
+                raise ValueError(f"unhandled action kind {action.kind}")
+            ctx.registry.store(package, stored_at_slot=slot_index)
+
+        desc = package.descriptor
+        ctx.registry.activate(desc.model_id, desc.model_version)
+        ctx.agent.activate(package)
         return ControlEvent(
-            kind=EventKind.ACTION_FAILED,
+            kind=EventKind.MODEL_ACTIVATED,
             slot_index=slot_index,
             source="controller",
-            action_kind=action.kind,
-            detail=f"integrity: {exc}",
+            detail=f"{desc.model_id}:v{desc.model_version}",
         )
-    except NotFoundError as exc:
+    except (IntegrityError, NotFoundError, ValueError) as exc:
+        # isinstance, not a type() lookup: np.linalg.LinAlgError is a
+        # ValueError and must map to "invalid".
+        if isinstance(exc, IntegrityError):
+            reason = "integrity"
+        elif isinstance(exc, NotFoundError):
+            reason = "not_found"
+        else:
+            reason = "invalid"
         return ControlEvent(
             kind=EventKind.ACTION_FAILED,
             slot_index=slot_index,
             source="controller",
             action_kind=action.kind,
-            detail=f"not_found: {exc}",
-        )
-    except ValueError as exc:
-        return ControlEvent(
-            kind=EventKind.ACTION_FAILED,
-            slot_index=slot_index,
-            source="controller",
-            action_kind=action.kind,
-            detail=f"invalid: {exc}",
+            detail=f"{reason}: {exc}",
         )
 
 

@@ -25,6 +25,7 @@ from .models import (
     ModelKind,
     ModelPackage,
     _descriptor_from_targets,
+    _dequantize,
     _ridge_solve,
     decode_csi,
     encode_csi,
@@ -32,15 +33,6 @@ from .models import (
     train_autoencoder_joint,
 )
 from .streams import stable_id
-
-
-@dataclass(frozen=True)
-class DatasetRecord:
-    """One exchanged sample: the precoder and its compressed message."""
-
-    target_csi: np.ndarray
-    feedback_csi: np.ndarray
-    vendor_index: int | None = None
 
 
 @dataclass
@@ -71,12 +63,6 @@ class CsiDataset:
     def input_dim(self) -> int:
         return self.targets.shape[1]
 
-    def records(self) -> list[DatasetRecord]:
-        return [
-            DatasetRecord(self.targets[i], self.feedbacks[i], self.vendor_index)
-            for i in range(len(self))
-        ]
-
     def latents(self) -> np.ndarray:
         """Feedback rows as complex latents, dequantized if needed."""
         if self.bits_per_dim == 0:
@@ -84,11 +70,10 @@ class CsiDataset:
         if self.quant_ranges is None:
             raise IntegrityError("quantized dataset lacks quantizer ranges")
         # Column 2k holds the real code of latent dim k, column 2k+1 the
-        # imaginary one, so the per-dim ranges repeat pairwise.
-        r2 = np.repeat(self.quant_ranges, 2)
-        step2 = 2.0 * r2 / (1 << self.bits_per_dim)
-        centers = -r2 + (self.feedbacks.astype(np.float64) + 0.5) * step2
-        return centers[:, 0::2] + 1j * centers[:, 1::2]
+        # imaginary one.
+        re = _dequantize(self.feedbacks[:, 0::2], self.quant_ranges, self.bits_per_dim)
+        im = _dequantize(self.feedbacks[:, 1::2], self.quant_ranges, self.bits_per_dim)
+        return re + 1j * im
 
     def to_bytes(self) -> bytes:
         header = {

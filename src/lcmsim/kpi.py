@@ -86,17 +86,6 @@ def beam_topk_accuracy(
     return hits / len(recent)
 
 
-@dataclass(frozen=True)
-class KpiSample:
-    """One monitored KPI value."""
-
-    slot_index: int
-    kind: str
-    value: float
-    model_id: str = ""
-    model_version: int = 0
-
-
 @dataclass
 class InputDescriptor:
     """Summary of the input distribution a model was trained on (or is
@@ -106,13 +95,6 @@ class InputDescriptor:
     doppler_estimate: float
     mean_snr_db: float
     window_len: int
-
-    def feature_tuple(self):
-        return (
-            tuple(float(x) for x in self.mean_beam_power),
-            float(self.doppler_estimate),
-            float(self.mean_snr_db),
-        )
 
 
 def derive_input_descriptor(
@@ -181,36 +163,12 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
 
 
-def descriptor_divergence(a: InputDescriptor, b: InputDescriptor) -> float:
-    """Distance between two descriptors.
-
-    Jensen-Shannon divergence (natural log) of the beam distributions,
-    plus |doppler delta|, plus |snr delta| / 30, all weighted equally.
-    Zero iff the feature tuples coincide.
-    """
-    p = np.asarray(a.mean_beam_power, dtype=np.float64)
-    q = np.asarray(b.mean_beam_power, dtype=np.float64)
-    if p.size != q.size:
-        raise ValueError("beam profiles have different codebook sizes")
-    p = p / p.sum()
-    q = q / q.sum()
-    m = 0.5 * (p + q)
-    js = 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
-    js = max(0.0, js)
-
-    snr_a, snr_b = a.mean_snr_db, b.mean_snr_db
-    if math.isinf(snr_a) and math.isinf(snr_b):
-        snr_term = 0.0
-    else:
-        snr_term = abs(snr_a - snr_b) / 30.0
-    return js + abs(a.doppler_estimate - b.doppler_estimate) + snr_term
-
-
 def misalignment_divergence(a: InputDescriptor, b: InputDescriptor) -> float:
     """Descriptor distance with the SNR term dropped.
 
-    Used where SNR change is accounted for separately and only spatial or
-    mobility drift should register.
+    Jensen-Shannon divergence (natural log) of the beam distributions
+    plus |doppler delta|. Used where SNR change is accounted for
+    separately and only spatial or mobility drift should register.
     """
     p = np.asarray(a.mean_beam_power, dtype=np.float64)
     q = np.asarray(b.mean_beam_power, dtype=np.float64)
@@ -221,3 +179,17 @@ def misalignment_divergence(a: InputDescriptor, b: InputDescriptor) -> float:
     m = 0.5 * (p + q)
     js = max(0.0, 0.5 * _kl(p, m) + 0.5 * _kl(q, m))
     return js + abs(a.doppler_estimate - b.doppler_estimate)
+
+
+def descriptor_divergence(a: InputDescriptor, b: InputDescriptor) -> float:
+    """Distance between two descriptors.
+
+    The misalignment divergence plus |snr delta| / 30, all terms
+    weighted equally. Zero iff beam profile, Doppler and SNR coincide.
+    """
+    snr_a, snr_b = a.mean_snr_db, b.mean_snr_db
+    if math.isinf(snr_a) and math.isinf(snr_b):
+        snr_term = 0.0
+    else:
+        snr_term = abs(snr_a - snr_b) / 30.0
+    return misalignment_divergence(a, b) + snr_term

@@ -176,10 +176,14 @@ def storage_for_parameters(parameters: list[tuple[str, np.ndarray]]) -> int:
 
 
 def finalize_package(pkg: ModelPackage) -> ModelPackage:
-    """Fill size and cost fields, then freeze the payload checksum."""
+    """Fill size and cost fields, then freeze the payload checksum.
+
+    The checksum is the container's SHA-256 trailer, taken from the
+    bytes just written rather than hashed a second time.
+    """
     pkg.descriptor.flops_per_inference = flops_for_parameters(pkg.parameters)
     pkg.descriptor.storage_bytes = storage_for_parameters(pkg.parameters)
-    pkg.descriptor.payload_checksum = container.payload_checksum(pkg.to_bytes())
+    pkg.descriptor.payload_checksum = pkg.to_bytes()[-container.CHECKSUM_LEN:]
     return pkg
 
 
@@ -488,14 +492,6 @@ def encode_csi(encoder: ModelPackage, target: np.ndarray) -> np.ndarray:
     return codes
 
 
-def feedback_bit_length(model: ModelPackage) -> int:
-    """Air-interface size of one feedback message in bits (64-bit reals
-    when unquantized)."""
-    latent = int(model.extra["latent_dim"])
-    bits = int(model.extra["bits_per_dim"])
-    return 2 * latent * (bits if bits > 0 else 64)
-
-
 def decode_feedback_latent(
     decoder: ModelPackage, feedback: np.ndarray, ranges_name: str = "quant_ranges"
 ) -> np.ndarray:
@@ -717,11 +713,3 @@ def predict_beams(model: ModelPackage, measured_subset_powers: np.ndarray) -> np
     if powers.size != weights.shape[1]:
         raise ValueError("subset length does not match the model")
     return weights @ powers
-
-
-def top_k(values: np.ndarray, k: int) -> list[int]:
-    """Indices of the k largest entries, ties resolved to lowest index."""
-    values = np.asarray(values).ravel()
-    if not 1 <= k <= values.size:
-        raise ValueError(f"k={k} outside [1, {values.size}]")
-    return np.argsort(-values, kind="stable")[:k].tolist()

@@ -124,11 +124,6 @@ def report_overhead_bits(mode: MonitoringMode, num_antennas: int, quant_bits: in
     return quant_bits
 
 
-def schedule_ground_truth(prediction_slot: int, cfg: MonitoringConfig) -> int:
-    """Slot whose measurement is the reference for a prediction."""
-    return prediction_slot + cfg.gt_slot_offset
-
-
 def quantize_metric(value: float, bits: int) -> int:
     """Uniform code over [0, 1]: code = round(value * (2^bits - 1))."""
     if not 0.0 <= value <= 1.0:
@@ -152,23 +147,17 @@ class ThresholdWatch:
     zeroes the counter so a recovery episode starts fresh.
     """
 
-    def __init__(self, threshold: float, n_consec: int, breach: str = "below") -> None:
+    def __init__(self, threshold: float, n_consec: int) -> None:
         if n_consec < 1:
             raise ValueError("n_consec must be a positive integer")
-        if breach not in ("below", "above"):
-            raise ValueError("breach must be 'below' or 'above'")
         self.threshold = float(threshold)
         self.n_consec = int(n_consec)
-        self.breach = breach
         self.count = 0
 
     def observe(self, value: float) -> tuple[bool, bool]:
-        """Returns (flag, rising_edge) for one observation."""
-        if self.breach == "below":
-            breached = value < self.threshold
-        else:
-            breached = value > self.threshold
-        self.count = self.count + 1 if breached else 0
+        """Returns (flag, rising_edge) for one observation; a value
+        below the threshold is a breach."""
+        self.count = self.count + 1 if value < self.threshold else 0
         flag = self.count >= self.n_consec
         rising = self.count == self.n_consec
         return flag, rising
@@ -201,7 +190,7 @@ class MonitoringSession:
             return None
         return DriftAlarm(slot_index=slot_index, source="kpi_threshold", value=float(value))
 
-    def evaluate_type1(self, slot_index: int, sgcs_value: float) -> tuple[MonitoringReport, DriftAlarm | None]:
+    def evaluate_type1(self, slot_index: int, sgcs_value: float) -> tuple[MonitoringReport, float, DriftAlarm | None]:
         """UE-side comparison; only a 1-bit flag crosses the air interface."""
         if not 0.0 <= sgcs_value <= 1.0:
             raise ValueError(f"sgcs value {sgcs_value!r} outside [0, 1]")
@@ -213,15 +202,14 @@ class MonitoringSession:
             perf_bad=int(flag),
         )
         report.validate()
-        return report, self._alarm(slot_index, sgcs_value, rising)
+        return report, sgcs_value, self._alarm(slot_index, sgcs_value, rising)
 
     def evaluate_type2(
         self, slot_index: int, predicted: np.ndarray, ground_truth: np.ndarray
     ) -> tuple[MonitoringReport, float, DriftAlarm | None]:
         """UE reports both precoders; the gNB computes the metric itself."""
         value = sgcs(predicted, ground_truth)
-        flag, rising = self.watch.observe(value)
-        del flag
+        _, rising = self.watch.observe(value)
         report = MonitoringReport(
             slot_index=slot_index,
             mode=MonitoringMode.TYPE2,
@@ -236,8 +224,7 @@ class MonitoringSession:
         """UE sends the quantized metric; the gNB thresholds the dequantized value."""
         code = quantize_metric(sgcs_value, self.cfg.quant_bits)
         dequantized = dequantize_metric(code, self.cfg.quant_bits)
-        flag, rising = self.watch.observe(dequantized)
-        del flag
+        _, rising = self.watch.observe(dequantized)
         report = MonitoringReport(
             slot_index=slot_index,
             mode=MonitoringMode.TYPE3,
@@ -267,8 +254,7 @@ class MonitoringSession:
         if sgcs_value is None:
             raise ValueError(f"{self.cfg.mode.value} monitoring needs sgcs_value")
         if self.cfg.mode is MonitoringMode.TYPE1:
-            report, alarm = self.evaluate_type1(slot_index, sgcs_value)
-            return report, sgcs_value, alarm
+            return self.evaluate_type1(slot_index, sgcs_value)
         return self.evaluate_type3(slot_index, sgcs_value)
 
 

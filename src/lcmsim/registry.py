@@ -14,6 +14,7 @@ import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+from .container import CHECKSUM_LEN
 from .errors import IntegrityError, NotFoundError, PairingError
 from .kpi import InputDescriptor, descriptor_divergence
 from .models import ModelKind, ModelPackage, verify_package
@@ -135,13 +136,15 @@ class ModelRegistry:
         key = (desc.model_id, desc.model_version)
         if key in self._entries:
             raise IntegrityError(f"{desc.model_id} v{desc.model_version} already stored")
-        if not verify_package(package):
+        # Serialize once; the container trailer is the checksum that
+        # verify_package would recompute from these same bytes.
+        data = package.to_bytes()
+        if data[-CHECKSUM_LEN:] != desc.payload_checksum:
             raise IntegrityError(
                 f"checksum mismatch storing {desc.model_id} v{desc.model_version}"
             )
         path = self.package_path(*key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        data = package.to_bytes()
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".pkg-", suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as handle:
@@ -189,16 +192,6 @@ class ModelRegistry:
         if (model_id, version) not in self._entries:
             raise NotFoundError(f"{model_id} v{version} not in registry")
         return self._read_package(model_id, version)
-
-    def fetch_by_functionality(self, functionality_tag: str) -> ModelPackage:
-        candidates = [
-            entry for entry in self._entries.values()
-            if entry.functionality_tag == functionality_tag and entry.status != "retired"
-        ]
-        if not candidates:
-            raise NotFoundError(f"no package with functionality tag {functionality_tag!r}")
-        best = max(candidates, key=lambda e: (e.version, e.model_id))
-        return self._read_package(best.model_id, best.version)
 
     def fetch_by_descriptor(
         self,
@@ -299,24 +292,3 @@ class ModelRegistry:
             else:
                 report.append((key[0], key[1], "ok"))
         return report
-
-    def descriptor_density(self, probes: list[InputDescriptor], kind: ModelKind | str) -> float:
-        """Worst-case nearest-neighbor divergence over a probe grid.
-
-        Diagnostic for how well the stored descriptors cover descriptor
-        space; large values flag regions with no nearby model.
-        """
-        kind_value = kind.value if isinstance(kind, ModelKind) else str(kind)
-        worst = 0.0
-        for probe in probes:
-            nearest = None
-            for entry in self._entries.values():
-                if entry.kind != kind_value or entry.status == "retired":
-                    continue
-                package = self._read_package(entry.model_id, entry.version)
-                div = descriptor_divergence(probe, package.descriptor.input_descriptor)
-                nearest = div if nearest is None else min(nearest, div)
-            if nearest is None:
-                raise NotFoundError(f"no stored models of kind {kind_value}")
-            worst = max(worst, nearest)
-        return worst

@@ -18,6 +18,7 @@ from .channel import CsiMeasurement, dft_codebook, generate_trace, measure_csi
 from .config import ScenarioConfig
 from .controller import (
     ActionKind,
+    ControlAction,
     ControlEvent,
     DecisionInputs,
     EventKind,
@@ -193,10 +194,10 @@ class _Loop:
         # Adaptation deltas draw on the same recent-history budget as a
         # retrain; the short descriptor window excites too few directions
         # for a stable correction fit.
-        pair_window = max(
+        self.history_window = max(
             self.policy.min_train_samples, 4 * self.policy.descriptor_window_slots
         )
-        self.pairs: deque = deque(maxlen=pair_window)
+        self.pairs: deque = deque(maxlen=self.history_window)
         self.eval_counter = 0
         self.last_action_kind: ActionKind | None = None
         self.last_action_eval: int | None = None
@@ -230,8 +231,7 @@ class _Loop:
     # -- capabilities handed to execute() ---------------------------
 
     def _retrain(self) -> ModelPackage:
-        window = max(self.policy.min_train_samples, 4 * self.policy.descriptor_window_slots)
-        history = self.measurements[-window:]
+        history = self.measurements[-self.history_window:]
         beam_powers = self.trace.per_beam_power[[m.slot_index for m in history]]
         return train_predictor(
             history,
@@ -303,29 +303,36 @@ class _Loop:
         beam_powers = self.trace.per_beam_power[slot - width + 1 : slot + 1]
         return derive_input_descriptor(window, self.codebook, beam_powers)
 
-    def acknowledge_action(self, action_kind: ActionKind) -> None:
+    def issue(self, slot: int, action: ControlAction) -> str:
+        """Log, execute and acknowledge one action; returns its name."""
+        self.log(slot, "controller", "ActionIssued", action=action.kind.value,
+                 **{k: str(v) for k, v in sorted(action.rationale.items())})
+        self.log_transition(
+            slot, ControlEvent(EventKind.ACTION_ISSUED, slot, action_kind=action.kind)
+        )
+        follow = execute(action, self.context(), slot)
+        if action.kind is ActionKind.FALLBACK:
+            self.pending.clear()
+        if follow is not None:
+            if follow.kind is EventKind.MODEL_ACTIVATED:
+                self.log(slot, "controller", "ModelActivated", target=follow.detail)
+                self.pairs.clear()
+            elif follow.kind is EventKind.ACTION_FAILED:
+                self.log(
+                    slot,
+                    "controller",
+                    "ActionFailed",
+                    action=follow.action_kind.value,
+                    reason=follow.detail,
+                )
+            self.log_transition(slot, follow)
         self.session.acknowledge()
         self.good_streak = 0
-        self.last_action_kind = action_kind
+        self.last_action_kind = action.kind
         self.last_action_eval = self.eval_counter
-        name = action_kind.value
+        name = action.kind.value
         self.action_counts[name] = self.action_counts.get(name, 0) + 1
-
-    def handle_follow_up(self, slot: int, follow: ControlEvent | None) -> None:
-        if follow is None:
-            return
-        if follow.kind is EventKind.MODEL_ACTIVATED:
-            self.log(slot, "controller", "ModelActivated", target=follow.detail)
-            self.pairs.clear()
-        elif follow.kind is EventKind.ACTION_FAILED:
-            self.log(
-                slot,
-                "controller",
-                "ActionFailed",
-                action=follow.action_kind.value,
-                reason=follow.detail,
-            )
-        self.log_transition(slot, follow)
+        return name
 
     def run_decision(self, slot: int, divergence: float, misalignment: float, descriptor) -> str:
         active = self.agent.active_model.descriptor
@@ -347,39 +354,16 @@ class _Loop:
             last_action_kind=self.last_action_kind,
             evals_since_last_action=evals_since,
         )
-        action = decide(inputs, self.policy, self.registry)
-        self.log(slot, "controller", "ActionIssued", action=action.kind.value,
-                 **{k: str(v) for k, v in sorted(action.rationale.items())})
-        self.log_transition(
-            slot, ControlEvent(EventKind.ACTION_ISSUED, slot, action_kind=action.kind)
-        )
-        follow = execute(action, self.context(), slot)
-        if action.kind is ActionKind.FALLBACK:
-            self.pending.clear()
-        self.handle_follow_up(slot, follow)
-        self.acknowledge_action(action.kind)
-        return action.kind.value
-
-    def try_reactivate(self, slot: int, descriptor) -> str:
-        action = decide_reactivation(descriptor, self.policy, self.registry, slot)
-        if action is None:
-            return ""
-        self.log(slot, "controller", "ActionIssued", action=action.kind.value,
-                 **{k: str(v) for k, v in sorted(action.rationale.items())})
-        self.log_transition(
-            slot, ControlEvent(EventKind.ACTION_ISSUED, slot, action_kind=action.kind)
-        )
-        follow = execute(action, self.context(), slot)
-        self.handle_follow_up(slot, follow)
-        self.acknowledge_action(action.kind)
-        return action.kind.value
+        return self.issue(slot, decide(inputs, self.policy, self.registry))
 
     def monitor(self, slot: int, row: MetricsRow) -> None:
         descriptor = self.current_descriptor(slot)
         self.eval_counter += 1
 
         if self.agent.fallback:
-            row.action = self.try_reactivate(slot, descriptor)
+            action = decide_reactivation(descriptor, self.policy, self.registry, slot)
+            if action is not None:
+                row.action = self.issue(slot, action)
             return
 
         offset = self.config.monitoring.gt_slot_offset

@@ -20,6 +20,7 @@ from lcmsim.controller import (
     legacy_csi_report,
     transition,
 )
+from lcmsim.errors import IntegrityError, NotFoundError
 from lcmsim.kpi import InputDescriptor, descriptor_divergence, misalignment_divergence
 from lcmsim.models import (
     ModelDescriptor,
@@ -319,7 +320,7 @@ class TestExecute:
                                target_model_id="ghost", target_version=1)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.ACTION_FAILED
-        assert "not_found" in event.detail
+        assert event.detail.startswith("not_found: ")
 
     def test_tampered_package_fails_with_integrity(self, tmp_path):
         ctx = self.make_ctx(tmp_path)
@@ -333,7 +334,7 @@ class TestExecute:
                                target_model_id="m-b", target_version=1)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.ACTION_FAILED
-        assert "integrity" in event.detail
+        assert event.detail.startswith("integrity: ")
 
     def test_rollback_to_previous_version(self, tmp_path):
         ctx = self.make_ctx(tmp_path)
@@ -388,6 +389,34 @@ class TestExecute:
         action = ControlAction(kind=ActionKind.DELTA_UPDATE, issued_slot=0)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.ACTION_FAILED
+        assert event.detail.startswith("not_found: ")
+
+    @pytest.mark.parametrize(
+        "error, prefix",
+        [
+            pytest.param(IntegrityError("bad"), "integrity: ", id="integrity"),
+            pytest.param(NotFoundError("gone"), "not_found: ", id="not_found"),
+            pytest.param(ValueError("rank too high"), "invalid: ", id="value_error"),
+            # LinAlgError subclasses ValueError, so it must map to invalid.
+            pytest.param(np.linalg.LinAlgError("singular"), "invalid: ", id="linalg_error"),
+        ],
+    )
+    def test_fit_delta_failure_reason(self, tmp_path, error, prefix):
+        def fit(pkg, rank):
+            raise error
+
+        base = make_package(model_id="m-a")
+        ctx = self.make_ctx(tmp_path, fit_delta=fit)
+        ctx.registry.store(base)
+        ctx.registry.activate("m-a", 1)
+        ctx.agent.activate(base)
+        action = ControlAction(kind=ActionKind.DELTA_UPDATE, issued_slot=0)
+        event = execute(action, ctx, slot_index=0)
+        assert event.kind is EventKind.ACTION_FAILED
+        assert event.action_kind is ActionKind.DELTA_UPDATE
+        assert event.detail == prefix + str(error)
+        assert ctx.agent.active_model is base
+        assert ctx.registry.active_entry("csi-pred-h4").version == 1
 
     def test_retrain_stores_new_package(self, tmp_path):
         fresh = make_package(model_id="m-new")

@@ -48,9 +48,9 @@ class TestExportDataset:
         enc, _ = train_autoencoder_joint(targets, AutoencoderConfig(6, 0, 16))
         ds = export_dataset(enc, targets)
         assert len(ds) == 60
-        for i, record in enumerate(ds.records()):
-            np.testing.assert_array_equal(record.target_csi, targets[i])
-            np.testing.assert_array_equal(record.feedback_csi, encode_csi(enc, targets[i]))
+        for i in range(len(ds)):
+            np.testing.assert_array_equal(ds.targets[i], targets[i])
+            np.testing.assert_array_equal(ds.feedbacks[i], encode_csi(enc, targets[i]))
         assert ds.associated_id == enc.descriptor.associated_id
 
     def test_empty_dataset_valid_and_flagged(self):

@@ -29,7 +29,6 @@ from lcmsim.models import (
     predict_beams,
     predict_csi,
     storage_for_parameters,
-    top_k,
     train_autoencoder_joint,
     train_beam_predictor,
     train_predictor,
@@ -357,18 +356,6 @@ class TestBeamPredictor:
             train_beam_predictor(rows, [], 4)
         with pytest.raises(ValueError):
             train_beam_predictor(rows, [4], 4)
-
-
-class TestTopK:
-    def test_orders_by_value(self):
-        assert top_k(np.array([0.1, 0.9, 0.5]), 2) == [1, 2]
-
-    def test_ties_prefer_lowest_index(self):
-        assert top_k(np.array([0.5, 0.5, 0.5]), 2) == [0, 1]
-
-    def test_bounds(self):
-        with pytest.raises(ValueError):
-            top_k(np.array([1.0]), 2)
 
 
 class TestAccounting:

@@ -12,14 +12,12 @@ from lcmsim.monitoring import (
     MonitoringMode,
     MonitoringReport,
     MonitoringSession,
-    ThresholdWatch,
     dequantize_metric,
     evaluation_slots,
     monitoring_overhead,
     precoder_report_bits,
     quantize_metric,
     report_overhead_bits,
-    schedule_ground_truth,
 )
 
 GAMMA = 0.8
@@ -51,7 +49,7 @@ def run_type1(values, gamma=GAMMA, n=3):
     session = MonitoringSession(cfg)
     flags, alarms = [], []
     for slot, value in enumerate(values):
-        report, alarm = session.evaluate_type1(slot, value)
+        report, _, alarm = session.evaluate_type1(slot, value)
         flags.append(report.perf_bad)
         alarms.append(alarm is not None)
     return flags, alarms
@@ -91,13 +89,13 @@ class TestType1:
     def test_acknowledge_restarts_episode(self):
         cfg = MonitoringConfig(mode=MonitoringMode.TYPE1, threshold_gamma=GAMMA, n_consec=2)
         session = MonitoringSession(cfg)
-        _, first = session.evaluate_type1(0, BELOW)
-        _, second = session.evaluate_type1(1, BELOW)
+        _, _, first = session.evaluate_type1(0, BELOW)
+        _, _, second = session.evaluate_type1(1, BELOW)
         assert first is None and second is not None
         session.acknowledge()
-        _, third = session.evaluate_type1(2, BELOW)
+        _, _, third = session.evaluate_type1(2, BELOW)
         assert third is None
-        _, fourth = session.evaluate_type1(3, BELOW)
+        _, _, fourth = session.evaluate_type1(3, BELOW)
         assert fourth is not None
 
     def test_reset_between_consecutive_alarms(self):
@@ -107,7 +105,7 @@ class TestType1:
         alarm_slots, reset_slots = [], []
         for slot in range(400):
             value = float(rng.uniform(0.0, 1.0))
-            _, alarm = session.evaluate_type1(slot, value)
+            _, _, alarm = session.evaluate_type1(slot, value)
             if value >= GAMMA:
                 reset_slots.append(slot)
             if alarm is not None:
@@ -124,7 +122,7 @@ class TestType1:
     def test_alarm_carries_slot_source_and_value(self):
         flags, _ = run_type1([BELOW, BELOW, BELOW], n=3)
         session = MonitoringSession(MonitoringConfig(n_consec=1))
-        _, alarm = session.evaluate_type1(7, 0.25)
+        _, _, alarm = session.evaluate_type1(7, 0.25)
         assert alarm == DriftAlarm(slot_index=7, source="kpi_threshold", value=0.25)
         assert flags[-1] == 1
 
@@ -199,7 +197,7 @@ class TestType3:
         s1, s3 = MonitoringSession(cfg1), MonitoringSession(cfg3)
         for slot, value in enumerate(values):
             value = float(value)
-            _, alarm1 = s1.evaluate_type1(slot, value)
+            _, _, alarm1 = s1.evaluate_type1(slot, value)
             _, _, alarm3 = s3.evaluate_type3(slot, value)
             below1 = value < GAMMA
             below3 = dequantize_metric(quantize_metric(value, bits), bits) < GAMMA
@@ -249,10 +247,6 @@ class TestOverhead:
 
 
 class TestConfigAndSchema:
-    def test_schedule_ground_truth(self):
-        assert schedule_ground_truth(10, MonitoringConfig(gt_slot_offset=0)) == 10
-        assert schedule_ground_truth(10, MonitoringConfig(gt_slot_offset=2)) == 12
-
     def test_negative_offset_rejected(self):
         with pytest.raises(ValueError):
             MonitoringConfig(gt_slot_offset=-1).validate()
@@ -278,9 +272,3 @@ class TestConfigAndSchema:
         )
         with pytest.raises(ValueError):
             overhead_wrong.validate()
-
-    def test_watch_breach_above_mode(self):
-        watch = ThresholdWatch(0.25, 2, breach="above")
-        assert watch.observe(0.3) == (False, False)
-        assert watch.observe(0.3) == (True, True)
-        assert watch.observe(0.1) == (False, False)

@@ -130,16 +130,6 @@ class TestVersioning:
         with pytest.raises(NotFoundError):
             reg.fetch_by_id("nope")
 
-    def test_fetch_by_functionality_newest(self, tmp_path):
-        reg = ModelRegistry(tmp_path)
-        reg.store(make_package(version=1, tag="CsiPred-4ms"))
-        reg.store(make_package(version=2, tag="CsiPred-4ms"))
-        reg.store(make_package(model_id="m-b", tag="other"))
-        got = reg.fetch_by_functionality("CsiPred-4ms")
-        assert got.descriptor.model_version == 2
-        with pytest.raises(NotFoundError):
-            reg.fetch_by_functionality("unknown")
-
     def test_previous_version(self, tmp_path):
         reg = ModelRegistry(tmp_path)
         for v in (1, 2, 3):
@@ -304,12 +294,3 @@ class TestGcAndVerify:
         report = reg.verify_all()
         assert report[0] == ("m-a", 1, "ok")
         assert report[1][0:2] == ("m-a", 2) and report[1][2] != "ok"
-
-    def test_density_diagnostic(self, tmp_path):
-        reg = ModelRegistry(tmp_path)
-        reg.store(make_package(doppler=0.1))
-        probes = [query_descriptor(doppler=0.1), query_descriptor(doppler=0.3)]
-        worst = reg.descriptor_density(probes, ModelKind.CSI_PREDICTOR)
-        assert worst == pytest.approx(0.2, abs=1e-9)
-        with pytest.raises(NotFoundError):
-            reg.descriptor_density(probes, ModelKind.CSI_DECODER)
