@@ -132,9 +132,19 @@ class _KeyTable:
         if raw is None:
             raise ConfigError(f"missing required key {key!r}")
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError:
+            value = math.nan
+        if math.isnan(value):
             raise ConfigError(f"{key} expects a number, got {raw!r}", self.lines.get(key))
+        return value
+
+    def snr_of(self, key: str, default: float | None = None) -> float:
+        """An SNR in dB: ``inf`` means noiseless, ``-inf`` is refused."""
+        value = self.float_of(key, default)
+        if value == -math.inf:
+            raise ConfigError(f"{key} must be above -inf dB", self.lines.get(key))
+        return value
 
     def indexed_groups(self, prefix: str) -> list[int]:
         """Sorted indices i for which some ``<prefix>.<i>.<field>`` exists."""
@@ -185,7 +195,7 @@ def _parse_regimes(table: _KeyTable) -> list[tuple[int, ChannelRegime]]:
             num_paths=table.int_of(f"{base}.num_paths", 6),
             doppler_norm=table.float_of(f"{base}.doppler_norm"),
             angle_spread=table.float_of(f"{base}.angle_spread", 0.9),
-            mean_snr_db=table.float_of(f"{base}.mean_snr_db", math.inf),
+            mean_snr_db=table.snr_of(f"{base}.mean_snr_db", math.inf),
         )
         schedule.append((table.int_of(f"{base}.start_slot", 0 if i == 0 else None), regime))
     return schedule
@@ -211,7 +221,7 @@ def _parse_snr_overrides(table: _KeyTable) -> list[tuple[int, float]]:
     for i in table.indexed_groups("channel.snr_override"):
         base = f"channel.snr_override.{i}"
         overrides.append(
-            (table.int_of(f"{base}.start_slot"), table.float_of(f"{base}.mean_snr_db"))
+            (table.int_of(f"{base}.start_slot"), table.snr_of(f"{base}.mean_snr_db"))
         )
     return overrides
 

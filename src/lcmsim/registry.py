@@ -1,17 +1,18 @@
 """Versioned, integrity-checked model package store.
 
 Layout: one directory per model id holding `<version>.lcmp` container
-files, plus a flat `index.txt` listing every entry's status. The index
-is rewritten atomically (temp file then rename) so a crash never
-leaves it half-written, and every fetch re-reads and re-verifies the
-package file from disk rather than trusting memory.
+files, plus a flat `index.txt` listing every entry's status. Both are
+written atomically (temp file then rename). Descriptor lookups rank the
+input descriptors held since `store()`; every fetch, a lookup's winner
+included, re-reads and re-verifies the package file from disk.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .container import CHECKSUM_LEN
@@ -31,19 +32,19 @@ class RegistryEntry:
     associated_id: str
     status: str
     stored_at_slot: int
+    # Set by store(), never written to the index: None after a reload.
+    input_descriptor: InputDescriptor | None = field(default=None, compare=False)
+
+
+# index.txt columns in order, each with its parser.
+_INDEX_FIELDS = (
+    ("model_id", str), ("version", int), ("kind", str), ("functionality_tag", str),
+    ("associated_id", str), ("status", str), ("stored_at_slot", int),
+)
 
 
 def _entry_line(entry: RegistryEntry) -> str:
-    fields = [
-        f"model_id={entry.model_id}",
-        f"version={entry.version}",
-        f"kind={entry.kind}",
-        f"functionality_tag={entry.functionality_tag}",
-        f"associated_id={entry.associated_id}",
-        f"status={entry.status}",
-        f"stored_at_slot={entry.stored_at_slot}",
-    ]
-    return " ".join(fields)
+    return " ".join(f"{name}={getattr(entry, name)}" for name, _ in _INDEX_FIELDS)
 
 
 def _parse_entry_line(line: str) -> RegistryEntry:
@@ -54,17 +55,22 @@ def _parse_entry_line(line: str) -> RegistryEntry:
             raise IntegrityError(f"malformed index line: {line!r}")
         fields[key] = value
     try:
-        return RegistryEntry(
-            model_id=fields["model_id"],
-            version=int(fields["version"]),
-            kind=fields["kind"],
-            functionality_tag=fields["functionality_tag"],
-            associated_id=fields["associated_id"],
-            status=fields["status"],
-            stored_at_slot=int(fields["stored_at_slot"]),
-        )
+        return RegistryEntry(**{name: parse(fields[name]) for name, parse in _INDEX_FIELDS})
     except KeyError as exc:
         raise IntegrityError(f"index line missing field {exc}: {line!r}") from exc
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write to a temp file beside ``path``, then rename it over ``path``."""
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.stem}-", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(tmp_name, path)
+    except BaseException:
+        if os.path.exists(tmp_name):
+            os.unlink(tmp_name)
+        raise
 
 
 def pairing_ids(associated_id: str) -> set[str]:
@@ -116,15 +122,7 @@ class ModelRegistry:
     def _write_index(self) -> None:
         lines = [_entry_line(self._entries[key]) for key in sorted(self._entries)]
         payload = "\n".join(lines) + ("\n" if lines else "")
-        fd, tmp_name = tempfile.mkstemp(dir=self.root, prefix=".index-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(tmp_name, self._index_path())
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        _write_atomic(self._index_path(), payload.encode("utf-8"))
 
     def package_path(self, model_id: str, version: int) -> Path:
         return self.root / model_id / f"{version}.lcmp"
@@ -145,15 +143,7 @@ class ModelRegistry:
             )
         path = self.package_path(*key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=".pkg-", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp_name, path)
-        except BaseException:
-            if os.path.exists(tmp_name):
-                os.unlink(tmp_name)
-            raise
+        _write_atomic(path, data)
         self._entries[key] = RegistryEntry(
             model_id=desc.model_id,
             version=desc.model_version,
@@ -162,6 +152,7 @@ class ModelRegistry:
             associated_id=desc.associated_id,
             status="available",
             stored_at_slot=stored_at_slot,
+            input_descriptor=desc.input_descriptor,
         )
         self._write_index()
         return key
@@ -170,9 +161,8 @@ class ModelRegistry:
         path = self.package_path(model_id, version)
         if not path.exists():
             raise NotFoundError(f"package file missing for {model_id} v{version}")
+        # read_container has checked the SHA-256 trailer against the body.
         package = ModelPackage.from_bytes(path.read_bytes())
-        if not verify_package(package):
-            raise IntegrityError(f"checksum mismatch reading {model_id} v{version}")
         if package.descriptor.model_id != model_id or package.descriptor.model_version != version:
             raise IntegrityError(
                 f"package file for {model_id} v{version} carries descriptor "
@@ -182,15 +172,10 @@ class ModelRegistry:
 
     def fetch_by_id(self, model_id: str, version: int | None = None) -> ModelPackage:
         if version is None:
-            versions = [
-                v for (mid, v), entry in self._entries.items()
-                if mid == model_id and entry.status != "retired"
-            ]
-            if not versions:
+            version = self.previous_version(model_id, math.inf)
+            if version is None:
                 raise NotFoundError(f"no stored versions of {model_id}")
-            version = max(versions)
-        if (model_id, version) not in self._entries:
-            raise NotFoundError(f"{model_id} v{version} not in registry")
+        self._require(model_id, version)
         return self._read_package(model_id, version)
 
     def fetch_by_descriptor(
@@ -202,21 +187,22 @@ class ModelRegistry:
         """Closest stored model of a kind, or None beyond max_divergence.
 
         Candidates are the available and active entries; ties go to the
-        newest version, then the lexicographically lowest model id.
+        newest version, then the lexicographically lowest model id. Only
+        the winner and entries reloaded from the index are read from disk.
         """
         kind_value = kind.value if isinstance(kind, ModelKind) else str(kind)
-        best: tuple[float, int, str, ModelPackage] | None = None
+        ranked = []
         for entry in sorted(self._entries.values(), key=lambda e: (e.model_id, e.version)):
             if entry.kind != kind_value or entry.status == "retired":
                 continue
-            package = self._read_package(entry.model_id, entry.version)
-            div = descriptor_divergence(query, package.descriptor.input_descriptor)
-            candidate = (div, -entry.version, entry.model_id, package)
-            if best is None or candidate[:3] < best[:3]:
-                best = candidate
+            stored = entry.input_descriptor
+            if stored is None:  # reloaded from the index
+                stored = self._read_package(entry.model_id, entry.version).descriptor.input_descriptor
+            ranked.append((descriptor_divergence(query, stored), -entry.version, entry.model_id))
+        best = min(ranked, default=None)
         if best is None or best[0] > max_divergence:
             return None
-        return best[3], best[0]
+        return self.fetch_by_id(best[2], -best[1]), best[0]
 
     # status management
 
@@ -248,7 +234,8 @@ class ModelRegistry:
         self._entries[(model_id, version)] = replace(entry, status="retired")
         self._write_index()
 
-    def previous_version(self, model_id: str, current_version: int) -> int | None:
+    def previous_version(self, model_id: str, current_version: float) -> int | None:
+        """Newest non-retired version below current_version (inf: the newest)."""
         versions = [
             v for (mid, v), entry in self._entries.items()
             if mid == model_id and v < current_version and entry.status != "retired"
@@ -285,10 +272,11 @@ class ModelRegistry:
         """Integrity report over every entry: (id, version, 'ok' or error)."""
         report = []
         for key in sorted(self._entries):
-            try:
-                self._read_package(*key)
+            try:  # beyond the read's checks, the package must re-serialize to its checksum
+                ok = verify_package(self._read_package(*key))
             except (IntegrityError, NotFoundError) as exc:
-                report.append((key[0], key[1], str(exc)))
+                status = str(exc)
             else:
-                report.append((key[0], key[1], "ok"))
+                status = "ok" if ok else f"checksum mismatch reading {key[0]} v{key[1]}"
+            report.append((key[0], key[1], status))
         return report

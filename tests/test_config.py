@@ -135,6 +135,25 @@ class TestScanErrors:
         with pytest.raises(ConfigError, match="expects a number"):
             parse_scenario_config(text)
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            (["channel.regime.0.mean_snr_db = nan"], "mean_snr_db expects a number"),
+            (["channel.regime.0.mean_snr_db = -inf"], "mean_snr_db must be above -inf"),
+            (["channel.snr_override.0.start_slot = 100", "channel.snr_override.0.mean_snr_db = nan"],
+             "mean_snr_db expects a number"),
+            (["channel.snr_override.0.start_slot = 100", "channel.snr_override.0.mean_snr_db = -inf"],
+             "mean_snr_db must be above -inf"),
+            (["policy.snr_floor_db = NaN"], "snr_floor_db expects a number"),
+            (["monitoring.threshold_gamma = nan"], "threshold_gamma expects a number"),
+        ],
+        ids=["regime-nan", "regime-neg-inf", "override-nan", "override-neg-inf", "floor-nan", "gamma-nan"],
+    )
+    def test_non_finite_values_rejected_at_parse_time(self, lines, message):
+        last_line = MINIMAL.count("\n") + len(lines)
+        with pytest.raises(ConfigError, match=f"line {last_line}: .*{message}"):
+            parse_scenario_config(MINIMAL + with_lines(*lines))
+
     @settings(max_examples=30, deadline=None)
     @given(st.text(alphabet="abcdefgh.", min_size=3, max_size=20))
     def test_stray_keys_never_pass_silently(self, key):

@@ -7,7 +7,6 @@ from lcmsim.channel import ChannelRegime, dft_codebook, generate_trace
 from lcmsim.errors import IntegrityError, PairingError
 from lcmsim.intervendor import (
     CsiDataset,
-    DerivationReport,
     DerivationSpec,
     EvalCriteria,
     cross_pairing_matrix,

@@ -1,6 +1,5 @@
 """Closed-loop scenario runs: output formats, determinism, loop behaviour."""
 
-import math
 import re
 
 import pytest
