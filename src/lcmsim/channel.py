@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
-from .streams import substream
+from .streams import substream, substream_normals
 
 # Fraction of the Doppler rate that feeds the stochastic aging of path
 # gains. Small on purpose: the dominant slot-to-slot change is the
@@ -29,15 +30,41 @@ from .streams import substream
 AGING_FACTOR = 0.05
 
 
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector, sqrt(re.re + im.im).
+
+    The same arithmetic, in the same order, as ``np.linalg.norm`` on a
+    vector, without its dispatch, so the two agree bit for bit.
+    """
+    x = np.asarray(v).ravel(order="K")
+    if x.dtype.kind == "c":
+        re, im = x.real, x.imag
+        return math.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(x.dot(x))
+
+
 def unit_norm(v: np.ndarray) -> np.ndarray:
     """Return v scaled to unit Euclidean norm.
 
-    Raises ValueError for an all-zero vector.
+    Raises ValueError for an all-zero vector and for a non-finite one
+    (an inf or NaN entry, or a norm that overflows).
     """
-    n = np.linalg.norm(v)
+    n = vector_norm(v)
+    if not math.isfinite(n):
+        raise ValueError("cannot normalize a non-finite vector")
     if n < 1e-300:
         raise ValueError("cannot normalize a zero vector")
     return v / n
+
+
+def _normalize_rows(rows: np.ndarray) -> np.ndarray:
+    """Scale each row of ``rows`` in place as ``unit_norm`` would, bit
+    for bit: the norms one row at a time, the divisions in one pass."""
+    norms = np.array([vector_norm(row) for row in rows])
+    if norms.size and not (np.all(np.isfinite(norms)) and norms.min() >= 1e-300):
+        raise ValueError("cannot normalize a zero or non-finite vector")
+    rows /= norms[:, np.newaxis]
+    return rows
 
 
 def ula_steering(num_antennas: int, angle_rad: float) -> np.ndarray:
@@ -125,11 +152,30 @@ class TraceConfig:
 
 @dataclass
 class CsiMeasurement:
-    """One noisy CSI estimate at the UE."""
+    """One noisy CSI estimate at the UE, or a stack of them from
+    :func:`measure_csi` with one row (and slot, and SNR) per slot."""
 
     slot_index: int
     measured_precoder: np.ndarray
     snr_db: float
+
+    def window(self, start: int, stop: int) -> CsiMeasurement:
+        """Rows ``start`` to ``stop - 1`` of a stack, as a stack viewing them."""
+        return CsiMeasurement(
+            self.slot_index[start:stop],
+            self.measured_precoder[start:stop],
+            self.snr_db[start:stop],
+        )
+
+
+def precoders_and_snrs(
+    measurements: Sequence[CsiMeasurement] | CsiMeasurement,
+) -> tuple[Sequence[np.ndarray], list[float]]:
+    """Measured precoders and SNRs of a window, oldest first, from a
+    sequence of single-slot measurements or from one stack."""
+    if isinstance(measurements, CsiMeasurement):
+        return measurements.measured_precoder, measurements.snr_db.tolist()
+    return [m.measured_precoder for m in measurements], [m.snr_db for m in measurements]
 
 
 @dataclass
@@ -184,9 +230,10 @@ def generate_trace(
     codebook = np.asarray(beam_codebook)
     if codebook.ndim != 2 or codebook.shape[0] != num_tx_antennas:
         raise ValueError("beam_codebook must have one row per antenna")
+    codebook_h = codebook.conj().T
 
-    true_precoders = np.empty((num_slots, num_tx_antennas), dtype=np.complex128)
-    beam_power = np.empty((num_slots, codebook.shape[1]), dtype=np.float64)
+    channels = np.empty((num_slots, num_tx_antennas), dtype=np.complex128)
+    beam_gains = np.empty((num_slots, codebook.shape[1]), dtype=np.complex128)
     snr = np.empty(num_slots, dtype=np.float64)
 
     for seg_start, seg_end, regime in _segment_bounds(cfg.regime_schedule, num_slots):
@@ -201,19 +248,23 @@ def generate_trace(
         rho = math.cos(2 * math.pi * AGING_FACTOR * regime.doppler_norm)
         innov_scale = math.sqrt(max(0.0, 1.0 - rho * rho) / (2 * p))
 
-        rng0 = substream(seed, "chan.gains", seg_start)
-        gains = (rng0.standard_normal(p) + 1j * rng0.standard_normal(p)) / math.sqrt(
-            2 * p
-        )
+        # One substream per slot: the first seeds the segment's gains, the
+        # rest drive the innovations.
+        draws = substream_normals(seed, "chan.gains", range(seg_start, seg_end), 2 * p)
+        noise = draws[:, :p] + 1j * draws[:, p:]
+        innovations = innov_scale * noise
+        gains = noise[0] / math.sqrt(2 * p)
         for s in range(seg_start, seg_end):
             if s > seg_start:
-                rng = substream(seed, "chan.gains", s)
-                noise = rng.standard_normal(p) + 1j * rng.standard_normal(p)
-                gains = rotation * (rho * gains) + innov_scale * noise
-            h = steering @ gains
-            true_precoders[s] = unit_norm(h)
-            beam_power[s] = np.abs(codebook.conj().T @ h) ** 2
-            snr[s] = regime.mean_snr_db
+                gains = rotation * (rho * gains) + innovations[s - seg_start]
+            # One product per slot: a batched one would round differently.
+            h = np.matmul(steering, gains, out=channels[s])
+            np.matmul(codebook_h, h, out=beam_gains[s])
+        snr[seg_start:seg_end] = regime.mean_snr_db
+
+    true_precoders = _normalize_rows(channels)
+    beam_power = np.abs(beam_gains)
+    beam_power **= 2
 
     return ChannelTrace(
         num_tx_antennas=num_tx_antennas,
@@ -228,8 +279,8 @@ def generate_trace(
 
 def measure_csi(
     true_precoder: np.ndarray,
-    snr_db: float,
-    slot_index: int,
+    snr_db: float | np.ndarray,
+    slot_index: int | np.ndarray,
     master_seed: int,
 ) -> CsiMeasurement:
     """UE-side CSI estimate: truth plus circular complex Gaussian noise.
@@ -237,14 +288,28 @@ def measure_csi(
     Per-component noise variance is 10**(-snr_db/10) / num_antennas, so
     the total noise power relative to the unit-norm precoder matches the
     SNR. The sum is re-normalized. Infinite SNR returns the truth.
+
+    ``true_precoder`` may also be a (slots, num_antennas) stack, with one
+    SNR and one slot index per row; the fields of the result then hold
+    one entry per row, each bit-identical to the single-slot call.
     """
     w = np.asarray(true_precoder)
-    if math.isinf(snr_db) and snr_db > 0:
-        return CsiMeasurement(slot_index, w.copy(), snr_db)
-    n_ant = w.size
-    var = 10.0 ** (-snr_db / 10.0) / n_ant
-    rng = substream(master_seed, "meas", slot_index)
-    noise = math.sqrt(var / 2) * (
-        rng.standard_normal(n_ant) + 1j * rng.standard_normal(n_ant)
-    )
-    return CsiMeasurement(slot_index, unit_norm(w + noise), snr_db)
+    if w.ndim == 1:
+        one = measure_csi(w[np.newaxis], [snr_db], [slot_index], master_seed)
+        return CsiMeasurement(slot_index, one.measured_precoder[0], snr_db)
+    slots = np.asarray(slot_index)
+    snrs = np.asarray(snr_db, dtype=np.float64)
+    n_ant = w.shape[1]
+    noisy = np.flatnonzero(~np.isposinf(snrs))
+    measured = w.astype(np.complex128 if noisy.size else w.dtype)
+    draws = substream_normals(master_seed, "meas", slots[noisy].tolist(), 2 * n_ant)
+    # Per-row scalars in Python floats, elementwise work in place (each
+    # step commutes exactly), and each row's norm on its own (a batched
+    # norm rounds differently).
+    scale = [math.sqrt(10.0 ** (-snr / 10.0) / n_ant / 2) for snr in snrs[noisy].tolist()]
+    sums = 1j * draws[:, n_ant:]
+    sums += draws[:, :n_ant]
+    sums *= np.array(scale)[:, np.newaxis]
+    sums += w[noisy]
+    measured[noisy] = _normalize_rows(sums)
+    return CsiMeasurement(slots, measured, snrs)

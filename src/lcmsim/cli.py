@@ -31,6 +31,7 @@ from .intervendor import (
 from .kpi import BeamKpiConfig, beam_topk_accuracy, nmse, sgcs
 from .models import (
     AutoencoderConfig,
+    CsiPredictor,
     ModelKind,
     ModelPackage,
     PredictorConfig,
@@ -87,10 +88,8 @@ def _make_trace(args):
 
 
 def _measure_all(trace, seed: int):
-    return [
-        measure_csi(trace.true_precoders[t], float(trace.snr_db[t]), t, seed)
-        for t in range(trace.true_precoders.shape[0])
-    ]
+    slots = np.arange(trace.num_slots)
+    return measure_csi(trace.true_precoders, trace.snr_db, slots, seed)
 
 
 def _load_package(path: str) -> ModelPackage:
@@ -168,9 +167,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_train_predictor(args) -> int:
     trace = _make_trace(args)
-    history = _measure_all(trace, args.seed)
     package = train_predictor(
-        history,
+        _measure_all(trace, args.seed),
         PredictorConfig(args.order, args.horizon),
         codebook=trace.beam_codebook,
         beam_powers=trace.per_beam_power,
@@ -206,10 +204,11 @@ def _cmd_eval_sgcs(args) -> int:
     trace = _make_trace(args)
     if args.slots < cfg.order + cfg.horizon_slots + 1:
         raise ConfigError("--slots too small for the model's order and horizon")
-    history = _measure_all(trace, args.seed)
+    measured = _measure_all(trace, args.seed).measured_precoder
+    predictor = CsiPredictor.of(package)
     scores, errors = [], []
     for t in range(cfg.order - 1, args.slots - cfg.horizon_slots):
-        predicted = predict_csi(package, history[: t + 1])
+        predicted = predict_csi(predictor, measured[t + 1 - cfg.order : t + 1])
         truth = trace.true_precoders[t + cfg.horizon_slots]
         scores.append(sgcs(predicted, truth))
         errors.append(nmse(predicted, truth))

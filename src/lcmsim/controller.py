@@ -17,8 +17,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrityError, NotFoundError
-from .kpi import InputDescriptor, sgcs
-from .models import DeltaPackage, ModelKind, ModelPackage, apply_delta
+from .kpi import InputDescriptor
+from .kpi import sgcs  # noqa: F401  (perfbench/layers.py traces lcmsim.controller.sgcs)
+from .models import CsiPredictor, DeltaPackage, ModelKind, ModelPackage, apply_delta
 from .registry import ModelRegistry
 
 
@@ -250,13 +251,18 @@ class InferenceAgent:
 
     active_model: ModelPackage | None = None
     fallback: bool = False
+    # The active CSI predictor resolved for inference, set on activation.
+    predictor: CsiPredictor | None = None
 
     def activate(self, package: ModelPackage) -> None:
         self.active_model = package
         self.fallback = False
+        is_predictor = package.kind is ModelKind.CSI_PREDICTOR
+        self.predictor = CsiPredictor.of(package) if is_predictor else None
 
     def enter_fallback(self) -> None:
         self.active_model = None
+        self.predictor = None
         self.fallback = True
 
 
@@ -340,12 +346,23 @@ def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> Co
 def legacy_csi_report(measurement: np.ndarray, codebook: np.ndarray) -> int:
     """Index of the codebook beam best aligned with the measurement.
 
-    Beams are codebook columns; ties go to the lowest index.
+    Beams are codebook columns; ties go to the lowest index. Each beam
+    is scored with the arithmetic of :func:`lcmsim.kpi.sgcs`, on a
+    contiguous copy of its column as ``sgcs`` makes.
     """
     book = np.asarray(codebook)
     if book.ndim != 2 or book.shape[1] == 0:
         raise ValueError("codebook must be a non-empty matrix of beam columns")
-    scores = [sgcs(book[:, j], measurement) for j in range(book.shape[1])]
+    t = np.asarray(measurement).ravel()
+    if t.size != book.shape[0]:
+        raise ValueError(f"length mismatch: {book.shape[0]} vs {t.size}")
+    tn = np.vdot(t, t).real
+    scores = []
+    for beam in np.ascontiguousarray(book.T):
+        pn = np.vdot(beam, beam).real
+        if pn < 1e-300 or tn < 1e-300:
+            raise ValueError("sgcs undefined for zero vectors")
+        scores.append(float(abs(np.vdot(beam, t)) ** 2 / (pn * tn)))
     best = 0
     for j in range(1, len(scores)):
         if scores[j] > scores[best]:

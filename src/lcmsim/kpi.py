@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import CsiMeasurement
+from .channel import CsiMeasurement, precoders_and_snrs
 
 
 def sgcs(predicted: np.ndarray, truth: np.ndarray) -> float:
@@ -39,6 +39,19 @@ def nmse(predicted: np.ndarray, truth: np.ndarray) -> float:
         raise ValueError("nmse undefined for zero reference")
     d = p - t
     return float(np.vdot(d, d).real / tn)
+
+
+def sgcs_and_nmse(predicted: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
+    """``(sgcs(predicted, truth), nmse(predicted, truth))`` for two
+    vectors of one length, bit for bit, with |truth|^2 computed once."""
+    p = predicted.ravel()
+    t = truth.ravel()
+    pn = np.vdot(p, p).real
+    tn = np.vdot(t, t).real
+    if pn < 1e-300 or tn < 1e-300:
+        raise ValueError("sgcs undefined for zero vectors")
+    d = p - t
+    return float(abs(np.vdot(p, t)) ** 2 / (pn * tn)), float(np.vdot(d, d).real / tn)
 
 
 @dataclass(frozen=True)
@@ -97,12 +110,25 @@ class InputDescriptor:
     window_len: int
 
 
+def lag1_terms(vectors: Sequence[np.ndarray], snr_db: Sequence[float]) -> list[float]:
+    """Noise-debiased lag-1 inner products, one per consecutive pair:
+    term i is |<m_i, m_{i+1}>| * sqrt(g_i * g_{i+1}), g the noise gain
+    implied by the SNR (see :func:`derive_input_descriptor`)."""
+    gains = [_noise_gain(s) for s in snr_db]
+    return [
+        abs(np.vdot(vectors[i], vectors[i + 1])) * math.sqrt(gains[i] * gains[i + 1])
+        for i in range(len(gains) - 1)
+    ]
+
+
 def derive_input_descriptor(
-    measurements: Sequence[CsiMeasurement],
+    measurements: Sequence[CsiMeasurement] | CsiMeasurement,
     codebook: np.ndarray,
     beam_powers: np.ndarray | None = None,
+    lag_terms: Sequence[float] | None = None,
 ) -> InputDescriptor:
-    """Build an InputDescriptor from a measurement window.
+    """Build an InputDescriptor from a measurement window: single-slot
+    measurements, oldest first, or one stack from ``measure_csi``.
 
     ``beam_powers`` (one row per measurement) should be passed when beam
     sweep measurements exist; otherwise beam powers are taken from the
@@ -113,17 +139,19 @@ def derive_input_descriptor(
     shrinks that inner product by 1/(1 + sigma^2), so each pair is
     rescaled by the noise powers implied by the reported SNRs before the
     arccos; this keeps the estimate about mobility rather than SNR.
-    A single-sample window yields 0.
+    A single-sample window yields 0. A caller sliding a window over one
+    run can pass the window's pairs' :func:`lag1_terms` as ``lag_terms``
+    instead of having them recomputed.
     """
-    if not measurements:
+    vectors, snr_vals = precoders_and_snrs(measurements)
+    if not snr_vals:
         raise ValueError("empty measurement window")
     cb = np.asarray(codebook)
     if beam_powers is None:
-        rows = [np.abs(cb.conj().T @ m.measured_precoder) ** 2 for m in measurements]
-        beam_powers = np.stack(rows)
+        beam_powers = np.stack([np.abs(cb.conj().T @ v) ** 2 for v in vectors])
     else:
         beam_powers = np.asarray(beam_powers, dtype=np.float64)
-        if beam_powers.shape[0] != len(measurements):
+        if beam_powers.shape[0] != len(snr_vals):
             raise ValueError("beam_powers rows must match the window length")
 
     mean_power = beam_powers.mean(axis=0)
@@ -132,23 +160,24 @@ def derive_input_descriptor(
         raise ValueError("beam powers sum to zero")
     mean_power = mean_power / total
 
-    if len(measurements) < 2:
+    if len(snr_vals) < 2:
         doppler = 0.0
     else:
+        if lag_terms is None:
+            lag_terms = lag1_terms(vectors, snr_vals)
+        elif len(lag_terms) != len(snr_vals) - 1:
+            raise ValueError("lag_terms must hold one term per consecutive pair")
         acc = 0.0
-        for a, b in zip(measurements, measurements[1:]):
-            inner = abs(np.vdot(a.measured_precoder, b.measured_precoder))
-            debias = math.sqrt(_noise_gain(a.snr_db) * _noise_gain(b.snr_db))
-            acc += inner * debias
-        mean_inner = min(1.0, max(0.0, acc / (len(measurements) - 1)))
+        for term in lag_terms:  # in pair order: sum() compensates on Python 3.12+
+            acc += term
+        mean_inner = min(1.0, max(0.0, acc / (len(snr_vals) - 1)))
         doppler = math.acos(mean_inner) / (2 * math.pi)
 
-    snr_vals = [m.snr_db for m in measurements]
     return InputDescriptor(
         mean_beam_power=mean_power,
         doppler_estimate=doppler,
         mean_snr_db=float(np.mean(snr_vals)),
-        window_len=len(measurements),
+        window_len=len(snr_vals),
     )
 
 

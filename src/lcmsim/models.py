@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import container
-from .channel import CsiMeasurement, dft_codebook, unit_norm
+from .channel import CsiMeasurement, dft_codebook, precoders_and_snrs, unit_norm, vector_norm
 from .errors import DegenerateInputError, IntegrityError
 from .kpi import InputDescriptor, derive_input_descriptor
 from .streams import stable_id
@@ -281,7 +281,7 @@ def _stack_recent(measurements: Sequence[np.ndarray], order: int, at: int) -> np
 
 
 def train_predictor(
-    history: Sequence[CsiMeasurement],
+    history: Sequence[CsiMeasurement] | CsiMeasurement,
     cfg: PredictorConfig,
     model_id: str | None = None,
     model_version: int = 1,
@@ -293,15 +293,16 @@ def train_predictor(
 
     Regresses the measurement at t + horizon onto the ``order`` most
     recent measurements stacked newest-first, via ridge least squares.
-    The training window also yields the package's input descriptor.
+    The training window (single-slot measurements or one stack) also
+    yields the package's input descriptor.
     """
     cfg.validate()
-    if len(history) < cfg.order + cfg.horizon_slots + 10:
+    vectors, _ = precoders_and_snrs(history)
+    if len(vectors) < cfg.order + cfg.horizon_slots + 10:
         raise ValueError(
-            f"history of {len(history)} too short for order {cfg.order} "
+            f"history of {len(vectors)} too short for order {cfg.order} "
             f"and horizon {cfg.horizon_slots}"
         )
-    vectors = [np.asarray(m.measured_precoder) for m in history]
     n_ant = vectors[0].size
     rows = []
     targets = []
@@ -344,29 +345,59 @@ def predictor_config(pkg: ModelPackage) -> PredictorConfig:
     )
 
 
+@dataclass(frozen=True)
+class CsiPredictor:
+    """A CSI predictor package resolved once for repeated inference:
+    its order, taps and, if it carries a correction, the delta terms
+    (``delta_right_h`` is the conjugate transpose of ``delta_right``)."""
+
+    order: int
+    taps: np.ndarray
+    delta_left: np.ndarray | None = None
+    delta_right_h: np.ndarray | None = None
+    delta_bias: np.ndarray | None = None
+
+    @classmethod
+    def of(cls, model: ModelPackage) -> "CsiPredictor":
+        if model.kind is not ModelKind.CSI_PREDICTOR:
+            raise ValueError(f"not a CSI predictor: {model.kind}")
+        predictor = cls(int(model.extra["order"]), model.param("taps"))
+        if not model.has_param("delta_left"):
+            return predictor
+        return replace(
+            predictor,
+            delta_left=model.param("delta_left"),
+            delta_right_h=model.param("delta_right").conj().T,
+            delta_bias=model.param("delta_bias").ravel(),
+        )
+
+
 def predict_csi(
-    model: ModelPackage, recent: Sequence[CsiMeasurement]
+    model: ModelPackage | CsiPredictor,
+    recent: Sequence[CsiMeasurement] | np.ndarray,
 ) -> np.ndarray:
     """Predict the precoder ``horizon_slots`` ahead of the newest
-    measurement. ``recent`` is ordered oldest to newest."""
-    if model.kind is not ModelKind.CSI_PREDICTOR:
-        raise ValueError(f"not a CSI predictor: {model.kind}")
-    order = int(model.extra["order"])
+    measurement. ``recent`` is ordered oldest to newest: measurements,
+    or their precoders as the rows of an array. A loop predicting every
+    slot passes the model resolved once, as a :class:`CsiPredictor`."""
+    predictor = model if isinstance(model, CsiPredictor) else CsiPredictor.of(model)
+    order = predictor.order
     if len(recent) < order:
         raise ValueError(f"need {order} measurements, got {len(recent)}")
-    stacked = np.concatenate(
-        [np.asarray(recent[-1 - k].measured_precoder) for k in range(order)]
-    )
-    taps = model.param("taps")
+    if isinstance(recent, np.ndarray):
+        stacked = recent[-order:][::-1].ravel()
+    else:
+        stacked = np.concatenate(
+            [np.asarray(recent[-1 - k].measured_precoder) for k in range(order)]
+        )
+    taps = predictor.taps
     if taps.shape[1] != stacked.size:
         raise ValueError("measurement length does not match the model")
     out = taps @ stacked
-    if model.has_param("delta_left"):
-        left = model.param("delta_left")
-        right = model.param("delta_right")
-        bias = model.param("delta_bias").ravel()
-        out = out + left @ (right.conj().T @ out) + bias
-    norm = np.linalg.norm(out)
+    left = predictor.delta_left
+    if left is not None:
+        out = out + left @ (predictor.delta_right_h @ out) + predictor.delta_bias
+    norm = vector_norm(out)
     if norm < 1e-12:
         raise DegenerateInputError("predictor produced a zero vector")
     return out / norm

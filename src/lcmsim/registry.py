@@ -32,7 +32,8 @@ class RegistryEntry:
     associated_id: str
     status: str
     stored_at_slot: int
-    # Set by store(), never written to the index: None after a reload.
+    # Set by store(), never written to the index: None after a reload
+    # until the first lookup that reads the package.
     input_descriptor: InputDescriptor | None = field(default=None, compare=False)
 
 
@@ -188,7 +189,8 @@ class ModelRegistry:
 
         Candidates are the available and active entries; ties go to the
         newest version, then the lexicographically lowest model id. Only
-        the winner and entries reloaded from the index are read from disk.
+        the winner is read from disk, and each entry reloaded from the
+        index once, by the first lookup that ranks it.
         """
         kind_value = kind.value if isinstance(kind, ModelKind) else str(kind)
         ranked = []
@@ -196,8 +198,10 @@ class ModelRegistry:
             if entry.kind != kind_value or entry.status == "retired":
                 continue
             stored = entry.input_descriptor
-            if stored is None:  # reloaded from the index
-                stored = self._read_package(entry.model_id, entry.version).descriptor.input_descriptor
+            if stored is None:  # reloaded from the index: read once, then held
+                key = (entry.model_id, entry.version)
+                stored = self._read_package(*key).descriptor.input_descriptor
+                self._entries[key] = replace(entry, input_descriptor=stored)
             ranked.append((descriptor_divergence(query, stored), -entry.version, entry.model_id))
         best = min(ranked, default=None)
         if best is None or best[0] > max_divergence:

@@ -34,9 +34,10 @@ from .controller import (
 from .kpi import (
     derive_input_descriptor,
     descriptor_divergence,
+    lag1_terms,
     misalignment_divergence,
-    nmse,
     sgcs,
+    sgcs_and_nmse,
 )
 from .models import (
     ModelPackage,
@@ -138,22 +139,22 @@ def simulation_warmup(config: ScenarioConfig) -> int:
     return max(pipeline, config.policy.descriptor_window_slots)
 
 
-def _pretrain_models(config: ScenarioConfig, trace, registry: ModelRegistry) -> list[ModelPackage]:
+def _pretrain_models(
+    config: ScenarioConfig,
+    trace,
+    measurements: CsiMeasurement,
+    registry: ModelRegistry,
+) -> list[ModelPackage]:
     """Train and store one predictor per pretrain window.
 
-    Windows are slices of the run trace, measured through the same
-    per-slot noise streams the run itself will see, so the stored input
-    descriptors genuinely describe the slots their regime occupies.
+    Windows are slices of the run's own measurements, so the stored
+    input descriptors genuinely describe the slots their regime occupies.
     """
     packages = []
     pcfg = PredictorConfig(config.predictor_order, config.predictor_horizon)
     for spec in config.pretrain:
-        history = [
-            measure_csi(trace.true_precoders[t], float(trace.snr_db[t]), t, config.seed)
-            for t in range(spec.start_slot, spec.end_slot)
-        ]
         package = train_predictor(
-            history,
+            measurements.window(spec.start_slot, spec.end_slot),
             pcfg,
             codebook=trace.beam_codebook,
             beam_powers=trace.per_beam_power[spec.start_slot : spec.end_slot],
@@ -170,7 +171,7 @@ class _Loop:
         config.validate()
         self.config = config
         self.codebook = dft_codebook(config.num_antennas)
-        self.trace = generate_trace(
+        trace = generate_trace(
             config.regime_schedule,
             config.num_slots,
             config.num_antennas,
@@ -178,7 +179,16 @@ class _Loop:
             config.seed,
         )
         for start, snr_db in config.snr_overrides:
-            self.trace.snr_db[start:] = snr_db
+            trace.snr_db[start:] = snr_db
+        self.trace = trace
+        # Measurements depend only on (trace, seed, slot), so the run
+        # takes them all at once: row t of `measured` is slot t's.
+        self.measurements = measure_csi(
+            trace.true_precoders, trace.snr_db, np.arange(config.num_slots), config.seed
+        )
+        self.measured = self.measurements.measured_precoder
+        # lag_terms[t] pairs slots t and t+1; descriptor windows slice it.
+        self.lag_terms = lag1_terms(self.measured, trace.snr_db.tolist())
         self.registry = ModelRegistry(registry_root)
         self.agent = InferenceAgent()
         self.session = MonitoringSession(config.monitoring)
@@ -187,8 +197,8 @@ class _Loop:
         self.state = LoopState.STABLE
         self.events: list[EventLogRecord] = []
         self.rows: list[MetricsRow] = []
-        self.measurements: list[CsiMeasurement] = []
-        self.applied: list[tuple[np.ndarray, str] | None] = []
+        # Model predictions by the slot they were applied at.
+        self.applied: dict[int, np.ndarray] = {}
         self.pending: dict[int, np.ndarray] = {}
         self.pending_legacy: dict[int, int] = {}
         # Adaptation deltas draw on the same recent-history budget as a
@@ -230,78 +240,62 @@ class _Loop:
 
     # -- capabilities handed to execute() ---------------------------
 
-    def _retrain(self) -> ModelPackage:
-        history = self.measurements[-self.history_window:]
-        beam_powers = self.trace.per_beam_power[[m.slot_index for m in history]]
+    def _retrain(self, slot: int) -> ModelPackage:
+        start = max(0, slot + 1 - self.history_window)
         return train_predictor(
-            history,
+            self.measurements.window(start, slot + 1),
             PredictorConfig(self.config.predictor_order, self.config.predictor_horizon),
             codebook=self.codebook,
-            beam_powers=beam_powers,
+            beam_powers=self.trace.per_beam_power[start : slot + 1],
         )
 
     def _fit_delta(self, base: ModelPackage, rank: int):
         return fit_adaptation_delta(base, list(self.pairs), rank)
 
-    def context(self) -> ExecutionContext:
+    def context(self, slot: int) -> ExecutionContext:
         return ExecutionContext(
             registry=self.registry,
             agent=self.agent,
             functionality_tag=self.tag,
-            retrain=self._retrain,
+            retrain=lambda: self._retrain(slot),
             fit_delta=self._fit_delta,
             delta_rank=self.policy.delta_rank,
         )
 
     # -- per-slot stages ---------------------------------------------
 
-    def measure(self, slot: int) -> CsiMeasurement:
-        m = measure_csi(
-            self.trace.true_precoders[slot],
-            float(self.trace.snr_db[slot]),
-            slot,
-            self.config.seed,
-        )
-        self.measurements.append(m)
-        return m
-
-    def report(self, slot: int, measurement: CsiMeasurement) -> None:
+    def report(self, slot: int) -> None:
         """Exactly one of the two reporting routes runs per slot."""
         horizon = self.config.predictor_horizon
+        order = self.config.predictor_order
         if self.agent.fallback:
-            pmi = legacy_csi_report(measurement.measured_precoder, self.codebook)
+            pmi = legacy_csi_report(self.measured[slot], self.codebook)
             self.pending_legacy[slot + horizon] = pmi
-        elif (
-            self.agent.active_model is not None
-            and len(self.measurements) >= self.config.predictor_order
-        ):
-            prediction = predict_csi(
-                self.agent.active_model, self.measurements[-self.config.predictor_order :]
-            )
-            self.pending[slot + horizon] = prediction
+        elif self.agent.predictor is not None and slot + 1 >= order:
+            window = self.measured[slot + 1 - order : slot + 1]
+            self.pending[slot + horizon] = predict_csi(self.agent.predictor, window)
 
-    def apply(self, slot: int, measurement: CsiMeasurement, row: MetricsRow) -> None:
-        entry = None
+    def apply(self, slot: int, row: MetricsRow) -> None:
         if slot in self.pending:
-            entry = (self.pending.pop(slot), "model")
+            vector = self.pending.pop(slot)
+            self.applied[slot] = vector
+            self.pairs.append((vector, self.measured[slot]))
         elif slot in self.pending_legacy:
-            pmi = self.pending_legacy.pop(slot)
-            entry = (self.codebook[:, pmi], "legacy")
-        self.applied.append(entry)
-        if entry is None:
+            vector = self.codebook[:, self.pending_legacy.pop(slot)]
+        else:
             return
-        vector, kind = entry
-        truth = self.trace.true_precoders[slot]
-        row.sgcs = repr(sgcs(vector, truth))
-        row.nmse = repr(nmse(vector, truth))
-        if kind == "model":
-            self.pairs.append((vector, measurement.measured_precoder))
+        value, error = sgcs_and_nmse(vector, self.trace.true_precoders[slot])
+        row.sgcs = repr(value)
+        row.nmse = repr(error)
 
     def current_descriptor(self, slot: int):
-        width = min(self.policy.descriptor_window_slots, slot + 1)
-        window = self.measurements[slot - width + 1 : slot + 1]
-        beam_powers = self.trace.per_beam_power[slot - width + 1 : slot + 1]
-        return derive_input_descriptor(window, self.codebook, beam_powers)
+        start = slot + 1 - min(self.policy.descriptor_window_slots, slot + 1)
+        return derive_input_descriptor(
+            self.measurements.window(start, slot + 1),
+            self.codebook,
+            self.trace.per_beam_power[start : slot + 1],
+            self.lag_terms[start:slot],
+        )
 
     def issue(self, slot: int, action: ControlAction) -> str:
         """Log, execute and acknowledge one action; returns its name."""
@@ -310,7 +304,7 @@ class _Loop:
         self.log_transition(
             slot, ControlEvent(EventKind.ACTION_ISSUED, slot, action_kind=action.kind)
         )
-        follow = execute(action, self.context(), slot)
+        follow = execute(action, self.context(slot), slot)
         if action.kind is ActionKind.FALLBACK:
             self.pending.clear()
         if follow is not None:
@@ -350,7 +344,7 @@ class _Loop:
             mean_snr_db=descriptor.mean_snr_db,
             active_model_id=active.model_id,
             active_model_version=active.model_version,
-            buffered_samples=len(self.measurements),
+            buffered_samples=slot + 1,
             last_action_kind=self.last_action_kind,
             evals_since_last_action=evals_since,
         )
@@ -366,13 +360,11 @@ class _Loop:
                 row.action = self.issue(slot, action)
             return
 
-        offset = self.config.monitoring.gt_slot_offset
-        target = slot - offset
-        entry = self.applied[target] if 0 <= target < len(self.applied) else None
-        if entry is None or entry[1] != "model":
+        target = slot - self.config.monitoring.gt_slot_offset
+        predicted = self.applied.get(target)
+        if predicted is None:
             return
-        predicted = entry[0]
-        ground_truth = self.measurements[target].measured_precoder
+        ground_truth = self.measured[target]
         ue_value = sgcs(predicted, ground_truth)
         report, gnb_value, alarm = self.session.evaluate(
             slot, sgcs_value=ue_value, predicted=predicted, ground_truth=ground_truth
@@ -423,7 +415,7 @@ class _Loop:
                 row.action = self.run_decision(slot, divergence, misalignment, descriptor)
 
     def run(self) -> RunResult:
-        packages = _pretrain_models(self.config, self.trace, self.registry)
+        packages = _pretrain_models(self.config, self.trace, self.measurements, self.registry)
         for package in packages:
             desc = package.descriptor
             self.log(
@@ -446,9 +438,8 @@ class _Loop:
 
         for slot in range(self.config.num_slots):
             row = MetricsRow(slot=slot)
-            measurement = self.measure(slot)
-            self.report(slot, measurement)
-            self.apply(slot, measurement, row)
+            self.report(slot)
+            self.apply(slot, row)
             if slot in self.eval_set:
                 self.monitor(slot, row)
             row.loop_state = self.state.value

@@ -10,6 +10,7 @@ from lcmsim.channel import (
     measure_csi,
     ula_steering,
     unit_norm,
+    vector_norm,
 )
 from lcmsim.kpi import sgcs
 from lcmsim.streams import substream
@@ -154,3 +155,64 @@ class TestMeasureCsi:
             for s in range(draws)
         ]
         assert abs(float(np.mean(measured)) - oracle) < 0.02
+
+
+def reference_measurement(w, snr_db, slot, seed):
+    """The per-slot measurement model drawn from its own substream."""
+    if math.isinf(snr_db) and snr_db > 0:
+        return w.copy()
+    n = w.size
+    var = 10.0 ** (-snr_db / 10.0) / n
+    rng = substream(seed, "meas", slot)
+    noise = math.sqrt(var / 2) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    v = w + noise
+    return v / np.linalg.norm(v)
+
+
+class TestStackedMeasurement:
+    @pytest.mark.parametrize("seed", [7, 2**40 + 3])
+    def test_rows_equal_single_slot_calls(self, seed):
+        trace = make_trace([(0, regime(snr=20.0)), (60, regime(snr=-3.0))], slots=120)
+        snr = trace.snr_db.copy()
+        snr[90:] = math.inf
+        slots = np.arange(trace.num_slots)
+        stacked = measure_csi(trace.true_precoders, snr, slots, seed)
+        assert stacked.measured_precoder.shape == trace.true_precoders.shape
+        for t in slots.tolist():
+            one = measure_csi(trace.true_precoders[t], float(snr[t]), t, seed)
+            ref = reference_measurement(trace.true_precoders[t], float(snr[t]), t, seed)
+            assert stacked.measured_precoder[t].tobytes() == one.measured_precoder.tobytes()
+            assert one.measured_precoder.tobytes() == ref.tobytes()
+        assert np.array_equal(stacked.measured_precoder[90:], trace.true_precoders[90:])
+
+    def test_slot_order_does_not_matter(self):
+        trace = make_trace([(0, regime())], slots=40)
+        slots = np.arange(40)[::-1]
+        stacked = measure_csi(trace.true_precoders[slots], trace.snr_db[slots], slots, 3)
+        for row, t in zip(stacked.measured_precoder, slots.tolist()):
+            single = measure_csi(trace.true_precoders[t], float(trace.snr_db[t]), t, 3)
+            assert row.tobytes() == single.measured_precoder.tobytes()
+
+
+class TestUnitNorm:
+    def test_norm_matches_numpy_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for n in (1, 7, 32, 64):
+            v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            for x in (v, v[::2], v.real):
+                assert vector_norm(x) == np.linalg.norm(x)
+                assert unit_norm(x).tobytes() == (x / np.linalg.norm(x)).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, bad):
+        v = np.ones(4, dtype=complex)
+        v[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            unit_norm(v)
+        v[2] = complex(0.0, bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            unit_norm(v)
+
+    def test_zero_vector_rejected(self):
+        with pytest.raises(ValueError, match="zero"):
+            unit_norm(np.zeros(4, dtype=complex))

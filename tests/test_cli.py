@@ -1,10 +1,13 @@
 """Command-line harness: exit codes, outputs on disk, sweep behaviour."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from lcmsim import cli
 from lcmsim.cli import main
 from scenario_configs import QUIET_SMALL
 
@@ -59,10 +62,15 @@ class TestExitCodes:
         assert "error" in err
 
     def test_console_script_entry(self):
+        # The child imports the same lcmsim as this process, installed or
+        # put on sys.path by pytest's ``pythonpath`` setting.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "lcmsim.cli", "--help"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "usage: lcmsim" in proc.stdout

@@ -21,7 +21,7 @@ from lcmsim.controller import (
     transition,
 )
 from lcmsim.errors import IntegrityError, NotFoundError
-from lcmsim.kpi import InputDescriptor, descriptor_divergence, misalignment_divergence
+from lcmsim.kpi import InputDescriptor, descriptor_divergence, misalignment_divergence, sgcs
 from lcmsim.models import (
     ModelDescriptor,
     ModelKind,
@@ -461,6 +461,25 @@ class TestLegacyReport:
             scores = [abs(np.vdot(book[:, j], m)) ** 2 for j in range(16)]
             assert legacy_csi_report(m, book) == int(np.argmax(scores))
 
+    def test_matches_argmax_of_sgcs_scores(self):
+        # The report scores beams with the sgcs arithmetic; its pick must
+        # be the first maximum of the sgcs scores themselves, ties included.
+        rng = np.random.default_rng(8)
+        for n in (8, 32, 64):
+            book = dft_codebook(n)
+            for _ in range(20):
+                m = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                for measurement in (m, book[:, int(rng.integers(n))]):
+                    scores = [sgcs(book[:, j], measurement) for j in range(n)]
+                    assert legacy_csi_report(measurement, book) == scores.index(max(scores))
+
     def test_empty_codebook_rejected(self):
         with pytest.raises(ValueError):
             legacy_csi_report(np.ones(4) / 2.0, np.zeros((4, 0)))
+
+    def test_zero_and_mismatched_measurements_rejected(self):
+        book = dft_codebook(4)
+        with pytest.raises(ValueError):
+            legacy_csi_report(np.zeros(4, complex), book)
+        with pytest.raises(ValueError):
+            legacy_csi_report(np.ones(3, complex), book)

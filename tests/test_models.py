@@ -15,6 +15,7 @@ from lcmsim.errors import DegenerateInputError
 from lcmsim.kpi import sgcs
 from lcmsim.models import (
     AutoencoderConfig,
+    CsiPredictor,
     DeltaPackage,
     ModelDescriptor,
     ModelKind,
@@ -122,6 +123,17 @@ class TestPredictor:
             pred = predict_csi(model, history[: t + 1])
             scores.append(sgcs(pred, history[t + 4].measured_precoder))
         assert float(np.mean(scores)) > 0.95
+
+    def test_stacked_history_trains_the_same_package(self):
+        history = trace_history(doppler=0.1, slots=120)
+        stack = CsiMeasurement(
+            np.arange(120),
+            np.stack([m.measured_precoder for m in history]),
+            np.full(120, math.inf),
+        )
+        a = train_predictor(history, PredictorConfig(3, 2))
+        b = train_predictor(stack, PredictorConfig(3, 2))
+        assert a.to_bytes() == b.to_bytes()
 
     def test_history_too_short(self):
         rng = np.random.default_rng(3)
@@ -331,6 +343,52 @@ class TestDelta:
         assert np.array_equal(clone.left, delta.left)
         assert np.array_equal(clone.bias, delta.bias)
         assert clone.size_bytes == delta.size_bytes
+
+
+def reference_prediction(model, recent):
+    """Predictor arithmetic straight from the package, newest first."""
+    order = int(model.extra["order"])
+    stacked = np.concatenate([recent[-1 - k].measured_precoder for k in range(order)])
+    out = model.param("taps") @ stacked
+    if model.has_param("delta_left"):
+        right = model.param("delta_right")
+        out = out + model.param("delta_left") @ (right.conj().T @ out) + model.param(
+            "delta_bias"
+        ).ravel()
+    return out / np.linalg.norm(out)
+
+
+class TestCsiPredictor:
+    def models(self):
+        base = train_predictor(trace_history(slots=200), PredictorConfig(4, 2))
+        rng = np.random.default_rng(21)
+        transform = np.eye(16) + 0.1 * rng.standard_normal((16, 16))
+        pairs = TestDelta().pairs_from(rng, 60, 16, transform)
+        return base, apply_delta(base, fit_adaptation_delta(base, pairs, rank=3))
+
+    def test_resolved_once_matches_per_call_bit_for_bit(self):
+        history = trace_history(doppler=0.1, slots=120)
+        measured = np.stack([m.measured_precoder for m in history])
+        for model in self.models():
+            resolved = CsiPredictor.of(model)
+            assert (resolved.delta_left is not None) == model.has_param("delta_left")
+            for t in range(3, 120, 7):
+                want = reference_prediction(model, history[: t + 1]).tobytes()
+                assert predict_csi(model, history[: t + 1]).tobytes() == want
+                window = measured[t - 3 : t + 1]
+                assert predict_csi(resolved, window).tobytes() == want
+                assert predict_csi(resolved, measured[: t + 1]).tobytes() == want
+
+    def test_rejects_other_kinds_and_short_windows(self):
+        enc, _ = train_autoencoder_joint(
+            np.stack([m.measured_precoder for m in trace_history(slots=40)]),
+            AutoencoderConfig(latent_dim=4, bits_per_dim=0, input_dim=16),
+        )
+        with pytest.raises(ValueError):
+            CsiPredictor.of(enc)
+        resolved = CsiPredictor.of(self.models()[0])
+        with pytest.raises(ValueError):
+            predict_csi(resolved, np.ones((3, 16), complex))
 
 
 class TestBeamPredictor:

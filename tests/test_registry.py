@@ -120,6 +120,31 @@ class TestStoreFetch:
         assert looked_up[0] == looked_up[1]
         assert looked_up[0][:2] == ("m-b", 1)
 
+    def test_reopened_registry_reads_each_entry_once(self, tmp_path, monkeypatch):
+        first = ModelRegistry(tmp_path)
+        for pkg in (make_package(), make_package(version=2),
+                    make_package(model_id="m-b", doppler=0.2, snr=15.0)):
+            first.store(pkg)
+        reopened = ModelRegistry(tmp_path)
+        reads = []
+        original = ModelRegistry._read_package
+
+        def counting(self, model_id, version):
+            reads.append((model_id, version))
+            return original(self, model_id, version)
+
+        monkeypatch.setattr(ModelRegistry, "_read_package", counting)
+        query = query_descriptor(doppler=0.15, snr=18.0)
+        results = []
+        for _ in range(2):
+            pkg, div = reopened.fetch_by_descriptor(query, ModelKind.CSI_PREDICTOR, 10.0)
+            results.append((pkg.descriptor.model_id, pkg.descriptor.model_version, div))
+        # First lookup: every entry once to rank it, then the winner.
+        # Second lookup: the winner only.
+        assert reads == [("m-a", 1), ("m-a", 2), ("m-b", 1), ("m-b", 1), ("m-b", 1)]
+        assert results[0] == results[1]
+        assert all(e.input_descriptor is not None for e in reopened.entries())
+
     def test_checksum_required_before_store(self, tmp_path):
         reg = ModelRegistry(tmp_path)
         pkg = make_package()

@@ -2,10 +2,13 @@
 
 import re
 
+import numpy as np
 import pytest
 
+from lcmsim import channel, simulation
 from lcmsim.config import parse_scenario_config
 from lcmsim.errors import IntegrityError
+from lcmsim.models import PredictorConfig, train_predictor
 from lcmsim.monitoring import monitoring_overhead
 from lcmsim.simulation import (
     METRICS_HEADER,
@@ -138,6 +141,58 @@ class TestDeterminism:
         run_scenario(cfg, root)
         with pytest.raises(IntegrityError, match="already stored"):
             run_scenario(cfg, root)
+
+
+class TestMeasureOnce:
+    def counting(self, monkeypatch, owner, name, log):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            log.append((name, args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    def test_run_measures_all_slots_in_one_call(self, tmp_path, monkeypatch):
+        calls = []
+        self.counting(monkeypatch, simulation, "measure_csi", calls)
+        self.counting(monkeypatch, channel, "substream", calls)
+        cfg = parse_scenario_config(FALLBACK_DRIFT)
+        run_scenario(cfg, str(tmp_path / "registry"))
+        stacked = [args for name, args in calls if name == "measure_csi"]
+        assert len(stacked) == 1
+        assert stacked[0][0].shape == (cfg.num_slots, cfg.num_antennas)
+        # Per-slot streams come from the batched kernel, never substream().
+        assert {args[1] for name, args in calls if name == "substream"} <= {
+            "chan.angles.urban-a", "chan.angles.urban-b",
+            "chan.rates.urban-a", "chan.rates.urban-b",
+        }
+
+    def test_pretraining_slices_the_run_measurements(self, tmp_path, monkeypatch):
+        cfg = parse_scenario_config(QUIET_SMALL)
+        loop = simulation._Loop(cfg, str(tmp_path / "registry"))
+        calls = []
+        self.counting(monkeypatch, simulation, "measure_csi", calls)
+        self.counting(monkeypatch, channel, "measure_csi", calls)
+        self.counting(monkeypatch, channel, "substream_normals", calls)
+        (package,) = simulation._pretrain_models(cfg, loop.trace, loop.measurements, loop.registry)
+        assert calls == []
+        # Same model as one trained on per-slot measurements of the window.
+        spec = cfg.pretrain[0]
+        monkeypatch.undo()
+        history = [
+            channel.measure_csi(loop.trace.true_precoders[t], float(loop.trace.snr_db[t]), t, cfg.seed)
+            for t in range(spec.start_slot, spec.end_slot)
+        ]
+        reference = train_predictor(
+            history,
+            PredictorConfig(cfg.predictor_order, cfg.predictor_horizon),
+            codebook=loop.codebook,
+            beam_powers=loop.trace.per_beam_power[spec.start_slot : spec.end_slot],
+        )
+        assert package.descriptor.model_id == reference.descriptor.model_id
+        assert package.descriptor.payload_checksum == reference.descriptor.payload_checksum
+        assert np.array_equal(package.param("taps"), reference.param("taps"))
 
 
 class TestQuietLoop:
