@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -28,6 +27,9 @@ from .streams import substream, substream_normals
 # deterministic per-path phase rotation, which a matched linear model
 # can track, while this envelope keeps the process ergodic.
 AGING_FACTOR = 0.05
+# measure_csi draws noise for at most this many rows at a time, which
+# bounds its temporaries however long the run.
+_MEASURE_CHUNK = 1024
 
 
 def vector_norm(v: np.ndarray) -> float:
@@ -151,31 +153,31 @@ class TraceConfig:
 
 
 @dataclass
-class CsiMeasurement:
-    """One noisy CSI estimate at the UE, or a stack of them from
-    :func:`measure_csi` with one row (and slot, and SNR) per slot."""
+class CsiMeasurements:
+    """Noisy CSI estimates at the UE, one row per slot, oldest first:
+    ``precoders[i]`` was measured at slot ``slots[i]`` with SNR
+    ``snr_db[i]``. Fields are coerced to arrays."""
 
-    slot_index: int
-    measured_precoder: np.ndarray
-    snr_db: float
+    slots: np.ndarray
+    precoders: np.ndarray
+    snr_db: np.ndarray
 
-    def window(self, start: int, stop: int) -> CsiMeasurement:
-        """Rows ``start`` to ``stop - 1`` of a stack, as a stack viewing them."""
-        return CsiMeasurement(
-            self.slot_index[start:stop],
-            self.measured_precoder[start:stop],
-            self.snr_db[start:stop],
+    def __post_init__(self) -> None:
+        self.slots = np.asarray(self.slots)
+        self.precoders = np.asarray(self.precoders)
+        self.snr_db = np.asarray(self.snr_db, dtype=np.float64)
+        rows = len(self.precoders)
+        if self.precoders.ndim != 2 or len(self.slots) != rows or len(self.snr_db) != rows:
+            raise ValueError("need a 2-D precoder stack with one slot and one SNR per row")
+
+    def __len__(self) -> int:
+        return len(self.precoders)
+
+    def window(self, start: int, stop: int) -> CsiMeasurements:
+        """Rows ``start`` to ``stop - 1``, as views."""
+        return CsiMeasurements(
+            self.slots[start:stop], self.precoders[start:stop], self.snr_db[start:stop]
         )
-
-
-def precoders_and_snrs(
-    measurements: Sequence[CsiMeasurement] | CsiMeasurement,
-) -> tuple[Sequence[np.ndarray], list[float]]:
-    """Measured precoders and SNRs of a window, oldest first, from a
-    sequence of single-slot measurements or from one stack."""
-    if isinstance(measurements, CsiMeasurement):
-        return measurements.measured_precoder, measurements.snr_db.tolist()
-    return [m.measured_precoder for m in measurements], [m.snr_db for m in measurements]
 
 
 @dataclass
@@ -233,7 +235,8 @@ def generate_trace(
     codebook_h = codebook.conj().T
 
     channels = np.empty((num_slots, num_tx_antennas), dtype=np.complex128)
-    beam_gains = np.empty((num_slots, codebook.shape[1]), dtype=np.complex128)
+    beam_power = np.empty((num_slots, codebook.shape[1]), dtype=np.float64)
+    beam_gain = np.empty(codebook.shape[1], dtype=np.complex128)
     snr = np.empty(num_slots, dtype=np.float64)
 
     for seg_start, seg_end, regime in _segment_bounds(cfg.regime_schedule, num_slots):
@@ -259,11 +262,10 @@ def generate_trace(
                 gains = rotation * (rho * gains) + innovations[s - seg_start]
             # One product per slot: a batched one would round differently.
             h = np.matmul(steering, gains, out=channels[s])
-            np.matmul(codebook_h, h, out=beam_gains[s])
+            np.abs(np.matmul(codebook_h, h, out=beam_gain), out=beam_power[s])
         snr[seg_start:seg_end] = regime.mean_snr_db
 
     true_precoders = _normalize_rows(channels)
-    beam_power = np.abs(beam_gains)
     beam_power **= 2
 
     return ChannelTrace(
@@ -278,38 +280,38 @@ def generate_trace(
 
 
 def measure_csi(
-    true_precoder: np.ndarray,
-    snr_db: float | np.ndarray,
-    slot_index: int | np.ndarray,
+    true_precoders: np.ndarray,
+    snr_db: np.ndarray,
+    slots: np.ndarray,
     master_seed: int,
-) -> CsiMeasurement:
-    """UE-side CSI estimate: truth plus circular complex Gaussian noise.
+) -> CsiMeasurements:
+    """UE-side CSI estimates: truth plus circular complex Gaussian noise.
 
-    Per-component noise variance is 10**(-snr_db/10) / num_antennas, so
-    the total noise power relative to the unit-norm precoder matches the
-    SNR. The sum is re-normalized. Infinite SNR returns the truth.
-
-    ``true_precoder`` may also be a (slots, num_antennas) stack, with one
-    SNR and one slot index per row; the fields of the result then hold
-    one entry per row, each bit-identical to the single-slot call.
+    Row i measures ``true_precoders[i]`` at slot ``slots[i]`` with SNR
+    ``snr_db[i]``, from that slot's own substream, so a row does not
+    depend on the others. Per-component noise variance is
+    10**(-snr_db/10) / num_antennas, so the total noise power relative
+    to the unit-norm precoder matches the SNR. The sum is re-normalized.
+    Infinite SNR returns the truth.
     """
-    w = np.asarray(true_precoder)
-    if w.ndim == 1:
-        one = measure_csi(w[np.newaxis], [snr_db], [slot_index], master_seed)
-        return CsiMeasurement(slot_index, one.measured_precoder[0], snr_db)
-    slots = np.asarray(slot_index)
+    w = np.asarray(true_precoders)
+    slots = np.asarray(slots)
     snrs = np.asarray(snr_db, dtype=np.float64)
+    if w.ndim != 2 or len(slots) != len(w) or len(snrs) != len(w):
+        raise ValueError("need a 2-D precoder stack with one slot and one SNR per row")
     n_ant = w.shape[1]
     noisy = np.flatnonzero(~np.isposinf(snrs))
     measured = w.astype(np.complex128 if noisy.size else w.dtype)
-    draws = substream_normals(master_seed, "meas", slots[noisy].tolist(), 2 * n_ant)
-    # Per-row scalars in Python floats, elementwise work in place (each
-    # step commutes exactly), and each row's norm on its own (a batched
-    # norm rounds differently).
-    scale = [math.sqrt(10.0 ** (-snr / 10.0) / n_ant / 2) for snr in snrs[noisy].tolist()]
-    sums = 1j * draws[:, n_ant:]
-    sums += draws[:, :n_ant]
-    sums *= np.array(scale)[:, np.newaxis]
-    sums += w[noisy]
-    measured[noisy] = _normalize_rows(sums)
-    return CsiMeasurement(slots, measured, snrs)
+    for lo in range(0, noisy.size, _MEASURE_CHUNK):
+        rows = noisy[lo : lo + _MEASURE_CHUNK]
+        draws = substream_normals(master_seed, "meas", slots[rows].tolist(), 2 * n_ant)
+        # Per-row scalars in Python floats, elementwise work in place (each
+        # step commutes exactly), and each row's norm on its own (a batched
+        # norm rounds differently).
+        scale = [math.sqrt(10.0 ** (-snr / 10.0) / n_ant / 2) for snr in snrs[rows].tolist()]
+        sums = 1j * draws[:, n_ant:]
+        sums += draws[:, :n_ant]
+        sums *= np.array(scale)[:, np.newaxis]
+        sums += w[rows]
+        measured[rows] = _normalize_rows(sums)
+    return CsiMeasurements(slots, measured, snrs)

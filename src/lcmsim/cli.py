@@ -204,7 +204,7 @@ def _cmd_eval_sgcs(args) -> int:
     trace = _make_trace(args)
     if args.slots < cfg.order + cfg.horizon_slots + 1:
         raise ConfigError("--slots too small for the model's order and horizon")
-    measured = _measure_all(trace, args.seed).measured_precoder
+    measured = _measure_all(trace, args.seed).precoders
     predictor = CsiPredictor.of(package)
     scores, errors = [], []
     for t in range(cfg.order - 1, args.slots - cfg.horizon_slots):

@@ -17,8 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrityError, NotFoundError
-from .kpi import InputDescriptor
-from .kpi import sgcs  # noqa: F401  (perfbench/layers.py traces lcmsim.controller.sgcs)
+from .kpi import InputDescriptor, sgcs
 from .models import CsiPredictor, DeltaPackage, ModelKind, ModelPackage, apply_delta
 from .registry import ModelRegistry
 
@@ -346,23 +345,13 @@ def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> Co
 def legacy_csi_report(measurement: np.ndarray, codebook: np.ndarray) -> int:
     """Index of the codebook beam best aligned with the measurement.
 
-    Beams are codebook columns; ties go to the lowest index. Each beam
-    is scored with the arithmetic of :func:`lcmsim.kpi.sgcs`, on a
-    contiguous copy of its column as ``sgcs`` makes.
+    Beams are codebook columns; ties go to the lowest index.
     """
     book = np.asarray(codebook)
     if book.ndim != 2 or book.shape[1] == 0:
         raise ValueError("codebook must be a non-empty matrix of beam columns")
-    t = np.asarray(measurement).ravel()
-    if t.size != book.shape[0]:
-        raise ValueError(f"length mismatch: {book.shape[0]} vs {t.size}")
-    tn = np.vdot(t, t).real
-    scores = []
-    for beam in np.ascontiguousarray(book.T):
-        pn = np.vdot(beam, beam).real
-        if pn < 1e-300 or tn < 1e-300:
-            raise ValueError("sgcs undefined for zero vectors")
-        scores.append(float(abs(np.vdot(beam, t)) ** 2 / (pn * tn)))
+    # Rows of one contiguous copy: sgcs would copy each strided column.
+    scores = [sgcs(beam, measurement) for beam in np.ascontiguousarray(book.T)]
     best = 0
     for j in range(1, len(scores)):
         if scores[j] > scores[best]:

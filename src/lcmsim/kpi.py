@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import CsiMeasurement, precoders_and_snrs
+from .channel import CsiMeasurements
 
 
 def sgcs(predicted: np.ndarray, truth: np.ndarray) -> float:
@@ -39,19 +39,6 @@ def nmse(predicted: np.ndarray, truth: np.ndarray) -> float:
         raise ValueError("nmse undefined for zero reference")
     d = p - t
     return float(np.vdot(d, d).real / tn)
-
-
-def sgcs_and_nmse(predicted: np.ndarray, truth: np.ndarray) -> tuple[float, float]:
-    """``(sgcs(predicted, truth), nmse(predicted, truth))`` for two
-    vectors of one length, bit for bit, with |truth|^2 computed once."""
-    p = predicted.ravel()
-    t = truth.ravel()
-    pn = np.vdot(p, p).real
-    tn = np.vdot(t, t).real
-    if pn < 1e-300 or tn < 1e-300:
-        raise ValueError("sgcs undefined for zero vectors")
-    d = p - t
-    return float(abs(np.vdot(p, t)) ** 2 / (pn * tn)), float(np.vdot(d, d).real / tn)
 
 
 @dataclass(frozen=True)
@@ -122,13 +109,12 @@ def lag1_terms(vectors: Sequence[np.ndarray], snr_db: Sequence[float]) -> list[f
 
 
 def derive_input_descriptor(
-    measurements: Sequence[CsiMeasurement] | CsiMeasurement,
+    measurements: CsiMeasurements,
     codebook: np.ndarray,
     beam_powers: np.ndarray | None = None,
     lag_terms: Sequence[float] | None = None,
 ) -> InputDescriptor:
-    """Build an InputDescriptor from a measurement window: single-slot
-    measurements, oldest first, or one stack from ``measure_csi``.
+    """Build an InputDescriptor from a window of measurements.
 
     ``beam_powers`` (one row per measurement) should be passed when beam
     sweep measurements exist; otherwise beam powers are taken from the
@@ -143,7 +129,7 @@ def derive_input_descriptor(
     run can pass the window's pairs' :func:`lag1_terms` as ``lag_terms``
     instead of having them recomputed.
     """
-    vectors, snr_vals = precoders_and_snrs(measurements)
+    vectors, snr_vals = measurements.precoders, measurements.snr_db.tolist()
     if not snr_vals:
         raise ValueError("empty measurement window")
     cb = np.asarray(codebook)

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import container
-from .channel import CsiMeasurement, dft_codebook, precoders_and_snrs, unit_norm, vector_norm
+from .channel import CsiMeasurements, dft_codebook, unit_norm, vector_norm
 from .errors import DegenerateInputError, IntegrityError
 from .kpi import InputDescriptor, derive_input_descriptor
 from .streams import stable_id
@@ -281,7 +281,7 @@ def _stack_recent(measurements: Sequence[np.ndarray], order: int, at: int) -> np
 
 
 def train_predictor(
-    history: Sequence[CsiMeasurement] | CsiMeasurement,
+    history: CsiMeasurements,
     cfg: PredictorConfig,
     model_id: str | None = None,
     model_version: int = 1,
@@ -293,11 +293,10 @@ def train_predictor(
 
     Regresses the measurement at t + horizon onto the ``order`` most
     recent measurements stacked newest-first, via ridge least squares.
-    The training window (single-slot measurements or one stack) also
-    yields the package's input descriptor.
+    The training window also yields the package's input descriptor.
     """
     cfg.validate()
-    vectors, _ = precoders_and_snrs(history)
+    vectors = history.precoders
     if len(vectors) < cfg.order + cfg.horizon_slots + 10:
         raise ValueError(
             f"history of {len(vectors)} too short for order {cfg.order} "
@@ -372,24 +371,14 @@ class CsiPredictor:
         )
 
 
-def predict_csi(
-    model: ModelPackage | CsiPredictor,
-    recent: Sequence[CsiMeasurement] | np.ndarray,
-) -> np.ndarray:
+def predict_csi(predictor: CsiPredictor, recent: np.ndarray) -> np.ndarray:
     """Predict the precoder ``horizon_slots`` ahead of the newest
-    measurement. ``recent`` is ordered oldest to newest: measurements,
-    or their precoders as the rows of an array. A loop predicting every
-    slot passes the model resolved once, as a :class:`CsiPredictor`."""
-    predictor = model if isinstance(model, CsiPredictor) else CsiPredictor.of(model)
+    measurement. ``recent`` holds measured precoders as rows, oldest to
+    newest; the last ``order`` rows are used."""
     order = predictor.order
     if len(recent) < order:
         raise ValueError(f"need {order} measurements, got {len(recent)}")
-    if isinstance(recent, np.ndarray):
-        stacked = recent[-order:][::-1].ravel()
-    else:
-        stacked = np.concatenate(
-            [np.asarray(recent[-1 - k].measured_precoder) for k in range(order)]
-        )
+    stacked = recent[-order:][::-1].ravel()
     taps = predictor.taps
     if taps.shape[1] != stacked.size:
         raise ValueError("measurement length does not match the model")
@@ -478,11 +467,10 @@ def train_autoencoder_joint(
 
 
 def _descriptor_from_targets(samples: np.ndarray) -> InputDescriptor:
-    n_ant = samples.shape[1]
-    pseudo = [
-        CsiMeasurement(i, unit_norm(row), math.inf)
-        for i, row in enumerate(samples)
-    ]
+    count, n_ant = samples.shape
+    pseudo = CsiMeasurements(
+        np.arange(count), [unit_norm(row) for row in samples], np.full(count, math.inf)
+    )
     return derive_input_descriptor(pseudo, dft_codebook(n_ant))
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CsiMeasurement, dft_codebook, generate_trace, measure_csi
+from .channel import CsiMeasurements, dft_codebook, generate_trace, measure_csi
 from .config import ScenarioConfig
 from .controller import (
     ActionKind,
@@ -36,8 +36,8 @@ from .kpi import (
     descriptor_divergence,
     lag1_terms,
     misalignment_divergence,
+    nmse,
     sgcs,
-    sgcs_and_nmse,
 )
 from .models import (
     ModelPackage,
@@ -142,7 +142,7 @@ def simulation_warmup(config: ScenarioConfig) -> int:
 def _pretrain_models(
     config: ScenarioConfig,
     trace,
-    measurements: CsiMeasurement,
+    measurements: CsiMeasurements,
     registry: ModelRegistry,
 ) -> list[ModelPackage]:
     """Train and store one predictor per pretrain window.
@@ -186,7 +186,7 @@ class _Loop:
         self.measurements = measure_csi(
             trace.true_precoders, trace.snr_db, np.arange(config.num_slots), config.seed
         )
-        self.measured = self.measurements.measured_precoder
+        self.measured = self.measurements.precoders
         # lag_terms[t] pairs slots t and t+1; descriptor windows slice it.
         self.lag_terms = lag1_terms(self.measured, trace.snr_db.tolist())
         self.registry = ModelRegistry(registry_root)
@@ -284,9 +284,9 @@ class _Loop:
             vector = self.codebook[:, self.pending_legacy.pop(slot)]
         else:
             return
-        value, error = sgcs_and_nmse(vector, self.trace.true_precoders[slot])
-        row.sgcs = repr(value)
-        row.nmse = repr(error)
+        truth = self.trace.true_precoders[slot]
+        row.sgcs = repr(sgcs(vector, truth))
+        row.nmse = repr(nmse(vector, truth))
 
     def current_descriptor(self, slot: int):
         start = slot + 1 - min(self.policy.descriptor_window_slots, slot + 1)

@@ -52,9 +52,6 @@ def _hash_constants(init: int, mult: int, count: int) -> list[tuple[int, int]]:
 # 16 entropy-mixing steps (4 initial, 12 cross-mixes), 8 output words.
 _MIX_STEPS = _hash_constants(_INIT_A, _MULT_A, 16)
 _GEN_STEPS = _hash_constants(_INIT_B, _MULT_B, 8)
-# Below this many indices, building each substream costs less than the
-# fixed cost of the vectorised seeding (about 250 us).
-_VECTOR_MIN_KEYS = 16
 
 
 def _hashmix(value: np.ndarray, xor: int, mult: int) -> np.ndarray:
@@ -108,10 +105,6 @@ def substream_normals(
     SeedSequence and a Generator.
     """
     out = np.empty((len(indices), width), dtype=np.float64)
-    if len(indices) < _VECTOR_MIN_KEYS:
-        for row, index in enumerate(indices):
-            substream(master_seed, module, index).standard_normal(out=out[row])
-        return out
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
     for row, (state, inc) in enumerate(_pcg64_states(master_seed, module, indices)):

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from lcmsim import channel
 from lcmsim.channel import (
     ChannelRegime,
+    CsiMeasurements,
     dft_codebook,
     generate_trace,
     measure_csi,
@@ -22,6 +24,11 @@ def regime(rid="urban", paths=4, doppler=0.05, spread=1.0, snr=20.0):
 
 def make_trace(schedule, slots=200, n_ant=8, seed=7):
     return generate_trace(schedule, slots, n_ant, dft_codebook(n_ant), seed)
+
+
+def measure_one(w, snr_db, slot, seed):
+    """One slot's measured precoder, from a one-row stack."""
+    return measure_csi(np.asarray(w)[np.newaxis], [snr_db], [slot], seed).precoders[0]
 
 
 class TestGenerateTrace:
@@ -115,21 +122,21 @@ class TestInjectShift:
 class TestMeasureCsi:
     def test_infinite_snr_is_exact(self):
         trace = make_trace([(0, regime(snr=math.inf))], slots=3)
-        m = measure_csi(trace.true_precoders[1], math.inf, 1, 7)
-        assert np.array_equal(m.measured_precoder, trace.true_precoders[1])
+        m = measure_one(trace.true_precoders[1], math.inf, 1, 7)
+        assert np.array_equal(m, trace.true_precoders[1])
 
     def test_measurement_unit_norm(self):
         trace = make_trace([(0, regime())], slots=3)
-        m = measure_csi(trace.true_precoders[0], 10.0, 0, 7)
-        assert abs(np.linalg.norm(m.measured_precoder) - 1.0) < 1e-12
+        m = measure_one(trace.true_precoders[0], 10.0, 0, 7)
+        assert abs(np.linalg.norm(m) - 1.0) < 1e-12
 
     def test_deterministic_per_slot(self):
         w = unit_norm(np.arange(1, 9) + 1j)
-        a = measure_csi(w, 10.0, 5, 7)
-        b = measure_csi(w, 10.0, 5, 7)
-        c = measure_csi(w, 10.0, 6, 7)
-        assert np.array_equal(a.measured_precoder, b.measured_precoder)
-        assert not np.array_equal(a.measured_precoder, c.measured_precoder)
+        a = measure_one(w, 10.0, 5, 7)
+        b = measure_one(w, 10.0, 5, 7)
+        c = measure_one(w, 10.0, 6, 7)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_mean_sgcs_matches_monte_carlo_oracle(self):
         # Independent oracle: draw the same noise model with a separate
@@ -150,10 +157,8 @@ class TestMeasureCsi:
             )
         oracle = float(np.mean(oracle_vals))
 
-        measured = [
-            sgcs(measure_csi(w, snr_db, s, 99).measured_precoder, w)
-            for s in range(draws)
-        ]
+        stack = measure_csi(np.tile(w, (draws, 1)), np.full(draws, snr_db), np.arange(draws), 99)
+        measured = [sgcs(m, w) for m in stack.precoders]
         assert abs(float(np.mean(measured)) - oracle) < 0.02
 
 
@@ -177,21 +182,35 @@ class TestStackedMeasurement:
         snr[90:] = math.inf
         slots = np.arange(trace.num_slots)
         stacked = measure_csi(trace.true_precoders, snr, slots, seed)
-        assert stacked.measured_precoder.shape == trace.true_precoders.shape
+        assert stacked.precoders.shape == trace.true_precoders.shape
         for t in slots.tolist():
-            one = measure_csi(trace.true_precoders[t], float(snr[t]), t, seed)
+            one = measure_one(trace.true_precoders[t], float(snr[t]), t, seed)
             ref = reference_measurement(trace.true_precoders[t], float(snr[t]), t, seed)
-            assert stacked.measured_precoder[t].tobytes() == one.measured_precoder.tobytes()
-            assert one.measured_precoder.tobytes() == ref.tobytes()
-        assert np.array_equal(stacked.measured_precoder[90:], trace.true_precoders[90:])
+            assert stacked.precoders[t].tobytes() == one.tobytes()
+            assert one.tobytes() == ref.tobytes()
+        assert np.array_equal(stacked.precoders[90:], trace.true_precoders[90:])
 
-    def test_slot_order_does_not_matter(self):
+    def test_slot_order_and_chunking_do_not_matter(self, monkeypatch):
         trace = make_trace([(0, regime())], slots=40)
         slots = np.arange(40)[::-1]
-        stacked = measure_csi(trace.true_precoders[slots], trace.snr_db[slots], slots, 3)
-        for row, t in zip(stacked.measured_precoder, slots.tolist()):
-            single = measure_csi(trace.true_precoders[t], float(trace.snr_db[t]), t, 3)
-            assert row.tobytes() == single.measured_precoder.tobytes()
+        whole = measure_csi(trace.true_precoders[slots], trace.snr_db[slots], slots, 3)
+        monkeypatch.setattr(channel, "_MEASURE_CHUNK", 16)
+        chunked = measure_csi(trace.true_precoders[slots], trace.snr_db[slots], slots, 3)
+        assert chunked.precoders.tobytes() == whole.precoders.tobytes()
+        for row, t in zip(whole.precoders, slots.tolist()):
+            single = measure_one(trace.true_precoders[t], float(trace.snr_db[t]), t, 3)
+            assert row.tobytes() == single.tobytes()
+
+    def test_shapes_checked(self):
+        w = np.ones((3, 4), complex) / 2
+        with pytest.raises(ValueError):
+            measure_csi(w[0], [20.0], [0], 1)
+        with pytest.raises(ValueError):
+            measure_csi(w, [20.0] * 2, [0, 1, 2], 1)
+        with pytest.raises(ValueError):
+            CsiMeasurements([0, 1], w, [20.0] * 3)
+        window = measure_csi(w, [20.0] * 3, [4, 5, 6], 1).window(1, 3)
+        assert len(window) == 2 and window.slots.tolist() == [5, 6]
 
 
 class TestUnitNorm:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lcmsim.channel import CsiMeasurement, dft_codebook
+from lcmsim.channel import CsiMeasurements, dft_codebook
 from lcmsim.controller import (
     ActionKind,
     ControlAction,
@@ -290,10 +290,11 @@ class TestDecide:
 
 def trained_base(order=4, horizon=4, n_ant=N_ANT, seed=0):
     rng = np.random.default_rng(seed)
-    history = []
+    vectors = []
     for t in range(64):
         v = rng.standard_normal(n_ant) + 1j * rng.standard_normal(n_ant)
-        history.append(CsiMeasurement(t, v / np.linalg.norm(v), 20.0))
+        vectors.append(v / np.linalg.norm(v))
+    history = CsiMeasurements(range(64), vectors, [20.0] * 64)
     return train_predictor(history, PredictorConfig(order, horizon), model_id="base-model")
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcmsim.channel import CsiMeasurement, dft_codebook, unit_norm
+from lcmsim.channel import CsiMeasurements, dft_codebook, unit_norm
 from lcmsim.kpi import (
     BeamKpiConfig,
     InputDescriptor,
@@ -15,7 +15,6 @@ from lcmsim.kpi import (
     misalignment_divergence,
     nmse,
     sgcs,
-    sgcs_and_nmse,
 )
 
 
@@ -89,21 +88,6 @@ class TestNmse:
         assert nmse(2 * t, t) > 0.5
 
 
-class TestSgcsAndNmse:
-    def test_equal_to_separate_calls_bit_for_bit(self):
-        rng = np.random.default_rng(4)
-        book = dft_codebook(16)
-        for _ in range(200):
-            t = unit_norm(random_vec(rng, 16))
-            # A contiguous prediction and a strided codebook column.
-            for p in (unit_norm(random_vec(rng, 16)), book[:, int(rng.integers(16))]):
-                assert sgcs_and_nmse(p, t) == (sgcs(p, t), nmse(p, t))
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            sgcs_and_nmse(np.zeros(3, complex), np.ones(3, complex))
-
-
 class TestBeamTopk:
     def test_full_overlap(self):
         powers = np.array([0.1, 0.5, 0.2, 0.2])
@@ -147,7 +131,7 @@ class TestBeamTopk:
 
 
 def static_window(w, count, snr=math.inf):
-    return [CsiMeasurement(i, w, snr) for i in range(count)]
+    return CsiMeasurements(range(count), [w] * count, [snr] * count)
 
 
 class TestInputDescriptor:
@@ -181,7 +165,7 @@ class TestInputDescriptor:
     def test_mean_snr(self):
         cb = dft_codebook(4)
         w = unit_norm(np.ones(4, complex))
-        window = [CsiMeasurement(i, w, s) for i, s in enumerate((10.0, 20.0, 30.0))]
+        window = CsiMeasurements(range(3), [w] * 3, (10.0, 20.0, 30.0))
         desc = derive_input_descriptor(window, cb)
         assert abs(desc.mean_snr_db - 20.0) < 1e-12
 
@@ -189,35 +173,19 @@ class TestInputDescriptor:
         cb = dft_codebook(8)
         rng = np.random.default_rng(9)
         snrs = [math.inf, 0.0, 12.5, -3.0] * 10
-        window = [
-            CsiMeasurement(i, unit_norm(random_vec(rng, 8)), s) for i, s in enumerate(snrs)
-        ]
-        terms = lag1_terms([m.measured_precoder for m in window], snrs)
+        window = CsiMeasurements(range(40), [unit_norm(random_vec(rng, 8)) for _ in snrs], snrs)
+        terms = lag1_terms(window.precoders, snrs)
         assert len(terms) == len(window) - 1
         for lo, hi in ((0, 40), (3, 17), (5, 6)):
-            want = derive_input_descriptor(window[lo:hi], cb)
-            got = derive_input_descriptor(window[lo:hi], cb, lag_terms=terms[lo : hi - 1])
+            want = derive_input_descriptor(window.window(lo, hi), cb)
+            got = derive_input_descriptor(window.window(lo, hi), cb, lag_terms=terms[lo : hi - 1])
             assert got.doppler_estimate == want.doppler_estimate
             assert got.mean_snr_db == want.mean_snr_db
             assert got.mean_beam_power.tobytes() == want.mean_beam_power.tobytes()
         with pytest.raises(ValueError):
-            derive_input_descriptor(window[:5], cb, lag_terms=terms[:3])
-
-    def test_stacked_window_gives_the_same_descriptor(self):
-        cb = dft_codebook(8)
-        rng = np.random.default_rng(10)
-        vectors = np.stack([unit_norm(random_vec(rng, 8)) for _ in range(30)])
-        snrs = np.array([20.0, math.inf, 3.0] * 10)
-        stack = CsiMeasurement(np.arange(30), vectors, snrs)
-        window = [CsiMeasurement(i, v, s) for i, (v, s) in enumerate(zip(vectors, snrs.tolist()))]
-        for lo, hi in ((0, 30), (4, 9), (7, 8)):
-            want = derive_input_descriptor(window[lo:hi], cb)
-            got = derive_input_descriptor(stack.window(lo, hi), cb)
-            assert (got.doppler_estimate, got.mean_snr_db, got.window_len) == (
-                want.doppler_estimate, want.mean_snr_db, want.window_len)
-            assert got.mean_beam_power.tobytes() == want.mean_beam_power.tobytes()
+            derive_input_descriptor(window.window(0, 5), cb, lag_terms=terms[:3])
         with pytest.raises(ValueError):
-            derive_input_descriptor(stack.window(3, 3), cb)
+            derive_input_descriptor(window.window(3, 3), cb)
 
 
 def make_desc(power, doppler=0.0, snr=20.0):

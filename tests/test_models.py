@@ -5,7 +5,7 @@ import pytest
 
 from lcmsim.channel import (
     ChannelRegime,
-    CsiMeasurement,
+    CsiMeasurements,
     dft_codebook,
     generate_trace,
     ula_steering,
@@ -43,7 +43,7 @@ def random_unit(rng, n):
 
 
 def static_history(w, count, snr=math.inf):
-    return [CsiMeasurement(i, w, snr) for i in range(count)]
+    return CsiMeasurements(range(count), [w] * count, [snr] * count)
 
 
 def trace_history(doppler=0.05, slots=400, n_ant=16, seed=3):
@@ -54,9 +54,7 @@ def trace_history(doppler=0.05, slots=400, n_ant=16, seed=3):
         dft_codebook(n_ant),
         seed,
     )
-    return [
-        CsiMeasurement(s, trace.true_precoders[s], math.inf) for s in range(slots)
-    ]
+    return CsiMeasurements(range(slots), trace.true_precoders, np.full(slots, math.inf))
 
 
 class TestPredictor:
@@ -64,7 +62,7 @@ class TestPredictor:
         rng = np.random.default_rng(1)
         w = random_unit(rng, 8)
         model = train_predictor(static_history(w, 60), PredictorConfig(2, 4))
-        pred = predict_csi(model, static_history(w, 2))
+        pred = predict_csi(CsiPredictor.of(model), static_history(w, 2).precoders)
         assert sgcs(pred, w) > 1.0 - 1e-6
 
     def test_single_path_tap_matches_least_squares_oracle(self):
@@ -81,15 +79,14 @@ class TestPredictor:
             g = rho * g + math.sqrt(1 - rho * rho) * (
                 rng.standard_normal() + 1j * rng.standard_normal()
             ) / math.sqrt(2)
-        history = [
-            CsiMeasurement(t, unit_norm(gains[t] * steer), math.inf)
-            for t in range(slots)
-        ]
+        history = CsiMeasurements(
+            range(slots), [unit_norm(g * steer) for g in gains], np.full(slots, math.inf)
+        )
         model = train_predictor(history, PredictorConfig(1, 1))
         taps = model.param("taps")
         learned = complex(steer.conj() @ taps @ steer)
 
-        vecs = [m.measured_precoder for m in history]
+        vecs = history.precoders
         num = sum(np.vdot(vecs[t], vecs[t + 1]) for t in range(slots - 1))
         energy = sum(np.vdot(v, v).real for v in vecs[:-1])
         lam = 1e-6 * energy / n
@@ -112,28 +109,18 @@ class TestPredictor:
         )
         rng = np.random.default_rng(2)
         w = random_unit(rng, n)
-        out = predict_csi(model, static_history(w, 3))
+        out = predict_csi(CsiPredictor.of(model), static_history(w, 3).precoders)
         assert np.allclose(out, w, atol=1e-12)
 
     def test_tracks_rotating_channel(self):
         history = trace_history(doppler=0.1, slots=500)
-        model = train_predictor(history[:400], PredictorConfig(2, 4))
+        predictor = CsiPredictor.of(train_predictor(history.window(0, 400), PredictorConfig(2, 4)))
+        measured = history.precoders
         scores = []
         for t in range(420, 496):
-            pred = predict_csi(model, history[: t + 1])
-            scores.append(sgcs(pred, history[t + 4].measured_precoder))
+            pred = predict_csi(predictor, measured[: t + 1])
+            scores.append(sgcs(pred, measured[t + 4]))
         assert float(np.mean(scores)) > 0.95
-
-    def test_stacked_history_trains_the_same_package(self):
-        history = trace_history(doppler=0.1, slots=120)
-        stack = CsiMeasurement(
-            np.arange(120),
-            np.stack([m.measured_precoder for m in history]),
-            np.full(120, math.inf),
-        )
-        a = train_predictor(history, PredictorConfig(3, 2))
-        b = train_predictor(stack, PredictorConfig(3, 2))
-        assert a.to_bytes() == b.to_bytes()
 
     def test_history_too_short(self):
         rng = np.random.default_rng(3)
@@ -315,9 +302,9 @@ class TestDelta:
             bias=np.zeros(n, complex),
         )
         updated = apply_delta(base, delta)
-        history = trace_history(slots=40)
-        a = predict_csi(base, history)
-        b = predict_csi(updated, history)
+        measured = trace_history(slots=40).precoders
+        a = predict_csi(CsiPredictor.of(base), measured)
+        b = predict_csi(CsiPredictor.of(updated), measured)
         assert np.allclose(a, b, atol=1e-12)
 
     def test_mismatched_base_rejected(self):
@@ -348,7 +335,7 @@ class TestDelta:
 def reference_prediction(model, recent):
     """Predictor arithmetic straight from the package, newest first."""
     order = int(model.extra["order"])
-    stacked = np.concatenate([recent[-1 - k].measured_precoder for k in range(order)])
+    stacked = np.concatenate([recent[-1 - k] for k in range(order)])
     out = model.param("taps") @ stacked
     if model.has_param("delta_left"):
         right = model.param("delta_right")
@@ -366,22 +353,20 @@ class TestCsiPredictor:
         pairs = TestDelta().pairs_from(rng, 60, 16, transform)
         return base, apply_delta(base, fit_adaptation_delta(base, pairs, rank=3))
 
-    def test_resolved_once_matches_per_call_bit_for_bit(self):
-        history = trace_history(doppler=0.1, slots=120)
-        measured = np.stack([m.measured_precoder for m in history])
+    def test_matches_package_arithmetic_bit_for_bit(self):
+        measured = trace_history(doppler=0.1, slots=120).precoders
         for model in self.models():
             resolved = CsiPredictor.of(model)
             assert (resolved.delta_left is not None) == model.has_param("delta_left")
             for t in range(3, 120, 7):
-                want = reference_prediction(model, history[: t + 1]).tobytes()
-                assert predict_csi(model, history[: t + 1]).tobytes() == want
+                want = reference_prediction(model, measured[: t + 1]).tobytes()
                 window = measured[t - 3 : t + 1]
                 assert predict_csi(resolved, window).tobytes() == want
                 assert predict_csi(resolved, measured[: t + 1]).tobytes() == want
 
     def test_rejects_other_kinds_and_short_windows(self):
         enc, _ = train_autoencoder_joint(
-            np.stack([m.measured_precoder for m in trace_history(slots=40)]),
+            trace_history(slots=40).precoders,
             AutoencoderConfig(latent_dim=4, bits_per_dim=0, input_dim=16),
         )
         with pytest.raises(ValueError):

@@ -180,10 +180,16 @@ class TestMeasureOnce:
         # Same model as one trained on per-slot measurements of the window.
         spec = cfg.pretrain[0]
         monkeypatch.undo()
-        history = [
-            channel.measure_csi(loop.trace.true_precoders[t], float(loop.trace.snr_db[t]), t, cfg.seed)
-            for t in range(spec.start_slot, spec.end_slot)
-        ]
+        slots = range(spec.start_slot, spec.end_slot)
+        trace = loop.trace
+        history = channel.CsiMeasurements(
+            slots,
+            [
+                channel.measure_csi(trace.true_precoders[t : t + 1], trace.snr_db[t : t + 1], [t], cfg.seed).precoders[0]
+                for t in slots
+            ],
+            trace.snr_db[spec.start_slot : spec.end_slot],
+        )
         reference = train_predictor(
             history,
             PredictorConfig(cfg.predictor_order, cfg.predictor_horizon),
