@@ -7,6 +7,7 @@ failure (integrity violations, missing registry entries, I/O).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -17,17 +18,6 @@ import numpy as np
 from .channel import ChannelRegime, dft_codebook, generate_trace, measure_csi
 from .config import load_scenario_config, parse_scenario_config
 from .errors import ConfigError, LcmSimError
-from .intervendor import (
-    CsiDataset,
-    DerivationSpec,
-    EvalCriteria,
-    cross_pairing_matrix,
-    derive_reference_model,
-    export_dataset,
-    train_decoder_from_dataset,
-    train_encoder_against_reference,
-    train_multivendor_decoder,
-)
 from .kpi import BeamKpiConfig, beam_topk_accuracy, nmse, sgcs
 from .models import (
     AutoencoderConfig,
@@ -271,10 +261,12 @@ def _cmd_registry(args) -> int:
 
 
 def _cmd_intervendor(args) -> int:
+    from . import intervendor as iv  # here, its only user: other commands skip the import
+
     if args.iv_cmd == "export-dataset":
         encoder = _load_package(args.encoder)
         trace = _make_trace(args)
-        dataset = export_dataset(encoder, trace.true_precoders, args.vendor_index)
+        dataset = iv.export_dataset(encoder, trace.true_precoders, args.vendor_index)
         _write_bytes(args.out, dataset.to_bytes())
         print(f"samples = {dataset.targets.shape[0]}")
         print(f"associated_id = {dataset.associated_id}")
@@ -282,13 +274,13 @@ def _cmd_intervendor(args) -> int:
         return 0
 
     if args.iv_cmd in ("train-decoder", "multivendor"):
-        datasets = [CsiDataset.from_bytes(Path(p).read_bytes()) for p in args.dataset]
+        datasets = [iv.CsiDataset.from_bytes(Path(p).read_bytes()) for p in args.dataset]
         if args.iv_cmd == "train-decoder":
-            decoder = train_decoder_from_dataset(
+            decoder = iv.train_decoder_from_dataset(
                 datasets if len(datasets) > 1 else datasets[0]
             )
         else:
-            decoder = train_multivendor_decoder(datasets)
+            decoder = iv.train_multivendor_decoder(datasets)
         _write_bytes(args.out, decoder.to_bytes())
         d = decoder.descriptor
         print(f"model_id = {d.model_id}")
@@ -299,7 +291,7 @@ def _cmd_intervendor(args) -> int:
     if args.iv_cmd == "train-encoder":
         decoder = _load_package(args.decoder)
         trace = _make_trace(args)
-        encoder = train_encoder_against_reference(decoder, trace.true_precoders)
+        encoder = iv.train_encoder_against_reference(decoder, trace.true_precoders)
         _write_bytes(args.out, encoder.to_bytes())
         d = encoder.descriptor
         print(f"model_id = {d.model_id}")
@@ -319,7 +311,7 @@ def _cmd_intervendor(args) -> int:
             if len(indices) != len(decoders):
                 raise ConfigError("--vendor-indices must list one entry per decoder")
         trace = _make_trace(args)
-        grid = cross_pairing_matrix(encoders, decoders, trace.true_precoders, indices)
+        grid = iv.cross_pairing_matrix(encoders, decoders, trace.true_precoders, indices)
         print("encoder\\decoder," + ",".join(str(j) for j in range(len(decoders))))
         for i in range(len(encoders)):
             cells = ",".join(
@@ -337,19 +329,19 @@ def _cmd_intervendor(args) -> int:
     if not latents:
         raise ConfigError("need at least one candidate")
     candidates = [AutoencoderConfig(l, b, args.antennas) for l, b in zip(latents, bits)]
-    spec = DerivationSpec(
+    spec = iv.DerivationSpec(
         regime=_regime(args),
         num_antennas=args.antennas,
         num_train=args.train_samples,
         num_eval=args.eval_samples,
     )
-    criteria = EvalCriteria(
+    criteria = iv.EvalCriteria(
         sgcs_floor=args.sgcs_floor,
         flops_budget=args.flops_budget,
         storage_budget_bytes=args.storage_budget,
         robustness_floor=args.robustness_floor,
     )
-    artifact, report = derive_reference_model(candidates, spec, criteria, args.seed)
+    artifact, report = iv.derive_reference_model(candidates, spec, criteria, args.seed)
     sys.stdout.write(report.to_text())
     if args.out_csv:
         _write_bytes(args.out_csv, report.to_csv().encode("utf-8"))
@@ -366,6 +358,7 @@ def _cmd_intervendor(args) -> int:
 # --------------------------------------------------------------------------
 # parser assembly
 
+@functools.cache  # one tree per process: building it costs milliseconds per main() call
 def build_parser() -> _Parser:
     parser = _Parser(prog="lcmsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")

@@ -208,3 +208,33 @@ def descriptor_divergence(a: InputDescriptor, b: InputDescriptor) -> float:
     else:
         snr_term = abs(snr_a - snr_b) / 30.0
     return misalignment_divergence(a, b) + snr_term
+
+
+def descriptor_divergences(
+    query: InputDescriptor, stored: Sequence[InputDescriptor]
+) -> list[float]:
+    """``descriptor_divergence(query, d)`` for every d, bit for bit, in one pass:
+    the rows repeat its arithmetic step for step. A profile with a non-positive
+    share (query or row) keeps the scalar form, whose masked sums group differently."""
+    q = np.asarray(query.mean_beam_power, dtype=np.float64)
+    rows = [np.asarray(d.mean_beam_power, dtype=np.float64) for d in stored]
+    if any(r.size != q.size for r in rows):
+        raise ValueError("beam profiles have different codebook sizes")
+    if not rows:
+        return []
+    dopplers = np.array([d.doppler_estimate for d in stored], dtype=np.float64)
+    snrs = np.array([d.mean_snr_db for d in stored], dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # such rows are redone below
+        q = q / q.sum()
+        p = np.stack(rows)
+        p = p / p.sum(axis=1, keepdims=True)
+        m = 0.5 * (q + p)
+        kl_query = (q * np.log(q / m)).sum(axis=1)
+        js = np.maximum(0.0, 0.5 * kl_query + 0.5 * (p * np.log(p / m)).sum(axis=1))
+        snr_terms = np.abs(query.mean_snr_db - snrs) / 30.0  # NaN where both are inf:
+    if math.isinf(query.mean_snr_db):
+        snr_terms[np.isinf(snrs)] = 0.0  # the scalar form's 0 for two infinite SNRs
+    out = ((js + np.abs(query.doppler_estimate - dopplers)) + snr_terms).tolist()
+    for i in np.flatnonzero(~((p > 0).all(axis=1) & (q > 0).all())).tolist():
+        out[i] = descriptor_divergence(query, stored[i])
+    return out

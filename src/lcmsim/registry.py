@@ -17,7 +17,8 @@ from pathlib import Path
 
 from .container import CHECKSUM_LEN
 from .errors import IntegrityError, NotFoundError, PairingError
-from .kpi import InputDescriptor, descriptor_divergence
+from .kpi import InputDescriptor, descriptor_divergences
+from .kpi import descriptor_divergence  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
 from .models import ModelKind, ModelPackage, verify_package
 
 STATUSES = ("available", "active", "retired")
@@ -188,12 +189,12 @@ class ModelRegistry:
         """Closest stored model of a kind, or None beyond max_divergence.
 
         Candidates are the available and active entries; ties go to the
-        newest version, then the lexicographically lowest model id. Only
-        the winner is read from disk, and each entry reloaded from the
-        index once, by the first lookup that ranks it.
+        newest version, then the lexicographically lowest model id. All
+        are ranked in one pass; only the winner is read from disk, and each
+        entry reloaded from the index once, by the first lookup that ranks it.
         """
         kind_value = kind.value if isinstance(kind, ModelKind) else str(kind)
-        ranked = []
+        ties, held = [], []  # per candidate: (-version, model_id) and its descriptor
         for entry in sorted(self._entries.values(), key=lambda e: (e.model_id, e.version)):
             if entry.kind != kind_value or entry.status == "retired":
                 continue
@@ -202,7 +203,9 @@ class ModelRegistry:
                 key = (entry.model_id, entry.version)
                 stored = self._read_package(*key).descriptor.input_descriptor
                 self._entries[key] = replace(entry, input_descriptor=stored)
-            ranked.append((descriptor_divergence(query, stored), -entry.version, entry.model_id))
+            ties.append((-entry.version, entry.model_id))
+            held.append(stored)
+        ranked = [(div, *tie) for div, tie in zip(descriptor_divergences(query, held), ties)]
         best = min(ranked, default=None)
         if best is None or best[0] > max_divergence:
             return None

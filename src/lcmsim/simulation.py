@@ -28,6 +28,7 @@ from .controller import (
     decide,
     decide_reactivation,
     execute,
+    legacy_beams,
     legacy_csi_report,
     transition,
 )
@@ -171,6 +172,7 @@ class _Loop:
         config.validate()
         self.config = config
         self.codebook = dft_codebook(config.num_antennas)
+        self.beams = legacy_beams(self.codebook)
         trace = generate_trace(
             config.regime_schedule,
             config.num_slots,
@@ -269,7 +271,7 @@ class _Loop:
         horizon = self.config.predictor_horizon
         order = self.config.predictor_order
         if self.agent.fallback:
-            pmi = legacy_csi_report(self.measured[slot], self.codebook)
+            pmi = legacy_csi_report(self.measured[slot], self.codebook, self.beams)
             self.pending_legacy[slot + horizon] = pmi
         elif self.agent.predictor is not None and slot + 1 >= order:
             window = self.measured[slot + 1 - order : slot + 1]

@@ -17,6 +17,7 @@ from lcmsim.controller import (
     decide,
     decide_reactivation,
     execute,
+    legacy_beams,
     legacy_csi_report,
     transition,
 )
@@ -464,23 +465,33 @@ class TestLegacyReport:
 
     def test_matches_argmax_of_sgcs_scores(self):
         # The report scores beams with the sgcs arithmetic; its pick must
-        # be the first maximum of the sgcs scores themselves, ties included.
+        # be the first maximum of the sgcs scores themselves, ties included,
+        # also with the rows and norms built once and reused, as in a run.
         rng = np.random.default_rng(8)
         for n in (8, 32, 64):
-            book = dft_codebook(n)
-            for _ in range(20):
-                m = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-                for measurement in (m, book[:, int(rng.integers(n))]):
-                    scores = [sgcs(book[:, j], measurement) for j in range(n)]
-                    assert legacy_csi_report(measurement, book) == scores.index(max(scores))
+            for book in (dft_codebook(n), np.eye(n, dtype=complex)):
+                beams = legacy_beams(book)
+                for _ in range(20):
+                    m = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                    tied = np.zeros(n, complex)  # equal weight on three beams
+                    tied[rng.choice(n, size=3, replace=False)] = 1.0
+                    for measurement in (m, book[:, int(rng.integers(n))], tied):
+                        scores = [sgcs(book[:, j], measurement) for j in range(n)]
+                        want = scores.index(max(scores))
+                        assert legacy_csi_report(measurement, book) == want
+                        assert legacy_csi_report(measurement, book, beams) == want
 
     def test_empty_codebook_rejected(self):
         with pytest.raises(ValueError):
             legacy_csi_report(np.ones(4) / 2.0, np.zeros((4, 0)))
+        zero_beam = dft_codebook(4)
+        zero_beam[:, 2] = 0.0
+        with pytest.raises(ValueError):
+            legacy_beams(zero_beam)
 
     def test_zero_and_mismatched_measurements_rejected(self):
         book = dft_codebook(4)
-        with pytest.raises(ValueError):
-            legacy_csi_report(np.zeros(4, complex), book)
-        with pytest.raises(ValueError):
-            legacy_csi_report(np.ones(3, complex), book)
+        for beams in (None, legacy_beams(book)):
+            for bad in (np.zeros(4, complex), np.ones(3, complex), np.ones(5, complex)):
+                with pytest.raises(ValueError):
+                    legacy_csi_report(bad, book, beams)

@@ -11,6 +11,7 @@ from lcmsim.kpi import (
     beam_topk_accuracy,
     derive_input_descriptor,
     descriptor_divergence,
+    descriptor_divergences,
     lag1_terms,
     misalignment_divergence,
     nmse,
@@ -231,3 +232,35 @@ class TestDescriptorDivergence:
         a = make_desc([0.5, 0.5], 0.0, math.inf)
         b = make_desc([0.5, 0.5], 0.0, math.inf)
         assert descriptor_divergence(a, b) == 0.0
+
+
+class TestDescriptorDivergences:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        beams=st.sampled_from([8, 32, 64]),
+        rows=st.integers(1, 60),
+        query_zero=st.booleans(),
+    )
+    def test_rows_equal_the_scalar_form_bit_for_bit(self, seed, beams, rows, query_zero):
+        rng = np.random.default_rng(seed)
+
+        def draw():
+            power = rng.dirichlet(np.ones(beams)) * rng.choice([1.0, 3.5])
+            power[rng.random(beams) < 0.002] = 0.0  # zero powers in a few rows
+            snr = math.inf if rng.random() < 0.2 else float(rng.uniform(-10.0, 40.0))
+            return make_desc(power, float(rng.uniform(0.0, 0.5)), snr)
+
+        query = draw()
+        if query_zero:
+            query.mean_beam_power[int(rng.integers(beams))] = 0.0
+        stored = [draw() for _ in range(rows)] + [query]
+        got = descriptor_divergences(query, stored)
+        want = [descriptor_divergence(query, d) for d in stored]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_empty_and_mismatched_profiles(self):
+        query = make_desc([0.5, 0.5])
+        assert descriptor_divergences(query, []) == []
+        with pytest.raises(ValueError):
+            descriptor_divergences(query, [make_desc([0.25, 0.25, 0.5])])

@@ -1,7 +1,11 @@
 """Package store: round trips, integrity, retrieval, and status lifecycle."""
 
+import math
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcmsim.errors import IntegrityError, NotFoundError, PairingError
 from lcmsim.kpi import InputDescriptor, descriptor_divergence
@@ -275,6 +279,65 @@ class TestDescriptorLookup:
         far = query_descriptor(doppler=0.5, snr=0.0)
         assert reg.fetch_by_descriptor(far, ModelKind.CSI_PREDICTOR, 0.01) is None
         assert built == []
+
+
+def draw_descriptor(data, beams):
+    """A random descriptor: profile with some zero powers, SNR maybe +inf."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    power = rng.dirichlet(np.ones(beams)) * data.draw(st.sampled_from([1.0, 3.5]))
+    if data.draw(st.integers(0, 4)) == 0:  # zero powers take the scalar path
+        power[data.draw(st.lists(st.integers(0, beams - 1), min_size=1, max_size=3))] = 0.0
+    return query_descriptor(
+        doppler=data.draw(st.sampled_from([0.0, 0.05]) | st.floats(0.0, 0.5)),
+        snr=data.draw(st.sampled_from([math.inf, 20.0]) | st.floats(-10.0, 40.0)),
+        beam=power,
+    )
+
+
+class TestRankingProperty:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data(), beams=st.sampled_from([8, 32, 64]), reopen=st.booleans())
+    def test_winner_is_the_scalar_minimum_bit_for_bit(self, data, beams, reopen):
+        descriptors, live = [], []  # live: the non-retired predictors, the candidates
+        with tempfile.TemporaryDirectory() as root:
+            reg = ModelRegistry(root)
+            for _ in range(data.draw(st.integers(0, 16))):
+                key = (data.draw(st.sampled_from(["m-a", "m-b", "m-c", "m-d"])),
+                       data.draw(st.integers(1, 3)))
+                if key in {(e.model_id, e.version) for e in reg.entries()}:
+                    continue
+                # Reusing a descriptor under another id or version makes exact ties.
+                if descriptors and data.draw(st.booleans()):
+                    desc = data.draw(st.sampled_from(descriptors))
+                else:
+                    desc = draw_descriptor(data, beams)
+                    descriptors.append(desc)
+                kind = data.draw(st.sampled_from([ModelKind.CSI_PREDICTOR] * 3
+                                                 + [ModelKind.CSI_DECODER]))
+                reg.store(make_package(model_id=key[0], version=key[1], kind=kind,
+                                       doppler=desc.doppler_estimate, snr=desc.mean_snr_db,
+                                       beam=desc.mean_beam_power))
+                if data.draw(st.integers(0, 4)) == 0:
+                    reg.retire(*key)
+                elif kind is ModelKind.CSI_PREDICTOR:
+                    live.append((desc, key))
+            if descriptors and data.draw(st.booleans()):
+                query = data.draw(st.sampled_from(descriptors))
+            else:
+                query = draw_descriptor(data, beams)
+            if reopen:
+                reg = ModelRegistry(root)
+            got = reg.fetch_by_descriptor(query, ModelKind.CSI_PREDICTOR, math.inf)
+        if not live:
+            assert got is None
+            return
+        want_div, want_negv, want_id = min(
+            (descriptor_divergence(query, desc), -version, model_id)
+            for desc, (model_id, version) in live
+        )
+        pkg, div = got
+        assert (pkg.descriptor.model_id, pkg.descriptor.model_version) == (want_id, -want_negv)
+        assert div.hex() == want_div.hex()
 
 
 class TestActivation:

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from lcmsim import channel, simulation
+from lcmsim import channel, controller, simulation
 from lcmsim.config import parse_scenario_config
 from lcmsim.errors import IntegrityError
 from lcmsim.models import PredictorConfig, train_predictor
@@ -167,6 +167,19 @@ class TestMeasureOnce:
             "chan.angles.urban-a", "chan.angles.urban-b",
             "chan.rates.urban-a", "chan.rates.urban-b",
         }
+
+    def test_run_builds_the_legacy_beams_once(self, tmp_path, monkeypatch):
+        calls = []
+        self.counting(monkeypatch, simulation, "legacy_beams", calls)
+        self.counting(monkeypatch, controller, "legacy_beams", calls)
+        self.counting(monkeypatch, simulation, "legacy_csi_report", calls)
+        cfg = parse_scenario_config(FALLBACK_DRIFT)
+        run_scenario(cfg, str(tmp_path / "registry"))
+        assert [name for name, _ in calls].count("legacy_beams") == 1
+        # Every fallback slot reports with the rows the run built.
+        reports = [args for name, args in calls if name == "legacy_csi_report"]
+        assert len(reports) > 100
+        assert all(len(args) == 3 and args[2] is reports[0][2] for args in reports)
 
     def test_pretraining_slices_the_run_measurements(self, tmp_path, monkeypatch):
         cfg = parse_scenario_config(QUIET_SMALL)
