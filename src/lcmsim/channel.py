@@ -27,42 +27,40 @@ from .streams import substream, substream_normals
 # deterministic per-path phase rotation, which a matched linear model
 # can track, while this envelope keeps the process ergodic.
 AGING_FACTOR = 0.05
-# measure_csi draws noise for at most this many rows at a time, which
-# bounds its temporaries however long the run.
+# Stacked kernels (measure_csi, the trace products) take at most this
+# many rows at a time, which bounds their temporaries however long the run.
 _MEASURE_CHUNK = 1024
 
 
-def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a vector, sqrt(re.re + im.im).
-
-    The same arithmetic, in the same order, as ``np.linalg.norm`` on a
-    vector, without its dispatch, so the two agree bit for bit.
-    """
-    x = np.asarray(v).ravel(order="K")
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, sqrt(re.re + im.im), bit for bit as
+    ``np.linalg.norm`` of the row: ``np.vecdot`` makes the same BLAS dot."""
+    x = np.asarray(rows)
     if x.dtype.kind == "c":
         re, im = x.real, x.imag
-        return math.sqrt(re.dot(re) + im.dot(im))
-    return math.sqrt(x.dot(x))
+        return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+    return np.sqrt(np.vecdot(x, x))
+
+
+def vector_norm(v: np.ndarray) -> float:
+    """Euclidean norm of a vector: the one-row case of :func:`row_norms`."""
+    return float(row_norms(np.asarray(v).ravel(order="K")))
 
 
 def unit_norm(v: np.ndarray) -> np.ndarray:
-    """Return v scaled to unit Euclidean norm.
+    """Return v, or each row of a stack v, scaled to unit Euclidean norm.
 
-    Raises ValueError for an all-zero vector and for a non-finite one
+    Raises ValueError for an all-zero row and for a non-finite one
     (an inf or NaN entry, or a norm that overflows).
     """
-    n = vector_norm(v)
-    if not math.isfinite(n):
-        raise ValueError("cannot normalize a non-finite vector")
-    if n < 1e-300:
-        raise ValueError("cannot normalize a zero vector")
-    return v / n
+    x = np.asarray(v)
+    rows = x.astype(np.result_type(x, 1.0)).reshape(-1, x.shape[-1])
+    return _normalize_rows(rows).reshape(x.shape)
 
 
 def _normalize_rows(rows: np.ndarray) -> np.ndarray:
-    """Scale each row of ``rows`` in place as ``unit_norm`` would, bit
-    for bit: the norms one row at a time, the divisions in one pass."""
-    norms = np.array([vector_norm(row) for row in rows])
+    """Scale each row of a 2-D ``rows`` to unit norm, in place."""
+    norms = row_norms(rows)
     if norms.size and not (np.all(np.isfinite(norms)) and norms.min() >= 1e-300):
         raise ValueError("cannot normalize a zero or non-finite vector")
     rows /= norms[:, np.newaxis]
@@ -236,7 +234,6 @@ def generate_trace(
 
     channels = np.empty((num_slots, num_tx_antennas), dtype=np.complex128)
     beam_power = np.empty((num_slots, codebook.shape[1]), dtype=np.float64)
-    beam_gain = np.empty(codebook.shape[1], dtype=np.complex128)
     snr = np.empty(num_slots, dtype=np.float64)
 
     for seg_start, seg_end, regime in _segment_bounds(cfg.regime_schedule, num_slots):
@@ -252,17 +249,19 @@ def generate_trace(
         innov_scale = math.sqrt(max(0.0, 1.0 - rho * rho) / (2 * p))
 
         # One substream per slot: the first seeds the segment's gains, the
-        # rest drive the innovations.
+        # rest drive the innovations, to which the recursion adds in place.
         draws = substream_normals(seed, "chan.gains", range(seg_start, seg_end), 2 * p)
         noise = draws[:, :p] + 1j * draws[:, p:]
-        innovations = innov_scale * noise
-        gains = noise[0] / math.sqrt(2 * p)
-        for s in range(seg_start, seg_end):
-            if s > seg_start:
-                gains = rotation * (rho * gains) + innovations[s - seg_start]
-            # One product per slot: a batched one would round differently.
-            h = np.matmul(steering, gains, out=channels[s])
-            np.abs(np.matmul(codebook_h, h, out=beam_gain), out=beam_power[s])
+        gains = innov_scale * noise
+        gains[0] = noise[0] / math.sqrt(2 * p)
+        for i in range(1, len(gains)):
+            gains[i] += rotation * (rho * gains[i - 1])
+        # Stacked products make one gemv per slot, as single ones would.
+        for lo in range(0, len(gains), _MEASURE_CHUNK):
+            rows = slice(seg_start + lo, min(seg_start + lo + _MEASURE_CHUNK, seg_end))
+            h = np.matmul(steering, gains[lo : lo + _MEASURE_CHUNK, :, None],
+                          out=channels[rows, :, None])
+            np.abs(np.matmul(codebook_h, h), out=beam_power[rows, :, None])
         snr[seg_start:seg_end] = regime.mean_snr_db
 
     true_precoders = _normalize_rows(channels)

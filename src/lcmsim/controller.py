@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrityError, NotFoundError
-from .kpi import InputDescriptor
+from .kpi import InputDescriptor, sgcs_rows
 from .kpi import sgcs  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
 from .models import CsiPredictor, DeltaPackage, ModelKind, ModelPackage, apply_delta
 from .registry import ModelRegistry
@@ -343,29 +343,27 @@ def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> Co
         )
 
 
-def legacy_beams(codebook: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Codebook columns as contiguous rows, with each row's |b|^2: fixed
-    for a run, so a run builds them once for all its legacy reports."""
+def legacy_beams(codebook: np.ndarray) -> np.ndarray:
+    """Codebook columns as contiguous rows: fixed for a run, so a run builds
+    them once for all its legacy reports."""
     book = np.asarray(codebook)
     if book.ndim != 2 or book.shape[1] == 0:
         raise ValueError("codebook must be a non-empty matrix of beam columns")
     rows = np.ascontiguousarray(book.T)
-    norms = [np.vdot(b, b).real for b in rows]
-    if min(norms) < 1e-300:
+    if np.any(np.vecdot(rows, rows).real < 1e-300):
         raise ValueError("sgcs undefined for zero vectors")
-    return rows, norms
+    return rows
+
+
+def legacy_csi_reports(measurements: np.ndarray, beams: np.ndarray) -> np.ndarray:
+    """Per measurement row, the index of the ``legacy_beams(codebook)`` row with
+    the highest :func:`sgcs`, bit for bit; ties go to the lowest index."""
+    m = np.asarray(measurements)
+    return np.argmax(sgcs_rows(beams, m[:, np.newaxis, :]), axis=1)
 
 
 def legacy_csi_report(measurement: np.ndarray, codebook: np.ndarray, beams=None) -> int:
-    """Index of the codebook column best aligned with the measurement by the
-    :func:`sgcs` arithmetic, |m|^2 computed once; ties go to the lowest index.
-    ``beams`` is ``legacy_beams(codebook)``, built here when not given."""
-    rows, norms = legacy_beams(codebook) if beams is None else beams
-    m = np.asarray(measurement).ravel()
-    if m.size != rows.shape[1]:
-        raise ValueError(f"length mismatch: {rows.shape[1]} vs {m.size}")
-    mn = np.vdot(m, m).real
-    if mn < 1e-300:
-        raise ValueError("sgcs undefined for zero vectors")
-    scores = [abs(np.vdot(b, m)) ** 2 / (bn * mn) for b, bn in zip(rows, norms)]
-    return max(range(len(scores)), key=scores.__getitem__)  # first maximum
+    """:func:`legacy_csi_reports` for one measurement; ``beams`` is
+    ``legacy_beams(codebook)``, built here when not given."""
+    rows = legacy_beams(codebook) if beams is None else beams
+    return int(legacy_csi_reports(np.asarray(measurement).ravel()[np.newaxis], rows)[0])

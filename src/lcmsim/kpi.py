@@ -11,34 +11,44 @@ import numpy as np
 from .channel import CsiMeasurements
 
 
+def sgcs_rows(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """:func:`sgcs` of each row pair of two broadcasting stacks, bit for bit:
+    ``np.vecdot`` makes the BLAS dot ``np.vdot`` makes (and raises ValueError on
+    a length mismatch). ``np.abs`` and ``np.square`` of an array may round unlike
+    ``abs`` and ``**`` on each numpy scalar; ``np.hypot`` and Python's ``**`` do not."""
+    p = np.asarray(predicted)
+    t = np.asarray(truth)
+    pn = np.vecdot(p, p).real
+    tn = np.vecdot(t, t).real
+    if np.any(pn < 1e-300) or np.any(tn < 1e-300):
+        raise ValueError("sgcs undefined for zero vectors")
+    inner = np.vecdot(p, t)
+    mag = np.hypot(inner.real, inner.imag)
+    return np.reshape([x**2 for x in mag.ravel().tolist()], mag.shape) / (pn * tn)
+
+
 def sgcs(predicted: np.ndarray, truth: np.ndarray) -> float:
     """Squared generalized cosine similarity between two precoders.
 
     |<p, t>|^2 / (|p|^2 |t|^2), invariant to global phase and scale of
     either argument. Range [0, 1].
     """
-    p = np.asarray(predicted).ravel()
-    t = np.asarray(truth).ravel()
-    if p.size != t.size:
-        raise ValueError(f"length mismatch: {p.size} vs {t.size}")
-    pn = np.vdot(p, p).real
-    tn = np.vdot(t, t).real
-    if pn < 1e-300 or tn < 1e-300:
-        raise ValueError("sgcs undefined for zero vectors")
-    return float(abs(np.vdot(p, t)) ** 2 / (pn * tn))
+    return float(sgcs_rows(np.asarray(predicted).ravel(), np.asarray(truth).ravel()))
+
+
+def nmse_rows(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """:func:`nmse` of each row pair of two stacks, bit for bit."""
+    t = np.asarray(truth)
+    tn = np.vecdot(t, t).real
+    if np.any(tn < 1e-300):
+        raise ValueError("nmse undefined for zero reference")
+    d = np.asarray(predicted) - t
+    return np.vecdot(d, d).real / tn
 
 
 def nmse(predicted: np.ndarray, truth: np.ndarray) -> float:
     """Normalized mean squared error |p - t|^2 / |t|^2."""
-    p = np.asarray(predicted).ravel()
-    t = np.asarray(truth).ravel()
-    if p.size != t.size:
-        raise ValueError(f"length mismatch: {p.size} vs {t.size}")
-    tn = np.vdot(t, t).real
-    if tn < 1e-300:
-        raise ValueError("nmse undefined for zero reference")
-    d = p - t
-    return float(np.vdot(d, d).real / tn)
+    return float(nmse_rows(np.asarray(predicted).ravel(), np.asarray(truth).ravel()))
 
 
 @dataclass(frozen=True)
@@ -101,11 +111,10 @@ def lag1_terms(vectors: Sequence[np.ndarray], snr_db: Sequence[float]) -> list[f
     """Noise-debiased lag-1 inner products, one per consecutive pair:
     term i is |<m_i, m_{i+1}>| * sqrt(g_i * g_{i+1}), g the noise gain
     implied by the SNR (see :func:`derive_input_descriptor`)."""
-    gains = [_noise_gain(s) for s in snr_db]
-    return [
-        abs(np.vdot(vectors[i], vectors[i + 1])) * math.sqrt(gains[i] * gains[i + 1])
-        for i in range(len(gains) - 1)
-    ]
+    v = np.asarray(vectors)
+    gains = np.array([_noise_gain(s) for s in snr_db])
+    inner = np.vecdot(v[:-1], v[1:])
+    return (np.hypot(inner.real, inner.imag) * np.sqrt(gains[:-1] * gains[1:])).tolist()
 
 
 def derive_input_descriptor(

@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import container
-from .channel import CsiMeasurements, dft_codebook, unit_norm, vector_norm
+from .channel import CsiMeasurements, dft_codebook, row_norms, unit_norm
 from .errors import DegenerateInputError, IntegrityError
 from .kpi import InputDescriptor, derive_input_descriptor
 from .streams import stable_id
@@ -275,9 +275,11 @@ def _ridge_solve(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # CSI predictor
 
-def _stack_recent(measurements: Sequence[np.ndarray], order: int, at: int) -> np.ndarray:
-    """Concatenate measurements at slots at, at-1, ..., at-order+1."""
-    return np.concatenate([measurements[at - k] for k in range(order)])
+def stack_windows(rows: np.ndarray, order: int, newest) -> np.ndarray:
+    """Row i concatenates ``rows[newest[i]]``, ``rows[newest[i] - 1]``, ...,
+    ``order`` rows newest first: the predictor's input for each slot."""
+    at = np.asarray(newest)
+    return rows[at[:, np.newaxis] - np.arange(order)].reshape(len(at), -1)
 
 
 def train_predictor(
@@ -303,14 +305,9 @@ def train_predictor(
             f"and horizon {cfg.horizon_slots}"
         )
     n_ant = vectors[0].size
-    rows = []
-    targets = []
-    for t in range(cfg.order - 1, len(vectors) - cfg.horizon_slots):
-        rows.append(_stack_recent(vectors, cfg.order, t))
-        targets.append(vectors[t + cfg.horizon_slots])
-    features = np.stack(rows)
-    target_mat = np.stack(targets)
-    coeff = _ridge_solve(features, target_mat)  # (order*n, n)
+    newest = np.arange(cfg.order - 1, len(vectors) - cfg.horizon_slots)
+    features = stack_windows(vectors, cfg.order, newest)
+    coeff = _ridge_solve(features, vectors[newest + cfg.horizon_slots])  # (order*n, n)
     taps = coeff.T.copy()  # (n, order*n), prediction = taps @ stacked
 
     if codebook is None:
@@ -371,25 +368,34 @@ class CsiPredictor:
         )
 
 
+def predict_csi_rows(predictor: CsiPredictor, measured: np.ndarray, newest) -> np.ndarray:
+    """:func:`predict_csi` on the window of ``measured`` that ends at each row
+    in ``newest``, bit for bit: ``np.matmul`` on a stack makes one gemv per row."""
+    order = predictor.order
+    newest = np.asarray(newest)
+    if newest.min() < order - 1:
+        raise ValueError(f"need {order} measurements, got {newest.min() + 1}")
+    stacked = stack_windows(measured, order, newest)[:, :, np.newaxis]
+    taps = predictor.taps
+    if taps.shape[1] != stacked.shape[1]:
+        raise ValueError("measurement length does not match the model")
+    out = np.matmul(taps, stacked)
+    left = predictor.delta_left
+    if left is not None:
+        correction = np.matmul(left, np.matmul(predictor.delta_right_h, out))
+        out = out + correction + predictor.delta_bias[:, np.newaxis]
+    out = out[:, :, 0]
+    norms = row_norms(out)
+    if np.any(norms < 1e-12):
+        raise DegenerateInputError("predictor produced a zero vector")
+    return out / norms[:, np.newaxis]
+
+
 def predict_csi(predictor: CsiPredictor, recent: np.ndarray) -> np.ndarray:
     """Predict the precoder ``horizon_slots`` ahead of the newest
     measurement. ``recent`` holds measured precoders as rows, oldest to
     newest; the last ``order`` rows are used."""
-    order = predictor.order
-    if len(recent) < order:
-        raise ValueError(f"need {order} measurements, got {len(recent)}")
-    stacked = recent[-order:][::-1].ravel()
-    taps = predictor.taps
-    if taps.shape[1] != stacked.size:
-        raise ValueError("measurement length does not match the model")
-    out = taps @ stacked
-    left = predictor.delta_left
-    if left is not None:
-        out = out + left @ (predictor.delta_right_h @ out) + predictor.delta_bias
-    norm = vector_norm(out)
-    if norm < 1e-12:
-        raise DegenerateInputError("predictor produced a zero vector")
-    return out / norm
+    return predict_csi_rows(predictor, np.asarray(recent), [len(recent) - 1])[0]
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +475,7 @@ def train_autoencoder_joint(
 def _descriptor_from_targets(samples: np.ndarray) -> InputDescriptor:
     count, n_ant = samples.shape
     pseudo = CsiMeasurements(
-        np.arange(count), [unit_norm(row) for row in samples], np.full(count, math.inf)
+        np.arange(count), unit_norm(samples), np.full(count, math.inf)
     )
     return derive_input_descriptor(pseudo, dft_codebook(n_ant))
 

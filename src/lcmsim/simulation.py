@@ -5,11 +5,14 @@ predicts (or the legacy codebook path reports while in fallback), the
 gNB applies the precoder that targeted this slot, and on evaluation
 slots monitoring runs, may raise an alarm, and the management loop
 decides and executes an action. Fully deterministic given the config.
+
+Only evaluation slots change the loop's state, so the loop steps from one
+to the next, with stacked kernels bit-identical to per-slot calls.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +32,8 @@ from .controller import (
     decide_reactivation,
     execute,
     legacy_beams,
-    legacy_csi_report,
+    legacy_csi_report,  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
+    legacy_csi_reports,
     transition,
 )
 from .kpi import (
@@ -37,14 +41,16 @@ from .kpi import (
     descriptor_divergence,
     lag1_terms,
     misalignment_divergence,
-    nmse,
+    nmse_rows,
     sgcs,
+    sgcs_rows,
 )
 from .models import (
     ModelPackage,
     PredictorConfig,
     fit_adaptation_delta,
-    predict_csi,
+    predict_csi,  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
+    predict_csi_rows,
     train_predictor,
 )
 from .monitoring import MonitoringSession, evaluation_slots
@@ -65,6 +71,9 @@ METRICS_HEADER = (
     "slot,sgcs,nmse,loop_state,active_model_id,active_model_version,"
     "perf_bad,action,descriptor_divergence,monitor_overhead_bits"
 )
+# A block of slots ends at every evaluation slot and at least every this
+# many slots, which bounds the stacked kernels' temporaries.
+_BLOCK_SLOTS = 128
 
 @dataclass(frozen=True)
 class EventLogRecord:
@@ -86,48 +95,22 @@ def _sanitize(value: str) -> str:
     return "_".join(str(value).split())
 
 
-@dataclass
-class MetricsRow:
-    """One CSV row; empty strings mark fields without a value this slot."""
-
-    slot: int
-    sgcs: str = ""
-    nmse: str = ""
-    loop_state: str = ""
-    active_model_id: str = ""
-    active_model_version: str = ""
-    perf_bad: str = ""
-    action: str = ""
-    descriptor_divergence: str = ""
-    monitor_overhead_bits: str = ""
-
-    def format(self) -> str:
-        return ",".join(
-            [
-                str(self.slot),
-                self.sgcs,
-                self.nmse,
-                self.loop_state,
-                self.active_model_id,
-                self.active_model_version,
-                self.perf_bad,
-                self.action,
-                self.descriptor_divergence,
-                self.monitor_overhead_bits,
-            ]
-        )
+# One CSV row, fields as text; empty strings mark fields without a value.
+MetricsRow = namedtuple("MetricsRow", METRICS_HEADER.split(","))
 
 
 @dataclass
 class RunResult:
-    rows: list[MetricsRow]
+    lines: list[str]  # metrics.csv body, one line per slot
     events: list[EventLogRecord]
     summary: dict
 
+    @property
+    def rows(self) -> list[MetricsRow]:
+        return [MetricsRow(int(slot), *rest) for slot, *rest in (r.split(",") for r in self.lines)]
+
     def metrics_text(self) -> str:
-        lines = [METRICS_HEADER]
-        lines.extend(row.format() for row in self.rows)
-        return "\n".join(lines) + "\n"
+        return "\n".join([METRICS_HEADER, *self.lines]) + "\n"
 
     def events_text(self) -> str:
         return "".join(event.format() + "\n" for event in self.events)
@@ -198,18 +181,28 @@ class _Loop:
         self.tag = f"csi-pred-h{config.predictor_horizon}"
         self.state = LoopState.STABLE
         self.events: list[EventLogRecord] = []
-        self.rows: list[MetricsRow] = []
-        # Model predictions by the slot they were applied at.
-        self.applied: dict[int, np.ndarray] = {}
-        self.pending: dict[int, np.ndarray] = {}
-        self.pending_legacy: dict[int, int] = {}
+        self.lines: list[str] = []
+        self.achieved: list[float] = []
+        self.overhead_bits = 0
         # Adaptation deltas draw on the same recent-history budget as a
         # retrain; the short descriptor window excites too few directions
         # for a stable correction fit.
         self.history_window = max(
             self.policy.min_train_samples, 4 * self.policy.descriptor_window_slots
         )
-        self.pairs: deque = deque(maxlen=self.history_window)
+        # Slots whose applied prediction pairs with their measurement: the
+        # latest ones, as only fallback stops predictions, and its end clears them.
+        self.pairs: deque[int] = deque(maxlen=self.history_window)
+        # By target slot t: from_model[t] marks a model prediction, pending until
+        # t is applied, in predicted[t % ring], a ring that outlasts every read (a
+        # block, monitoring lag or pairs behind the newest write, a horizon ahead).
+        # legacy_beam[t] is the beam reported in fallback, or -1.
+        span = config.num_slots + config.predictor_horizon
+        lag = max(_BLOCK_SLOTS, config.monitoring.gt_slot_offset + 1, self.history_window)
+        self.ring = lag + config.predictor_horizon
+        self.predicted = np.empty((self.ring, config.num_antennas), dtype=np.complex128)
+        self.from_model = np.zeros(span, dtype=bool)
+        self.legacy_beam = np.full(span, -1)
         self.eval_counter = 0
         self.last_action_kind: ActionKind | None = None
         self.last_action_eval: int | None = None
@@ -252,7 +245,9 @@ class _Loop:
         )
 
     def _fit_delta(self, base: ModelPackage, rank: int):
-        return fit_adaptation_delta(base, list(self.pairs), rank)
+        slots = np.array(self.pairs, dtype=int)
+        pairs = zip(self.predicted[slots % self.ring], self.measured[slots])
+        return fit_adaptation_delta(base, list(pairs), rank)
 
     def context(self, slot: int) -> ExecutionContext:
         return ExecutionContext(
@@ -264,31 +259,48 @@ class _Loop:
             delta_rank=self.policy.delta_rank,
         )
 
-    # -- per-slot stages ---------------------------------------------
+    # -- per-block stages --------------------------------------------
 
-    def report(self, slot: int) -> None:
-        """Exactly one of the two reporting routes runs per slot."""
+    def report(self, lo: int, stop: int) -> None:
+        """Report slots lo..stop-1 by the block's route: legacy beams in
+        fallback, else the active predictor once its window is full."""
         horizon = self.config.predictor_horizon
-        order = self.config.predictor_order
         if self.agent.fallback:
-            pmi = legacy_csi_report(self.measured[slot], self.codebook, self.beams)
-            self.pending_legacy[slot + horizon] = pmi
-        elif self.agent.predictor is not None and slot + 1 >= order:
-            window = self.measured[slot + 1 - order : slot + 1]
-            self.pending[slot + horizon] = predict_csi(self.agent.predictor, window)
+            beams = legacy_csi_reports(self.measured[lo:stop], self.beams)
+            self.legacy_beam[lo + horizon : stop + horizon] = beams
+        elif self.agent.predictor is not None:
+            first = max(lo, self.config.predictor_order - 1)
+            if first < stop:
+                targets = np.arange(first + horizon, stop + horizon)
+                self.predicted[targets % self.ring] = predict_csi_rows(
+                    self.agent.predictor, self.measured, targets - horizon
+                )
+                self.from_model[first + horizon : stop + horizon] = True
 
-    def apply(self, slot: int, row: MetricsRow) -> None:
-        if slot in self.pending:
-            vector = self.pending.pop(slot)
-            self.applied[slot] = vector
-            self.pairs.append((vector, self.measured[slot]))
-        elif slot in self.pending_legacy:
-            vector = self.codebook[:, self.pending_legacy.pop(slot)]
-        else:
-            return
-        truth = self.trace.true_precoders[slot]
-        row.sgcs = repr(sgcs(vector, truth))
-        row.nmse = repr(nmse(vector, truth))
+    def apply(self, lo: int, stop: int) -> list[str]:
+        """Apply what targets slots lo..stop-1; returns each slot's "sgcs,nmse"
+        metrics cells, empty where nothing was applied."""
+        from_model = self.from_model[lo:stop]
+        beams = self.legacy_beam[lo:stop]
+        hit = np.flatnonzero(from_model | (beams >= 0))
+        slots = lo + hit
+        vectors = np.where(
+            from_model[hit, np.newaxis], self.predicted[slots % self.ring], self.beams[beams[hit]]
+        )
+        self.pairs.extend(slots[from_model[hit]].tolist())
+        truth = self.trace.true_precoders[slots]
+        achieved = sgcs_rows(vectors, truth).tolist()
+        self.achieved += achieved
+        cells = [","] * (stop - lo)
+        for i, a, b in zip(hit.tolist(), achieved, nmse_rows(vectors, truth).tolist()):
+            cells[i] = f"{a!r},{b!r}"
+        return cells
+
+    def state_columns(self, monitored: str = ",,,") -> str:
+        """The metrics columns after sgcs and nmse, as the loop stands."""
+        desc = self.agent.active_model and self.agent.active_model.descriptor
+        model = f"{desc.model_id},{desc.model_version}" if desc else ","
+        return f"{self.state.value},{model},{monitored}"
 
     def current_descriptor(self, slot: int):
         start = slot + 1 - min(self.policy.descriptor_window_slots, slot + 1)
@@ -308,7 +320,7 @@ class _Loop:
         )
         follow = execute(action, self.context(slot), slot)
         if action.kind is ActionKind.FALLBACK:
-            self.pending.clear()
+            self.from_model[slot + 1 :] = False  # drop pending predictions
         if follow is not None:
             if follow.kind is EventKind.MODEL_ACTIVATED:
                 self.log(slot, "controller", "ModelActivated", target=follow.detail)
@@ -352,20 +364,22 @@ class _Loop:
         )
         return self.issue(slot, decide(inputs, self.policy, self.registry))
 
-    def monitor(self, slot: int, row: MetricsRow) -> None:
+    def monitor(self, slot: int) -> dict[str, str]:
+        """Run one evaluation; returns the metrics columns it fills, by name."""
         descriptor = self.current_descriptor(slot)
         self.eval_counter += 1
+        monitored = dict.fromkeys(METRICS_HEADER.split(",")[-4:], "")
 
         if self.agent.fallback:
             action = decide_reactivation(descriptor, self.policy, self.registry, slot)
             if action is not None:
-                row.action = self.issue(slot, action)
-            return
+                monitored["action"] = self.issue(slot, action)
+            return monitored
 
         target = slot - self.config.monitoring.gt_slot_offset
-        predicted = self.applied.get(target)
-        if predicted is None:
-            return
+        if target < 0 or not self.from_model[target]:
+            return monitored
+        predicted = self.predicted[target % self.ring]
         ground_truth = self.measured[target]
         ue_value = sgcs(predicted, ground_truth)
         report, gnb_value, alarm = self.session.evaluate(
@@ -375,8 +389,9 @@ class _Loop:
             perf_bad = report.perf_bad
         else:
             perf_bad = int(gnb_value < self.config.monitoring.threshold_gamma)
-        row.perf_bad = str(perf_bad)
-        row.monitor_overhead_bits = str(report.overhead_bits)
+        monitored["perf_bad"] = str(perf_bad)
+        monitored["monitor_overhead_bits"] = str(report.overhead_bits)
+        self.overhead_bits += report.overhead_bits
         self.log(
             slot,
             "monitor",
@@ -390,7 +405,7 @@ class _Loop:
         active_desc = self.agent.active_model.descriptor.input_descriptor
         divergence = descriptor_divergence(descriptor, active_desc)
         misalignment = misalignment_divergence(descriptor, active_desc)
-        row.descriptor_divergence = repr(divergence)
+        monitored["descriptor_divergence"] = repr(divergence)
 
         if gnb_value >= self.config.monitoring.threshold_gamma:
             self.good_streak += 1
@@ -414,7 +429,8 @@ class _Loop:
                 slot, ControlEvent(EventKind.DRIFT_ALARM, slot, source=alarm.source)
             )
             if self.state is LoopState.DEGRADED:
-                row.action = self.run_decision(slot, divergence, misalignment, descriptor)
+                monitored["action"] = self.run_decision(slot, divergence, misalignment, descriptor)
+        return monitored
 
     def run(self) -> RunResult:
         packages = _pretrain_models(self.config, self.trace, self.measurements, self.registry)
@@ -438,32 +454,29 @@ class _Loop:
             target=f"{first.descriptor.model_id}:v{first.descriptor.model_version}",
         )
 
-        for slot in range(self.config.num_slots):
-            row = MetricsRow(slot=slot)
-            self.report(slot)
-            self.apply(slot, row)
-            if slot in self.eval_set:
-                self.monitor(slot, row)
-            row.loop_state = self.state.value
-            if self.agent.active_model is not None:
-                row.active_model_id = self.agent.active_model.descriptor.model_id
-                row.active_model_version = str(
-                    self.agent.active_model.descriptor.model_version
-                )
-            self.rows.append(row)
+        num_slots = self.config.num_slots
+        ends = self.eval_set.union(range(_BLOCK_SLOTS - 1, num_slots, _BLOCK_SLOTS))
+        lo = 0
+        for end in sorted(ends | {num_slots - 1}):
+            self.report(lo, end + 1)
+            cells = self.apply(lo, end + 1)
+            columns = self.state_columns()
+            self.lines += [f"{slot},{c},{columns}" for slot, c in zip(range(lo, end), cells)]
+            if end in self.eval_set:
+                columns = self.state_columns(",".join(self.monitor(end).values()))
+            self.lines.append(f"{end},{cells[-1]},{columns}")
+            lo = end + 1
 
-        achieved = [float(r.sgcs) for r in self.rows if r.sgcs]
-        overhead = sum(int(r.monitor_overhead_bits) for r in self.rows if r.monitor_overhead_bits)
         summary = {
             "final_state": self.state.value,
             "slots": self.config.num_slots,
             "alarms": self.alarm_count,
             "actions": dict(sorted(self.action_counts.items())),
-            "mean_sgcs": float(np.mean(achieved)) if achieved else float("nan"),
-            "monitor_overhead_bits": overhead,
+            "mean_sgcs": float(np.mean(self.achieved)) if self.achieved else float("nan"),
+            "monitor_overhead_bits": self.overhead_bits,
             "evaluations": self.eval_counter,
         }
-        return RunResult(rows=self.rows, events=self.events, summary=summary)
+        return RunResult(lines=self.lines, events=self.events, summary=summary)
 
 
 def run_scenario(config: ScenarioConfig, registry_root: str) -> RunResult:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcmsim import channel
 from lcmsim.channel import (
@@ -10,12 +11,13 @@ from lcmsim.channel import (
     dft_codebook,
     generate_trace,
     measure_csi,
+    row_norms,
     ula_steering,
     unit_norm,
     vector_norm,
 )
 from lcmsim.kpi import sgcs
-from lcmsim.streams import substream
+from lcmsim.streams import substream, substream_normals
 
 
 def regime(rid="urban", paths=4, doppler=0.05, spread=1.0, snr=20.0):
@@ -235,3 +237,69 @@ class TestUnitNorm:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             unit_norm(np.zeros(4, dtype=complex))
+
+
+def reference_trace(schedule, num_slots, n, codebook, seed):
+    """generate_trace's arithmetic one slot at a time: the gain recursion,
+    one gemv per product and one norm per row."""
+    codebook_h = codebook.conj().T
+    channels = np.empty((num_slots, n), complex)
+    power = np.empty((num_slots, codebook.shape[1]))
+    for start, end, reg in channel._segment_bounds(schedule, num_slots):
+        p = reg.num_paths
+        angles = substream(seed, f"chan.angles.{reg.regime_id}").uniform(
+            -reg.angle_spread / 2, reg.angle_spread / 2, p
+        )
+        rates = substream(seed, f"chan.rates.{reg.regime_id}").uniform(-1.0, 1.0, p)
+        steering = np.stack([ula_steering(n, a) for a in angles], axis=1)
+        rotation = np.exp(2j * np.pi * reg.doppler_norm * rates)
+        rho = math.cos(2 * math.pi * channel.AGING_FACTOR * reg.doppler_norm)
+        draws = substream_normals(seed, "chan.gains", range(start, end), 2 * p)
+        noise = draws[:, :p] + 1j * draws[:, p:]
+        innovations = math.sqrt(max(0.0, 1.0 - rho * rho) / (2 * p)) * noise
+        gains = noise[0] / math.sqrt(2 * p)
+        for s in range(start, end):
+            if s > start:
+                gains = rotation * (rho * gains) + innovations[s - start]
+            channels[s] = steering @ gains
+            power[s] = np.abs(codebook_h @ channels[s])
+    precoders = np.stack([h / np.linalg.norm(h) for h in channels])
+    return precoders, power**2
+
+
+class TestStackedKernels:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([8, 16, 32, 33, 64]),
+        st.sampled_from([1, 2000, 2100]),
+        st.integers(1, 8),
+        st.sampled_from([0.0, 0.01, 0.15]),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_trace_equals_the_per_slot_reference(self, n, slots, paths, doppler, seed):
+        schedule = [(0, regime("a", paths, doppler))]
+        if slots > 1:
+            schedule.append((slots // 2, regime("b", 2, 0.3)))
+        trace = generate_trace(schedule, slots, n, dft_codebook(n), seed)
+        precoders, power = reference_trace(schedule, slots, n, dft_codebook(n), seed)
+        assert trace.true_precoders.tobytes() == precoders.tobytes()
+        assert trace.per_beam_power.tobytes() == power.tobytes()
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([8, 16, 32, 33, 64]),
+        st.sampled_from([1, 2000]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_normalized_rows_equal_the_per_row_reference(self, n, rows, real, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((rows, n))
+        if not real:
+            x = x + 1j * rng.standard_normal((rows, n))
+        norms = [np.linalg.norm(v) for v in x]
+        assert row_norms(x).tobytes() == np.array(norms).tobytes()
+        want = np.stack([v / nv for v, nv in zip(x, norms)])
+        assert unit_norm(x).tobytes() == want.tobytes()
+        assert channel._normalize_rows(x.copy()).tobytes() == want.tobytes()
+        assert vector_norm(x[-1]) == norms[-1]

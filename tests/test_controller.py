@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcmsim.channel import CsiMeasurements, dft_codebook
 from lcmsim.controller import (
@@ -19,10 +20,17 @@ from lcmsim.controller import (
     execute,
     legacy_beams,
     legacy_csi_report,
+    legacy_csi_reports,
     transition,
 )
 from lcmsim.errors import IntegrityError, NotFoundError
-from lcmsim.kpi import InputDescriptor, descriptor_divergence, misalignment_divergence, sgcs
+from lcmsim.kpi import (
+    InputDescriptor,
+    descriptor_divergence,
+    misalignment_divergence,
+    sgcs,
+    sgcs_rows,
+)
 from lcmsim.models import (
     ModelDescriptor,
     ModelKind,
@@ -480,6 +488,33 @@ class TestLegacyReport:
                         want = scores.index(max(scores))
                         assert legacy_csi_report(measurement, book) == want
                         assert legacy_csi_report(measurement, book, beams) == want
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([8, 32, 64]),
+        st.sampled_from([1, 2000]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_the_per_beam_reference(self, n, rows, dft, seed):
+        # The per-slot report's arithmetic: one vdot per beam, the first
+        # maximum; ties are exact on a beam itself and on equal-weight rows.
+        rng = np.random.default_rng(seed)
+        book = dft_codebook(n) if dft else np.eye(n, dtype=complex)
+        m = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        m[rows // 3] = book[:, int(rng.integers(n))]
+        m[rows // 2] = book[:, rng.choice(n, size=3, replace=False)].sum(axis=1)
+        cols = [book[:, j].copy() for j in range(n)]  # contiguous, as BLAS saw them
+        norms = [np.vdot(b, b).real for b in cols]
+        scores = np.array([
+            [abs(np.vdot(b, x)) ** 2 / (bn * np.vdot(x, x).real) for b, bn in zip(cols, norms)]
+            for x in m
+        ])
+        want = np.array([row.tolist().index(row.max()) for row in scores])
+        beams = legacy_beams(book)
+        assert sgcs_rows(beams, m[:, np.newaxis, :]).tobytes() == scores.tobytes()
+        assert legacy_csi_reports(m, beams).tobytes() == want.tobytes()
+        assert legacy_csi_report(m[-1], book) == want[-1]
 
     def test_empty_codebook_rejected(self):
         with pytest.raises(ValueError):

@@ -15,7 +15,9 @@ from lcmsim.kpi import (
     lag1_terms,
     misalignment_divergence,
     nmse,
+    nmse_rows,
     sgcs,
+    sgcs_rows,
 )
 
 
@@ -264,3 +266,77 @@ class TestDescriptorDivergences:
         assert descriptor_divergences(query, []) == []
         with pytest.raises(ValueError):
             descriptor_divergences(query, [make_desc([0.25, 0.25, 0.5])])
+
+
+# The per-slot arithmetic the stacked kernels replace, one numpy call per
+# row: the references their rows must equal bit for bit.
+def sgcs_reference(p, t):
+    return float(abs(np.vdot(p, t)) ** 2 / (np.vdot(p, p).real * np.vdot(t, t).real))
+
+
+def nmse_reference(p, t):
+    d = p - t
+    return float(np.vdot(d, d).real / np.vdot(t, t).real)
+
+
+def lag_reference(vectors, snrs):
+    gains = [1.0 if s == math.inf else 1.0 + 10.0 ** (-s / 10.0) for s in snrs]
+    return [
+        abs(np.vdot(vectors[i], vectors[i + 1])) * math.sqrt(gains[i] * gains[i + 1])
+        for i in range(len(gains) - 1)
+    ]
+
+
+def random_stack(rng, rows, n):
+    return rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+
+
+# One row, and enough rows that an np.abs or np.square in place of the
+# scalar abs and ** (which round differently on some hosts) would show.
+STACK_ROWS = st.sampled_from([1, 2000, 2049])
+WIDTHS = st.sampled_from([8, 16, 32, 33, 64])
+
+
+class TestRowKernels:
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(WIDTHS, STACK_ROWS, st.integers(0, 2**32 - 1))
+    def test_sgcs_and_nmse_rows_equal_the_scalar_reference(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        p, t = random_stack(rng, rows, n), random_stack(rng, rows, n)
+        t[rows // 2] = p[rows // 2]  # an exact match
+        want_sgcs = np.array([sgcs_reference(a, b) for a, b in zip(p, t)])
+        want_nmse = np.array([nmse_reference(a, b) for a, b in zip(p, t)])
+        assert sgcs_rows(p, t).tobytes() == want_sgcs.tobytes()
+        assert nmse_rows(p, t).tobytes() == want_nmse.tobytes()
+        # The scalar functions are the one-row case.
+        assert sgcs(p[-1], t[-1]) == want_sgcs[-1]
+        assert nmse(p[-1], t[-1]) == want_nmse[-1]
+
+    def test_sgcs_rows_broadcast_one_vector_against_a_stack(self):
+        rng = np.random.default_rng(4)
+        stack, one = random_stack(rng, 300, 32), random_stack(rng, 1, 32)[0]
+        want = np.array([sgcs_reference(one, b) for b in stack])
+        assert sgcs_rows(one, stack).tobytes() == want.tobytes()
+
+    def test_zero_rows_and_mismatched_lengths_rejected(self):
+        p = np.ones((3, 4), complex)
+        zero = p.copy()
+        zero[1] = 0.0
+        for bad in ((zero, p), (p, zero)):
+            with pytest.raises(ValueError, match="zero"):
+                sgcs_rows(*bad)
+        with pytest.raises(ValueError, match="zero"):
+            nmse_rows(p, zero)
+        for kernel in (sgcs_rows, nmse_rows):
+            with pytest.raises(ValueError):
+                kernel(p, np.ones((3, 5), complex))
+
+    @settings(max_examples=15, deadline=None, derandomize=True)
+    @given(WIDTHS, STACK_ROWS, st.integers(0, 2**32 - 1))
+    def test_lag_terms_equal_the_scalar_reference(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        vectors = random_stack(rng, rows, n)
+        snrs = rng.choice([math.inf, 0.0, 12.5, -3.0, 30.0], size=rows).tolist()
+        got = lag1_terms(vectors, snrs)
+        assert np.array(got).tobytes() == np.array(lag_reference(vectors, snrs)).tobytes()
+        assert len(got) == rows - 1

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcmsim.channel import (
     ChannelRegime,
@@ -29,6 +30,8 @@ from lcmsim.models import (
     flops_for_parameters,
     predict_beams,
     predict_csi,
+    predict_csi_rows,
+    stack_windows,
     storage_for_parameters,
     train_autoencoder_joint,
     train_beam_predictor,
@@ -374,6 +377,52 @@ class TestCsiPredictor:
         resolved = CsiPredictor.of(self.models()[0])
         with pytest.raises(ValueError):
             predict_csi(resolved, np.ones((3, 16), complex))
+
+
+def window_reference(measured, order, at):
+    """The predictor input for slot ``at``, one concatenation per slot."""
+    return np.concatenate([measured[at - k] for k in range(order)])
+
+
+class TestPredictionRows:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([8, 16, 32, 33, 64]),
+        st.sampled_from([1, 4, 8]),
+        st.sampled_from([1, 2000]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_the_scalar_reference(self, n, order, rows, with_delta, seed):
+        rng = np.random.default_rng(seed)
+        cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        measured = cplx(rows + order - 1, n)
+        predictor = CsiPredictor(order, cplx(n, order * n))
+        if with_delta:
+            rank = min(n, 3)
+            right = cplx(n, rank)
+            predictor = CsiPredictor(order, predictor.taps, cplx(n, rank), right.conj().T, cplx(n))
+        newest = np.arange(order - 1, len(measured))
+        stacked = np.stack([window_reference(measured, order, t) for t in newest])
+        assert stack_windows(measured, order, newest).tobytes() == stacked.tobytes()
+        want = []
+        for x in stacked:
+            out = predictor.taps @ x
+            if with_delta:
+                out = out + predictor.delta_left @ (predictor.delta_right_h @ out) + predictor.delta_bias
+            want.append(out / np.linalg.norm(out))
+        got = predict_csi_rows(predictor, measured, newest)
+        assert got.tobytes() == np.stack(want).tobytes()
+        # predict_csi is the one-row case.
+        assert predict_csi(predictor, measured).tobytes() == want[-1].tobytes()
+
+    def test_short_windows_and_zero_outputs_rejected(self):
+        predictor = CsiPredictor(4, np.ones((16, 64), complex))
+        measured = np.ones((10, 16), complex)
+        with pytest.raises(ValueError, match="need 4"):
+            predict_csi_rows(predictor, measured, [2, 5])
+        with pytest.raises(DegenerateInputError):
+            predict_csi_rows(CsiPredictor(4, np.zeros((16, 64), complex)), measured, [5])
 
 
 class TestBeamPredictor:

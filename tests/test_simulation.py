@@ -172,14 +172,21 @@ class TestMeasureOnce:
         calls = []
         self.counting(monkeypatch, simulation, "legacy_beams", calls)
         self.counting(monkeypatch, controller, "legacy_beams", calls)
-        self.counting(monkeypatch, simulation, "legacy_csi_report", calls)
-        cfg = parse_scenario_config(FALLBACK_DRIFT)
-        run_scenario(cfg, str(tmp_path / "registry"))
+        self.counting(monkeypatch, simulation, "legacy_csi_reports", calls)
+        loop = simulation._Loop(parse_scenario_config(FALLBACK_DRIFT), str(tmp_path / "registry"))
+        result = loop.run()
         assert [name for name, _ in calls].count("legacy_beams") == 1
-        # Every fallback slot reports with the rows the run built.
-        reports = [args for name, args in calls if name == "legacy_csi_report"]
-        assert len(reports) > 100
-        assert all(len(args) == 3 and args[2] is reports[0][2] for args in reports)
+        # Every fallback slot is reported, once and in order, with the rows
+        # the run built.
+        fallback_slot = next(
+            event.slot for event in result.events
+            if event.kind == "ActionIssued" and dict(event.payload)["action"] == "Fallback"
+        )
+        reports = [args for name, args in calls if name == "legacy_csi_reports"]
+        assert reports and all(args[1] is loop.beams for args in reports)
+        reported = np.concatenate([args[0] for args in reports])
+        assert len(reported) > 100
+        assert reported.tobytes() == loop.measured[fallback_slot + 1 :].tobytes()
 
     def test_pretraining_slices_the_run_measurements(self, tmp_path, monkeypatch):
         cfg = parse_scenario_config(QUIET_SMALL)
