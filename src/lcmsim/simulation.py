@@ -12,7 +12,7 @@ to the next, with stacked kernels bit-identical to per-slot calls.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +72,8 @@ METRICS_HEADER = (
     "perf_bad,action,descriptor_divergence,monitor_overhead_bits"
 )
 # A block of slots ends at every evaluation slot and at least every this
-# many slots, which bounds the stacked kernels' temporaries.
+# many slots, which bounds the stacked kernels' temporaries; what was
+# applied is scored a chunk of this many slots at a time.
 _BLOCK_SLOTS = 128
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ def _sanitize(value: str) -> str:
     return "_".join(str(value).split())
 
 
-# One CSV row, fields as text; empty strings mark fields without a value.
+# One CSV row: the slot, then its fields as text, empty where there is no value.
 MetricsRow = namedtuple("MetricsRow", METRICS_HEADER.split(","))
 
 
@@ -190,12 +191,13 @@ class _Loop:
         self.history_window = max(
             self.policy.min_train_samples, 4 * self.policy.descriptor_window_slots
         )
-        # Slots whose applied prediction pairs with their measurement: the
-        # latest ones, as only fallback stops predictions, and its end clears them.
-        self.pairs: deque[int] = deque(maxlen=self.history_window)
+        # A delta fits the latest history_window slots applied from the model
+        # since the last activation, pairing prediction and measurement; only
+        # fallback stops predictions and it ends in an activation, so they run on.
+        self.pairs_from = 0
         # By target slot t: from_model[t] marks a model prediction, pending until
         # t is applied, in predicted[t % ring], a ring that outlasts every read (a
-        # block, monitoring lag or pairs behind the newest write, a horizon ahead).
+        # chunk, monitoring lag or pairs behind the newest write, a horizon ahead).
         # legacy_beam[t] is the beam reported in fallback, or -1.
         span = config.num_slots + config.predictor_horizon
         lag = max(_BLOCK_SLOTS, config.monitoring.gt_slot_offset + 1, self.history_window)
@@ -244,8 +246,9 @@ class _Loop:
             beam_powers=self.trace.per_beam_power[start : slot + 1],
         )
 
-    def _fit_delta(self, base: ModelPackage, rank: int):
-        slots = np.array(self.pairs, dtype=int)
+    def _fit_delta(self, slot: int, base: ModelPackage, rank: int):
+        applied = np.flatnonzero(self.from_model[self.pairs_from : slot + 1]) + self.pairs_from
+        slots = applied[-self.history_window :]
         pairs = zip(self.predicted[slots % self.ring], self.measured[slots])
         return fit_adaptation_delta(base, list(pairs), rank)
 
@@ -255,7 +258,7 @@ class _Loop:
             agent=self.agent,
             functionality_tag=self.tag,
             retrain=lambda: self._retrain(slot),
-            fit_delta=self._fit_delta,
+            fit_delta=lambda base, rank: self._fit_delta(slot, base, rank),
             delta_rank=self.policy.delta_rank,
         )
 
@@ -277,9 +280,9 @@ class _Loop:
                 )
                 self.from_model[first + horizon : stop + horizon] = True
 
-    def apply(self, lo: int, stop: int) -> list[str]:
-        """Apply what targets slots lo..stop-1; returns each slot's "sgcs,nmse"
-        metrics cells, empty where nothing was applied."""
+    def write_lines(self, lo: int, stop: int, columns: list[str]) -> None:
+        """Score what was applied at slots lo..stop-1 and add their metrics
+        lines, the state ``columns`` of each slot after sgcs and nmse."""
         from_model = self.from_model[lo:stop]
         beams = self.legacy_beam[lo:stop]
         hit = np.flatnonzero(from_model | (beams >= 0))
@@ -287,14 +290,13 @@ class _Loop:
         vectors = np.where(
             from_model[hit, np.newaxis], self.predicted[slots % self.ring], self.beams[beams[hit]]
         )
-        self.pairs.extend(slots[from_model[hit]].tolist())
         truth = self.trace.true_precoders[slots]
         achieved = sgcs_rows(vectors, truth).tolist()
         self.achieved += achieved
         cells = [","] * (stop - lo)
         for i, a, b in zip(hit.tolist(), achieved, nmse_rows(vectors, truth).tolist()):
             cells[i] = f"{a!r},{b!r}"
-        return cells
+        self.lines += [f"{t},{c},{s}" for t, c, s in zip(range(lo, stop), cells, columns)]
 
     def state_columns(self, monitored: str = ",,,") -> str:
         """The metrics columns after sgcs and nmse, as the loop stands."""
@@ -324,7 +326,7 @@ class _Loop:
         if follow is not None:
             if follow.kind is EventKind.MODEL_ACTIVATED:
                 self.log(slot, "controller", "ModelActivated", target=follow.detail)
-                self.pairs.clear()
+                self.pairs_from = slot + 1
             elif follow.kind is EventKind.ACTION_FAILED:
                 self.log(
                     slot,
@@ -456,16 +458,17 @@ class _Loop:
 
         num_slots = self.config.num_slots
         ends = self.eval_set.union(range(_BLOCK_SLOTS - 1, num_slots, _BLOCK_SLOTS))
-        lo = 0
+        lo = unwritten = 0
+        columns: list[str] = []
         for end in sorted(ends | {num_slots - 1}):
             self.report(lo, end + 1)
-            cells = self.apply(lo, end + 1)
-            columns = self.state_columns()
-            self.lines += [f"{slot},{c},{columns}" for slot, c in zip(range(lo, end), cells)]
+            columns += [self.state_columns()] * (end + 1 - lo)
             if end in self.eval_set:
-                columns = self.state_columns(",".join(self.monitor(end).values()))
-            self.lines.append(f"{end},{cells[-1]},{columns}")
+                columns[-1] = self.state_columns(",".join(self.monitor(end).values()))
             lo = end + 1
+            if lo % _BLOCK_SLOTS == 0 or lo == num_slots:  # scoring changes no state
+                self.write_lines(unwritten, lo, columns)
+                unwritten, columns = lo, []
 
         summary = {
             "final_state": self.state.value,

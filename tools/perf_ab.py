@@ -1,18 +1,20 @@
 """Alternate perfbench runs of two checkouts and write a BENCH_<n>.json file.
 
-Usage, from the root of the checkout under test:
+Usage, with this checkout as the change:
 
     python3 tools/perf_ab.py --parent PARENT_CHECKOUT --pairs 10 \
         --workloads acceptance_mix --seed 42 --out BENCH_1.json
 
 For each workload and each pair, ``perfbench/run.py --workload W --seed S
---seconds T --trace 0`` runs once in each checkout, and the side that runs
-first alternates from pair to pair. Both checkouts must be git checkouts,
-so that perfbench records their commits. The file holds, per workload and
-side, every run's end-to-end metrics, their medians and quartiles (numpy's
-linear percentiles), whether every run was correct, and how many pairs the
-change won on each metric. An existing output file is extended: a workload
-and seed run again replaces its earlier entry.
+--trace 0``, for the run length that BENCHMARK.json sets, runs once in each
+checkout, and the side that runs first alternates from pair to pair. Both
+checkouts must be git checkouts, so that perfbench records their commits.
+
+The file holds, per workload and side, every run's end-to-end metrics,
+their medians and quartiles (numpy's linear percentiles), whether every
+run was correct, and how many pairs the change won on each metric. An
+existing output file is extended: a workload and seed run again replaces
+its earlier entry.
 """
 
 from __future__ import annotations
@@ -25,15 +27,16 @@ from pathlib import Path
 
 import numpy as np
 
-HIGHER_IS_BETTER = {"slots_per_s": True, "cpu_s_per_kslot": False, "setup_s": False,
-                    "peak_rss_mb": False}
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+HIGHER_IS_BETTER = {m["name"]: m["better"] == "higher" for m in BENCHMARK["end_to_end"]}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     """One perfbench run; returns its metrics, correctness and environment."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(BENCHMARK["run_seconds"]), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
     lines = proc.stdout.splitlines()
@@ -58,26 +61,24 @@ def summarize(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
-    parser.add_argument("--change", type=Path, default=Path("."))
     parser.add_argument("--workloads", nargs="+",
-                        default=["acceptance_mix", "registry_scan", "repair_churn"])
+                        default=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
     report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
     for workload in args.workloads:
         runs = {"parent": [], "change": []}
         for pair in range(args.pairs):
             order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
             for side in order:
-                runs[side].append(run_once(sides[side], workload, args.seed, args.seconds))
+                runs[side].append(run_once(sides[side], workload, args.seed))
                 print(workload, pair, side, runs[side][-1]["metrics"]["slots_per_s"],
                       file=sys.stderr)
-        entry = {"seed": args.seed, "pairs": args.pairs, "seconds": args.seconds}
+        entry = {"seed": args.seed, "pairs": args.pairs, "seconds": BENCHMARK["run_seconds"]}
         for side in sides:
             entry[side] = summarize(runs[side])
             entry[side]["git_sha"] = runs[side][0]["environment"]["git_sha"]
