@@ -282,7 +282,7 @@ class _Loop:
 
     def write_lines(self, lo: int, stop: int, columns: list[str]) -> None:
         """Score what was applied at slots lo..stop-1 and add their metrics
-        lines, the state ``columns`` of each slot after sgcs and nmse."""
+        lines; ``columns`` holds each slot's columns after sgcs and nmse."""
         from_model = self.from_model[lo:stop]
         beams = self.legacy_beam[lo:stop]
         hit = np.flatnonzero(from_model | (beams >= 0))
