@@ -42,11 +42,6 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x, x))
 
 
-def vector_norm(v: np.ndarray) -> float:
-    """Euclidean norm of a vector: the one-row case of :func:`row_norms`."""
-    return float(row_norms(np.asarray(v).ravel(order="K")))
-
-
 def unit_norm(v: np.ndarray) -> np.ndarray:
     """Return v, or each row of a stack v, scaled to unit Euclidean norm.
 
@@ -124,30 +119,25 @@ class ChannelRegime:
 RegimeSchedule = list[tuple[int, ChannelRegime]]
 
 
-@dataclass
-class TraceConfig:
-    """Everything needed to generate a trace, minus the seed."""
-
-    num_slots: int
-    num_tx_antennas: int
-    regime_schedule: RegimeSchedule
-
-    def validate(self) -> None:
-        if self.num_slots < 1:
-            raise ValueError("num_slots must be positive")
-        if self.num_tx_antennas < 2:
-            raise ValueError("need at least two antennas")
-        if not self.regime_schedule:
-            raise ValueError("regime_schedule must not be empty")
-        starts = [s for s, _ in self.regime_schedule]
-        if starts[0] != 0:
-            raise ValueError("first regime must start at slot 0")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ValueError("regime start slots must be strictly increasing")
-        if starts[-1] >= self.num_slots:
-            raise ValueError("regime start beyond the end of the trace")
-        for _, regime in self.regime_schedule:
-            regime.validate(self.num_tx_antennas)
+def check_schedule(schedule: RegimeSchedule, num_slots: int, num_antennas: int) -> None:
+    """Raise ValueError unless ``schedule`` tiles a run of ``num_slots`` slots
+    over ``num_antennas`` antennas: regimes start at slot 0, at strictly
+    increasing slots inside the run, and each one is valid."""
+    if num_slots < 1:
+        raise ValueError("num_slots must be positive")
+    if num_antennas < 2:
+        raise ValueError("channel.num_antennas must be at least 2")
+    if not schedule:
+        raise ValueError("at least one channel.regime.<i> block is required")
+    starts = [s for s, _ in schedule]
+    if starts[0] != 0:
+        raise ValueError("channel.regime.0.start_slot must be 0")
+    if any(b <= a for a, b in zip(starts, starts[1:])):
+        raise ValueError("regime start slots must be strictly increasing")
+    if starts[-1] >= num_slots:
+        raise ValueError("a regime starts at or beyond num_slots")
+    for _, regime in schedule:
+        regime.validate(num_antennas)
 
 
 @dataclass
@@ -225,8 +215,7 @@ def generate_trace(
     with ``rho = cos(2*pi * AGING_FACTOR * doppler_norm)``. Zero Doppler
     therefore freezes the channel exactly.
     """
-    cfg = TraceConfig(num_slots, num_tx_antennas, list(regime_schedule))
-    cfg.validate()
+    check_schedule(regime_schedule, num_slots, num_tx_antennas)
     codebook = np.asarray(beam_codebook)
     if codebook.ndim != 2 or codebook.shape[0] != num_tx_antennas:
         raise ValueError("beam_codebook must have one row per antenna")
@@ -236,7 +225,7 @@ def generate_trace(
     beam_power = np.empty((num_slots, codebook.shape[1]), dtype=np.float64)
     snr = np.empty(num_slots, dtype=np.float64)
 
-    for seg_start, seg_end, regime in _segment_bounds(cfg.regime_schedule, num_slots):
+    for seg_start, seg_end, regime in _segment_bounds(regime_schedule, num_slots):
         p = regime.num_paths
         rng_geom = substream(seed, f"chan.angles.{regime.regime_id}")
         angles = rng_geom.uniform(-regime.angle_spread / 2, regime.angle_spread / 2, p)

@@ -18,7 +18,7 @@ import numpy as np
 from .channel import ChannelRegime, dft_codebook, generate_trace, measure_csi
 from .config import load_scenario_config, parse_scenario_config
 from .errors import ConfigError, LcmSimError
-from .kpi import BeamKpiConfig, beam_topk_accuracy, nmse, sgcs
+from .kpi import BeamKpiConfig, beam_topk_accuracy, nmse_rows, sgcs_rows
 from .models import (
     AutoencoderConfig,
     CsiPredictor,
@@ -26,7 +26,7 @@ from .models import (
     ModelPackage,
     PredictorConfig,
     predict_beams,
-    predict_csi,
+    predict_csi_rows,
     predictor_config,
     train_autoencoder_joint,
     train_beam_predictor,
@@ -195,16 +195,12 @@ def _cmd_eval_sgcs(args) -> int:
     if args.slots < cfg.order + cfg.horizon_slots + 1:
         raise ConfigError("--slots too small for the model's order and horizon")
     measured = _measure_all(trace, args.seed).precoders
-    predictor = CsiPredictor.of(package)
-    scores, errors = [], []
-    for t in range(cfg.order - 1, args.slots - cfg.horizon_slots):
-        predicted = predict_csi(predictor, measured[t + 1 - cfg.order : t + 1])
-        truth = trace.true_precoders[t + cfg.horizon_slots]
-        scores.append(sgcs(predicted, truth))
-        errors.append(nmse(predicted, truth))
-    print(f"predictions = {len(scores)}")
-    print(f"mean_sgcs = {float(np.mean(scores)):.6f}")
-    print(f"mean_nmse = {float(np.mean(errors)):.6f}")
+    newest = np.arange(cfg.order - 1, args.slots - cfg.horizon_slots)
+    predicted = predict_csi_rows(CsiPredictor.of(package), measured, newest)
+    truth = trace.true_precoders[newest + cfg.horizon_slots]
+    print(f"predictions = {len(newest)}")
+    print(f"mean_sgcs = {float(np.mean(sgcs_rows(predicted, truth))):.6f}")
+    print(f"mean_nmse = {float(np.mean(nmse_rows(predicted, truth))):.6f}")
     return 0
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .channel import ChannelRegime
+from .channel import ChannelRegime, check_schedule
 from .controller import DecisionPolicy
 from .errors import ConfigError
 from .monitoring import MonitoringConfig, MonitoringMode
@@ -53,24 +53,10 @@ class ScenarioConfig:
     events_path: str = "events.log"
 
     def validate(self) -> None:
-        if self.num_slots < 1:
-            raise ConfigError("num_slots must be positive")
-        if self.num_antennas < 2:
-            raise ConfigError("channel.num_antennas must be at least 2")
-        if not self.regime_schedule:
-            raise ConfigError("at least one channel.regime.<i> block is required")
-        starts = [s for s, _ in self.regime_schedule]
-        if starts[0] != 0:
-            raise ConfigError("channel.regime.0.start_slot must be 0")
-        if any(b <= a for a, b in zip(starts, starts[1:])):
-            raise ConfigError("regime start slots must be strictly increasing")
-        if starts[-1] >= self.num_slots:
-            raise ConfigError("a regime starts at or beyond num_slots")
-        for _, regime in self.regime_schedule:
-            try:
-                regime.validate(self.num_antennas)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        try:
+            check_schedule(self.regime_schedule, self.num_slots, self.num_antennas)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         if not self.pretrain:
             raise ConfigError("at least one pretrain.<i> block is required")
         for spec in self.pretrain:
@@ -112,25 +98,21 @@ class _KeyTable:
         self.used.add(key)
         return self.values.get(key, default)
 
-    def require(self, key: str) -> str:
-        value = self.take(key)
+    def require(self, key: str, default: str | None = None) -> str:
+        value = self.take(key, default)
         if value is None:
             raise ConfigError(f"missing required key {key!r}")
         return value
 
     def int_of(self, key: str, default: int | None = None) -> int:
-        raw = self.take(key, None if default is None else str(default))
-        if raw is None:
-            raise ConfigError(f"missing required key {key!r}")
+        raw = self.require(key, None if default is None else str(default))
         try:
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key} expects an integer, got {raw!r}", self.lines.get(key))
 
     def float_of(self, key: str, default: float | None = None) -> float:
-        raw = self.take(key, None if default is None else repr(default))
-        if raw is None:
-            raise ConfigError(f"missing required key {key!r}")
+        raw = self.require(key, None if default is None else repr(default))
         try:
             value = float(raw)
         except ValueError:

@@ -136,7 +136,6 @@ class DecisionInputs:
 
     slot_index: int
     current_descriptor: InputDescriptor
-    active_descriptor: InputDescriptor
     divergence: float
     misalignment: float
     mean_snr_db: float

@@ -18,18 +18,17 @@ import numpy as np
 from . import container
 from .channel import ChannelRegime, dft_codebook, generate_trace
 from .errors import IntegrityError, PairingError
-from .kpi import sgcs
+from .kpi import sgcs_rows
 from .models import (
     AutoencoderConfig,
-    ModelDescriptor,
     ModelKind,
     ModelPackage,
     _descriptor_from_targets,
-    _dequantize,
     _ridge_solve,
     decode_csi,
+    dequantize_codes,
     encode_csi,
-    finalize_package,
+    new_package,
     train_autoencoder_joint,
 )
 from .streams import stable_id
@@ -69,11 +68,7 @@ class CsiDataset:
             return self.feedbacks.astype(np.complex128)
         if self.quant_ranges is None:
             raise IntegrityError("quantized dataset lacks quantizer ranges")
-        # Column 2k holds the real code of latent dim k, column 2k+1 the
-        # imaginary one.
-        re = _dequantize(self.feedbacks[:, 0::2], self.quant_ranges, self.bits_per_dim)
-        im = _dequantize(self.feedbacks[:, 1::2], self.quant_ranges, self.bits_per_dim)
-        return re + 1j * im
+        return dequantize_codes(self.feedbacks, self.quant_ranges, self.bits_per_dim)
 
     def to_bytes(self) -> bytes:
         header = {
@@ -121,25 +116,16 @@ def export_dataset(
     vendor_index: int | None = None,
 ) -> CsiDataset:
     """Run the encoder over targets and bundle the exchange set."""
-    if encoder.kind is not ModelKind.CSI_ENCODER:
-        raise ValueError(f"not an encoder: {encoder.kind}")
     samples = np.asarray(targets, dtype=np.complex128)
     if samples.ndim != 2:
         raise ValueError("targets must be a (samples, antennas) matrix")
+    feedbacks = encode_csi(encoder, samples)
     bits = int(encoder.extra["bits_per_dim"])
-    latent = int(encoder.extra["latent_dim"])
-    rows = [encode_csi(encoder, samples[i]) for i in range(samples.shape[0])]
-    if rows:
-        feedbacks = np.stack(rows)
-    else:
-        width = 2 * latent if bits > 0 else latent
-        dtype = np.int64 if bits > 0 else np.complex128
-        feedbacks = np.zeros((0, width), dtype=dtype)
     return CsiDataset(
         targets=samples,
         feedbacks=feedbacks,
         associated_id=encoder.descriptor.associated_id or "",
-        latent_dim=latent,
+        latent_dim=int(encoder.extra["latent_dim"]),
         bits_per_dim=bits,
         quant_ranges=encoder.param("quant_ranges").ravel().copy() if bits > 0 else None,
         vendor_index=vendor_index,
@@ -156,19 +142,10 @@ def _decoder_package(
 ) -> ModelPackage:
     material = [associated_id.encode()] + [m.tobytes() for _, m in basis_params]
     model_id = stable_id(id_prefix, *material)
-    pkg = ModelPackage(
-        descriptor=ModelDescriptor(
-            model_id=model_id,
-            model_version=1,
-            functionality_tag=functionality_tag,
-            associated_id=associated_id,
-            input_descriptor=_descriptor_from_targets(targets),
-        ),
-        kind=ModelKind.CSI_DECODER,
-        parameters=basis_params,
-        extra=extra,
+    return new_package(
+        ModelKind.CSI_DECODER, basis_params, extra, model_id, functionality_tag,
+        _descriptor_from_targets(targets), associated_id,
     )
-    return finalize_package(pkg)
 
 
 def train_decoder_from_dataset(
@@ -245,19 +222,10 @@ def train_encoder_against_reference(
 
     associated = reference_decoder.descriptor.associated_id or ""
     model_id = stable_id("enc1", associated.encode(), basis_enc.tobytes())
-    pkg = ModelPackage(
-        descriptor=ModelDescriptor(
-            model_id=model_id,
-            model_version=1,
-            functionality_tag=functionality_tag,
-            associated_id=associated,
-            input_descriptor=_descriptor_from_targets(samples),
-        ),
-        kind=ModelKind.CSI_ENCODER,
-        parameters=params,
-        extra=extra,
+    return new_package(
+        ModelKind.CSI_ENCODER, params, extra, model_id, functionality_tag,
+        _descriptor_from_targets(samples), associated,
     )
-    return finalize_package(pkg)
 
 
 def train_multivendor_decoder(
@@ -330,15 +298,13 @@ def cross_pairing_matrix(
     grid = np.full((len(encoders), len(decoders)), np.nan)
     for i, enc in enumerate(encoders):
         try:
-            feedbacks = [encode_csi(enc, samples[s]) for s in range(samples.shape[0])]
+            feedbacks = encode_csi(enc, samples)
         except ValueError:
             continue
         for j, dec in enumerate(decoders):
             try:
-                scores = [
-                    sgcs(decode_csi(dec, fb, vendor_index=vendor_indices[j]), samples[s])
-                    for s, fb in enumerate(feedbacks)
-                ]
+                decoded = decode_csi(dec, feedbacks, vendor_index=vendor_indices[j])
+                scores = sgcs_rows(decoded, samples)
             except ValueError:
                 continue
             grid[i, j] = float(np.mean(scores))

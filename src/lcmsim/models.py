@@ -187,6 +187,23 @@ def finalize_package(pkg: ModelPackage) -> ModelPackage:
     return pkg
 
 
+def new_package(
+    kind: ModelKind,
+    parameters: list[tuple[str, np.ndarray]],
+    extra: dict[str, str],
+    model_id: str,
+    functionality_tag: str,
+    input_descriptor: InputDescriptor,
+    associated_id: str | None = None,
+    model_version: int = 1,
+) -> ModelPackage:
+    """Build a package with its descriptor, then :func:`finalize_package` it."""
+    descriptor = ModelDescriptor(
+        model_id, model_version, functionality_tag, associated_id, input_descriptor
+    )
+    return finalize_package(ModelPackage(descriptor, kind, parameters, extra))
+
+
 def verify_package(pkg: ModelPackage) -> bool:
     """True iff the stored checksum matches a fresh serialization."""
     return pkg.descriptor.payload_checksum == container.payload_checksum(
@@ -315,23 +332,16 @@ def train_predictor(
     descriptor_stats = derive_input_descriptor(history, codebook, beam_powers)
     if model_id is None:
         model_id = stable_id("pred", features.tobytes(), repr(cfg))
-    pkg = ModelPackage(
-        descriptor=ModelDescriptor(
-            model_id=model_id,
-            model_version=model_version,
-            functionality_tag=functionality_tag or f"csi-pred-h{cfg.horizon_slots}",
-            associated_id=None,
-            input_descriptor=descriptor_stats,
-        ),
-        kind=ModelKind.CSI_PREDICTOR,
-        parameters=[("taps", taps)],
-        extra={
-            "order": str(cfg.order),
-            "horizon_slots": str(cfg.horizon_slots),
-            "num_antennas": str(n_ant),
-        },
+    extra = {
+        "order": str(cfg.order),
+        "horizon_slots": str(cfg.horizon_slots),
+        "num_antennas": str(n_ant),
+    }
+    return new_package(
+        ModelKind.CSI_PREDICTOR, [("taps", taps)], extra, model_id,
+        functionality_tag or f"csi-pred-h{cfg.horizon_slots}", descriptor_stats,
+        model_version=model_version,
     )
-    return finalize_package(pkg)
 
 
 def predictor_config(pkg: ModelPackage) -> PredictorConfig:
@@ -454,19 +464,9 @@ def train_autoencoder_joint(
     }
 
     def build(kind: ModelKind, suffix: str) -> ModelPackage:
-        return finalize_package(
-            ModelPackage(
-                descriptor=ModelDescriptor(
-                    model_id=f"{prefix}-{suffix}",
-                    model_version=1,
-                    functionality_tag=functionality_tag,
-                    associated_id=associated,
-                    input_descriptor=descriptor_stats,
-                ),
-                kind=kind,
-                parameters=[(name, m.copy()) for name, m in params],
-                extra=dict(extra),
-            )
+        return new_package(
+            kind, [(name, m.copy()) for name, m in params], dict(extra),
+            f"{prefix}-{suffix}", functionality_tag, descriptor_stats, associated,
         )
 
     return build(ModelKind.CSI_ENCODER, "enc"), build(ModelKind.CSI_DECODER, "dec")
@@ -487,51 +487,52 @@ def _quantize(x: np.ndarray, rng: np.ndarray, bits: int) -> np.ndarray:
     return np.clip(code, 0, levels - 1).astype(np.int64)
 
 
-def _dequantize(code: np.ndarray, rng: np.ndarray, bits: int) -> np.ndarray:
-    levels = 1 << bits
-    step = 2.0 * rng / levels
-    return -rng + (code.astype(np.float64) + 0.5) * step
+def dequantize_codes(codes: np.ndarray, ranges: np.ndarray, bits: int) -> np.ndarray:
+    """Complex latents from quantized feedback: in the last axis, entry 2k
+    holds the real code of latent dimension k and entry 2k + 1 its imaginary one."""
+    step = 2.0 * ranges / (1 << bits)
+    re, im = (-ranges + (codes[..., k::2].astype(np.float64) + 0.5) * step for k in (0, 1))
+    return re + 1j * im
 
 
 def encode_csi(encoder: ModelPackage, target: np.ndarray) -> np.ndarray:
-    """Compress a precoder into its latent feedback message.
+    """Compress a precoder, or each row of a stack, into its latent feedback message.
 
     Returns a complex vector of length latent_dim when unquantized, or
     an int64 code vector of length 2*latent_dim (re, im interleaved per
-    dimension, bits_per_dim bits each) when quantized.
+    dimension, bits_per_dim bits each) when quantized; for a stack, one per
+    row, bit for bit as row by row (``np.matmul`` makes one gemv per row).
     """
     if encoder.kind is not ModelKind.CSI_ENCODER:
         raise ValueError(f"not an encoder: {encoder.kind}")
-    w = np.asarray(target).ravel()
+    w = np.asarray(target)
     basis = encoder.param("basis")
-    if w.size != basis.shape[0]:
+    if w.shape[-1] != basis.shape[0]:
         raise ValueError("target length does not match the encoder")
-    z = basis.conj().T @ w
+    z = np.matmul(basis.conj().T, w[..., np.newaxis])[..., 0]
     bits = int(encoder.extra["bits_per_dim"])
     if bits == 0:
         return z
     ranges = encoder.param("quant_ranges").ravel()
-    codes = np.empty(2 * z.size, dtype=np.int64)
-    codes[0::2] = _quantize(z.real, ranges, bits)
-    codes[1::2] = _quantize(z.imag, ranges, bits)
+    codes = np.empty(z.shape[:-1] + (2 * z.shape[-1],), dtype=np.int64)
+    codes[..., 0::2] = _quantize(z.real, ranges, bits)
+    codes[..., 1::2] = _quantize(z.imag, ranges, bits)
     return codes
 
 
 def decode_feedback_latent(
     decoder: ModelPackage, feedback: np.ndarray, ranges_name: str = "quant_ranges"
 ) -> np.ndarray:
-    """Recover the complex latent vector from a feedback message."""
+    """Recover the complex latent vector from a feedback message, or the
+    latent rows from a stack of messages."""
     bits = int(decoder.extra["bits_per_dim"])
     feedback = np.asarray(feedback)
     if bits == 0:
-        return feedback.astype(np.complex128).ravel()
+        return feedback.astype(np.complex128)
     ranges = decoder.param(ranges_name).ravel()
-    codes = feedback.ravel()
-    if codes.size != 2 * ranges.size:
+    if feedback.shape[-1] != 2 * ranges.size:
         raise ValueError("feedback length does not match the decoder")
-    re = _dequantize(codes[0::2], ranges, bits)
-    im = _dequantize(codes[1::2], ranges, bits)
-    return re + 1j * im
+    return dequantize_codes(feedback, ranges, bits)
 
 
 def decode_csi(
@@ -539,7 +540,8 @@ def decode_csi(
     feedback: np.ndarray,
     vendor_index: int | None = None,
 ) -> np.ndarray:
-    """Reconstruct a unit-norm precoder from a feedback message.
+    """Reconstruct a unit-norm precoder from a feedback message, or one
+    per row of a stack of messages, bit for bit as row by row.
 
     Multi-vendor decoders select the reconstruction block named by
     ``vendor_index``. An all-zero feedback is refused as degenerate.
@@ -557,13 +559,13 @@ def decode_csi(
     else:
         basis = decoder.param("basis")
         z = decode_feedback_latent(decoder, feedback)
-    if z.size != basis.shape[1]:
+    if z.shape[-1] != basis.shape[1]:
         raise ValueError("latent length does not match the decoder")
-    out = basis @ z
-    norm = np.linalg.norm(out)
-    if norm < 1e-12:
+    out = np.matmul(basis, z[..., np.newaxis])[..., 0]
+    norms = row_norms(out)
+    if np.any(norms < 1e-12):
         raise DegenerateInputError("zero feedback vector")
-    return out / norm
+    return out / norms[..., np.newaxis]
 
 
 # --------------------------------------------------------------------------
@@ -711,22 +713,14 @@ def train_beam_predictor(
     )
     if model_id is None:
         model_id = stable_id("beam", rows.tobytes(), repr(subset))
-    pkg = ModelPackage(
-        descriptor=ModelDescriptor(
-            model_id=model_id,
-            model_version=1,
-            functionality_tag=functionality_tag,
-            associated_id=None,
-            input_descriptor=descriptor_stats,
-        ),
-        kind=ModelKind.BEAM_PREDICTOR,
-        parameters=[("weights", weights)],
-        extra={
-            "beam_subset": ",".join(str(i) for i in subset),
-            "codebook_size": str(codebook_size),
-        },
+    extra = {
+        "beam_subset": ",".join(str(i) for i in subset),
+        "codebook_size": str(codebook_size),
+    }
+    return new_package(
+        ModelKind.BEAM_PREDICTOR, [("weights", weights)], extra, model_id,
+        functionality_tag, descriptor_stats,
     )
-    return finalize_package(pkg)
 
 
 def predict_beams(model: ModelPackage, measured_subset_powers: np.ndarray) -> np.ndarray:

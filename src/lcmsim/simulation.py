@@ -344,7 +344,7 @@ class _Loop:
         self.action_counts[name] = self.action_counts.get(name, 0) + 1
         return name
 
-    def run_decision(self, slot: int, divergence: float, misalignment: float, descriptor) -> str:
+    def run_decision(self, slot: int, divergence: float, descriptor) -> str:
         active = self.agent.active_model.descriptor
         evals_since = (
             self.eval_counter - self.last_action_eval
@@ -354,9 +354,8 @@ class _Loop:
         inputs = DecisionInputs(
             slot_index=slot,
             current_descriptor=descriptor,
-            active_descriptor=active.input_descriptor,
             divergence=divergence,
-            misalignment=misalignment,
+            misalignment=misalignment_divergence(descriptor, active.input_descriptor),
             mean_snr_db=descriptor.mean_snr_db,
             active_model_id=active.model_id,
             active_model_version=active.model_version,
@@ -406,7 +405,6 @@ class _Loop:
 
         active_desc = self.agent.active_model.descriptor.input_descriptor
         divergence = descriptor_divergence(descriptor, active_desc)
-        misalignment = misalignment_divergence(descriptor, active_desc)
         monitored["descriptor_divergence"] = repr(divergence)
 
         if gnb_value >= self.config.monitoring.threshold_gamma:
@@ -431,7 +429,7 @@ class _Loop:
                 slot, ControlEvent(EventKind.DRIFT_ALARM, slot, source=alarm.source)
             )
             if self.state is LoopState.DEGRADED:
-                monitored["action"] = self.run_decision(slot, divergence, misalignment, descriptor)
+                monitored["action"] = self.run_decision(slot, divergence, descriptor)
         return monitored
 
     def run(self) -> RunResult:

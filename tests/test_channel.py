@@ -14,7 +14,6 @@ from lcmsim.channel import (
     row_norms,
     ula_steering,
     unit_norm,
-    vector_norm,
 )
 from lcmsim.kpi import sgcs
 from lcmsim.streams import substream, substream_normals
@@ -221,7 +220,6 @@ class TestUnitNorm:
         for n in (1, 7, 32, 64):
             v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             for x in (v, v[::2], v.real):
-                assert vector_norm(x) == np.linalg.norm(x)
                 assert unit_norm(x).tobytes() == (x / np.linalg.norm(x)).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -302,4 +300,3 @@ class TestStackedKernels:
         want = np.stack([v / nv for v, nv in zip(x, norms)])
         assert unit_norm(x).tobytes() == want.tobytes()
         assert channel._normalize_rows(x.copy()).tobytes() == want.tobytes()
-        assert vector_norm(x[-1]) == norms[-1]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcmsim.channel import ChannelRegime, dft_codebook, generate_trace
 from lcmsim.config import load_scenario_config, parse_scenario_config
 from lcmsim.errors import ConfigError
 from lcmsim.monitoring import MonitoringMode
@@ -255,6 +256,40 @@ class TestValidation:
         )
         with pytest.raises(ConfigError, match="strictly increasing"):
             parse_scenario_config(text)
+
+    @pytest.mark.parametrize(
+        "num_slots, num_antennas, schedule",
+        [
+            (200, 8, []),
+            (200, 8, [(5, 0.05)]),
+            (200, 8, [(0, 0.05), (100, 0.1), (100, 0.2)]),
+            (200, 8, [(0, 0.05), (200, 0.1)]),
+            (200, 8, [(0, 0.05), (250, 0.1)]),
+            (0, 8, [(0, 0.05)]),
+            (200, 1, [(0, 0.05)]),
+            (200, 8, [(0, 0.05), (100, 0.5)]),
+        ],
+        ids=["empty", "first-start", "not-increasing", "start-at-end", "start-beyond",
+             "no-slots", "one-antenna", "bad-regime"],
+    )
+    def test_schedule_faults_raise_one_message(self, num_slots, num_antennas, schedule):
+        """generate_trace and the config share one schedule check: a fault
+        raises ValueError from the one and ConfigError from the other, with
+        the same message."""
+        regimes = [(start, ChannelRegime(f"r{i}", 1, doppler, 0.9, math.inf))
+                   for i, (start, doppler) in enumerate(schedule)]
+        lines = ["seed = 1", f"num_slots = {num_slots}", f"channel.num_antennas = {num_antennas}",
+                 "pretrain.0.start_slot = 0", "pretrain.0.end_slot = 64"]
+        for i, (start, regime) in enumerate(regimes):
+            lines += [f"channel.regime.{i}.start_slot = {start}",
+                      f"channel.regime.{i}.regime_id = {regime.regime_id}",
+                      f"channel.regime.{i}.num_paths = {regime.num_paths}",
+                      f"channel.regime.{i}.doppler_norm = {regime.doppler_norm}"]
+        with pytest.raises(ValueError) as trace_error:
+            generate_trace(regimes, num_slots, num_antennas, dft_codebook(max(num_antennas, 1)), 1)
+        with pytest.raises(ConfigError) as config_error:
+            parse_scenario_config(with_lines(*lines))
+        assert str(config_error.value) == str(trace_error.value)
 
     def test_antenna_floor(self):
         text = MINIMAL.replace("channel.num_antennas = 8", "channel.num_antennas = 1")

@@ -155,7 +155,6 @@ def make_inputs(
     return DecisionInputs(
         slot_index=100,
         current_descriptor=current,
-        active_descriptor=active,
         divergence=descriptor_divergence(current, active),
         misalignment=misalignment_divergence(current, active),
         mean_snr_db=snr,

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lcmsim.channel import ChannelRegime, dft_codebook, generate_trace
 from lcmsim.errors import IntegrityError, PairingError
@@ -21,6 +22,7 @@ from lcmsim.models import (
     AutoencoderConfig,
     ModelKind,
     decode_csi,
+    decode_feedback_latent,
     encode_csi,
     train_autoencoder_joint,
 )
@@ -87,6 +89,53 @@ class TestExportDataset:
         corrupted[len(corrupted) // 3] ^= 0x10
         with pytest.raises(IntegrityError):
             CsiDataset.from_bytes(bytes(corrupted))
+
+
+class TestCodecRows:
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("bits", [0, 3, 4])
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(st.sampled_from([1, 500]), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_stacks_equal_the_per_row_calls(self, n, bits, rows, multivendor, seed):
+        rng = np.random.default_rng(seed)
+
+        def unit_rows(count):
+            x = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+            return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+        latent = int(rng.integers(1, n + 1))
+        cfg = AutoencoderConfig(latent, bits, n)
+        enc, dec = train_autoencoder_joint(unit_rows(2 * n), cfg, model_id_prefix="a")
+        vendor, ranges = None, "quant_ranges"
+        if multivendor:
+            enc_b, _ = train_autoencoder_joint(unit_rows(2 * n), cfg, model_id_prefix="b")
+            dec = train_multivendor_decoder(
+                [export_dataset(enc, unit_rows(2 * n), 0), export_dataset(enc_b, unit_rows(2 * n), 1)]
+            )
+            vendor, ranges = 0, "quant_ranges_v0"
+        targets = unit_rows(rows)
+
+        feedbacks = encode_csi(enc, targets)
+        per_row = [encode_csi(enc, t) for t in targets]
+        assert feedbacks.tobytes() == np.stack(per_row).tobytes()
+        assert feedbacks.dtype == per_row[0].dtype and per_row[0].ndim == 1
+        latents = decode_feedback_latent(dec, feedbacks, ranges)
+        per_row_latents = [decode_feedback_latent(dec, fb, ranges) for fb in per_row]
+        assert latents.tobytes() == np.stack(per_row_latents).tobytes()
+        decoded = decode_csi(dec, feedbacks, vendor_index=vendor)
+        per_row_decoded = [decode_csi(dec, fb, vendor_index=vendor) for fb in per_row]
+        assert decoded.tobytes() == np.stack(per_row_decoded).tobytes()
+        assert per_row_decoded[0].ndim == 1
+        # A row is the one-vector arithmetic: one gemv each way, np.linalg.norm.
+        if bits == 0:
+            assert per_row[0].tobytes() == (enc.param("basis").conj().T @ targets[0]).tobytes()
+        basis = dec.param("basis" if vendor is None else "basis_v0")
+        out = basis @ per_row_latents[0]
+        assert per_row_decoded[0].tobytes() == (out / np.linalg.norm(out)).tobytes()
+
+        empty = export_dataset(enc, targets[:0])
+        assert empty.feedbacks.shape == (0, 2 * latent if bits else latent)
+        assert empty.feedbacks.dtype == (np.int64 if bits else np.complex128)
 
 
 class TestDirectionTwo:
