@@ -13,6 +13,10 @@ fresh registry in a temporary directory. Prints one line per run:
 (``metrics_text()`` and ``events_text()`` as UTF-8). Two checkouts produce
 the same outputs when, in the same numeric environment (BLAS thread
 variables unset on both sides), they print the same lines.
+
+``fingerprint_fields`` names that numeric environment, and
+``fingerprint`` hashes it: ``tools/record_digests.py`` files the lines
+under it, and ``tests/test_digests.py`` compares against that file.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import os
+import platform
 import re
 import sys
 import tempfile
@@ -28,10 +34,34 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
 from lcmsim.config import parse_scenario_config  # noqa: E402
 from lcmsim.simulation import run_scenario  # noqa: E402
 
 SCENARIOS = ("CANONICAL_DRIFT", "SNR_DROP", "MILD_DRIFT", "FALLBACK_DRIFT", "QUIET_SMALL")
+
+
+def fingerprint_fields() -> list[tuple[str, str]]:
+    """What the output bytes may depend on: the interpreter, numpy, its
+    BLAS build, the SIMD kernels numpy found on this CPU, and the BLAS
+    thread variables ("unset" is a value of its own)."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return [
+        ("python", platform.python_version()),
+        ("numpy", np.__version__),
+        ("blas", f"{blas.get('name')} {blas.get('version')}"),
+        ("blas_config", str(blas.get("openblas configuration", ""))),
+        ("simd_found", ",".join(config["SIMD Extensions"]["found"])),
+        *((name, os.environ.get(name, "unset"))
+          for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")),
+    ]
+
+
+def fingerprint(fields: list[tuple[str, str]]) -> str:
+    text = "".join(f"{key} = {value}\n" for key, value in fields)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 def _load(path: Path):
