@@ -143,7 +143,8 @@ def derive_input_descriptor(
         raise ValueError("empty measurement window")
     cb = np.asarray(codebook)
     if beam_powers is None:
-        beam_powers = np.stack([np.abs(cb.conj().T @ v) ** 2 for v in vectors])
+        # np.matmul on a stack of vectors makes the per-vector gemv: bit for bit the loop.
+        beam_powers = np.abs(np.matmul(cb.conj().T, vectors[:, :, np.newaxis])[:, :, 0]) ** 2
     else:
         beam_powers = np.asarray(beam_powers, dtype=np.float64)
         if beam_powers.shape[0] != len(snr_vals):

@@ -190,6 +190,21 @@ class TestInputDescriptor:
         with pytest.raises(ValueError):
             derive_input_descriptor(window.window(3, 3), cb)
 
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.sampled_from([8, 16, 32, 64]), st.sampled_from([1, 7, 1024]),
+           st.integers(0, 2**32 - 1))
+    def test_beam_powers_equal_the_per_vector_loop_bit_for_bit(self, n, rows, seed):
+        rng = np.random.default_rng(seed)
+        cb = dft_codebook(n)
+        window = CsiMeasurements(range(rows), unit_norm(random_vec(rng, (rows, n))),
+                                 [20.0] * rows)
+        loop = np.stack([np.abs(cb.conj().T @ v) ** 2 for v in window.precoders])
+        got = derive_input_descriptor(window, cb)
+        want = derive_input_descriptor(window, cb, beam_powers=loop)
+        assert got.mean_beam_power.tobytes() == want.mean_beam_power.tobytes()
+        stacked = np.abs(np.matmul(cb.conj().T, window.precoders[:, :, np.newaxis])[:, :, 0]) ** 2
+        assert stacked.tobytes() == loop.tobytes()
+
 
 def make_desc(power, doppler=0.0, snr=20.0):
     return InputDescriptor(np.asarray(power, float), doppler, snr, 10)
