@@ -60,23 +60,19 @@ def _decode_header(raw: bytes) -> dict[str, str]:
     return header
 
 
-def _encode_matrix(name: str, matrix: np.ndarray) -> bytes:
+def _matrix_parts(name: str, matrix: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """A matrix block as its head and its payload, a contiguous ``<c16``
+    or ``<f8`` array whose buffer holds the payload bytes."""
     m = np.asarray(matrix)
     if m.ndim != 2:
         raise ValueError(f"matrix {name!r} must be 2-D, got shape {m.shape}")
     name_bytes = name.encode("utf-8")
     is_complex = np.iscomplexobj(m)
-    if is_complex:
-        m = np.ascontiguousarray(m, dtype=np.complex128)
-        flat = np.empty(m.size * 2, dtype="<f8")
-        flat[0::2] = m.real.ravel()
-        flat[1::2] = m.imag.ravel()
-    else:
-        flat = np.ascontiguousarray(m, dtype="<f8").ravel()
+    payload = np.ascontiguousarray(m, dtype="<c16" if is_complex else "<f8")
     head = struct.pack(
         "<H", len(name_bytes)
     ) + name_bytes + struct.pack("<IIB", m.shape[0], m.shape[1], int(is_complex))
-    return head + flat.tobytes()
+    return head, payload
 
 
 class _Reader:
@@ -85,12 +81,16 @@ class _Reader:
         self.pos = offset
         self.end = end
 
-    def take(self, count: int) -> bytes:
+    def skip(self, count: int) -> int:
+        """Advance past ``count`` bytes; returns the offset they start at."""
         if count < 0 or self.pos + count > self.end:
             raise IntegrityError("container truncated")
-        chunk = self.data[self.pos : self.pos + count]
         self.pos += count
-        return chunk
+        return self.pos - count
+
+    def take(self, count: int) -> bytes:
+        start = self.skip(count)
+        return self.data[start : self.pos]
 
     def exhausted(self) -> bool:
         return self.pos == self.end
@@ -101,11 +101,13 @@ def write_container(
 ) -> bytes:
     """Serialize header and named matrices; returns the full byte string."""
     header_bytes = _encode_header(header)
-    body = struct.pack("<HI", FORMAT_VERSION, len(header_bytes)) + header_bytes
+    parts = [struct.pack("<HI", FORMAT_VERSION, len(header_bytes)), header_bytes]
     for name, matrix in matrices:
-        body += _encode_matrix(name, matrix)
-    checksum = hashlib.sha256(body).digest()
-    return MAGIC + body + checksum
+        parts += _matrix_parts(name, matrix)
+    checksum = hashlib.sha256()
+    for part in parts:  # hashed and joined straight from the array buffers
+        checksum.update(part)
+    return b"".join([MAGIC, *parts, checksum.digest()])
 
 
 def read_container(
@@ -120,9 +122,8 @@ def read_container(
         raise IntegrityError("container too short")
     if data[: len(MAGIC)] != MAGIC:
         raise IntegrityError("bad magic")
-    body = data[len(MAGIC) : -CHECKSUM_LEN]
     expected = data[-CHECKSUM_LEN:]
-    actual = hashlib.sha256(body).digest()
+    actual = hashlib.sha256(memoryview(data)[len(MAGIC) : -CHECKSUM_LEN]).digest()
     if actual != expected:
         raise IntegrityError("checksum mismatch")
 
@@ -140,19 +141,12 @@ def read_container(
         except UnicodeDecodeError:
             raise IntegrityError("matrix name is not valid UTF-8") from None
         rows, cols, is_complex = struct.unpack("<IIB", reader.take(9))
-        count = rows * cols * (2 if is_complex else 1)
-        payload = reader.take(count * 8)
-        flat = np.frombuffer(payload, dtype="<f8")
-        if is_complex:
-            # Assign parts separately: summing re + 1j*im would turn a
-            # stored -0.0 into +0.0 and break bit-exact round-trips.
-            matrix = np.empty(rows * cols, dtype=np.complex128)
-            matrix.real = flat[0::2]
-            matrix.imag = flat[1::2]
-            matrix = matrix.reshape(rows, cols)
-        else:
-            matrix = flat.reshape(rows, cols).copy()
-        matrices.append((name, matrix))
+        # A view of the stored bytes keeps every bit, -0.0 and NaN payloads
+        # included; the copy owns its memory and is writable.
+        dtype = np.dtype("<c16" if is_complex else "<f8")
+        start = reader.skip(rows * cols * dtype.itemsize)
+        flat = np.frombuffer(data, dtype=dtype, count=rows * cols, offset=start)
+        matrices.append((name, flat.reshape(rows, cols).copy()))
     return header, matrices, actual
 
 
@@ -160,4 +154,4 @@ def payload_checksum(data: bytes) -> bytes:
     """Checksum of a serialized container (recomputed, not trusted)."""
     if len(data) < len(MAGIC) + CHECKSUM_LEN:
         raise IntegrityError("container too short")
-    return hashlib.sha256(data[len(MAGIC) : -CHECKSUM_LEN]).digest()
+    return hashlib.sha256(memoryview(data)[len(MAGIC) : -CHECKSUM_LEN]).digest()
