@@ -226,34 +226,34 @@ def _cmd_eval_beams(args) -> int:
 
 
 def _cmd_registry(args) -> int:
-    registry = ModelRegistry(args.root)
-    if args.registry_cmd == "list":
-        entries = registry.entries()
-        for e in entries:
-            print(
-                f"{e.model_id} v{e.version} kind={e.kind} tag={e.functionality_tag} "
-                f"status={e.status} stored_at={e.stored_at_slot}"
-            )
-        print(f"total = {len(entries)}")
+    with ModelRegistry(args.root) as registry:
+        if args.registry_cmd == "list":
+            entries = registry.entries()
+            for e in entries:
+                print(
+                    f"{e.model_id} v{e.version} kind={e.kind} tag={e.functionality_tag} "
+                    f"status={e.status} stored_at={e.stored_at_slot}"
+                )
+            print(f"total = {len(entries)}")
+            return 0
+        if args.registry_cmd == "add":
+            package = _load_package(args.package)
+            model_id, version = registry.store(package, stored_at_slot=args.slot)
+            print(f"stored {model_id} v{version}")
+            return 0
+        if args.registry_cmd == "verify":
+            report = registry.verify_all()
+            bad = 0
+            for model_id, version, status in report:
+                print(f"{model_id} v{version} {status}")
+                bad += status != "ok"
+            print(f"checked = {len(report)}, corrupt = {bad}")
+            return 2 if bad else 0
+        removed = registry.gc()
+        for model_id, version in removed:
+            print(f"removed {model_id} v{version}")
+        print(f"collected = {len(removed)}")
         return 0
-    if args.registry_cmd == "add":
-        package = _load_package(args.package)
-        model_id, version = registry.store(package, stored_at_slot=args.slot)
-        print(f"stored {model_id} v{version}")
-        return 0
-    if args.registry_cmd == "verify":
-        report = registry.verify_all()
-        bad = 0
-        for model_id, version, status in report:
-            print(f"{model_id} v{version} {status}")
-            bad += status != "ok"
-        print(f"checked = {len(report)}, corrupt = {bad}")
-        return 2 if bad else 0
-    removed = registry.gc()
-    for model_id, version in removed:
-        print(f"removed {model_id} v{version}")
-    print(f"collected = {len(removed)}")
-    return 0
 
 
 def _cmd_intervendor(args) -> int:

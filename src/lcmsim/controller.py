@@ -166,22 +166,22 @@ def decide(inputs: DecisionInputs, policy: DecisionPolicy, registry: ModelRegist
             rationale=dict(base_rationale, clause="snr_attribution"),
         )
 
-    # (2) A stored model already fits the new input statistics.
-    match = registry.fetch_by_descriptor(
+    # (2) A stored model already fits the new input statistics. Ranking
+    # reads no package: execute() reads the target of a Switch.
+    match = registry.closest_entry(
         inputs.current_descriptor, ModelKind.CSI_PREDICTOR, policy.delta_match
     )
     if match is not None:
-        package, div = match
-        desc = package.descriptor
-        if (desc.model_id, desc.model_version) != (
+        entry, div = match
+        if (entry.model_id, entry.version) != (
             inputs.active_model_id,
             inputs.active_model_version,
         ):
             return ControlAction(
                 kind=ActionKind.SWITCH,
                 issued_slot=inputs.slot_index,
-                target_model_id=desc.model_id,
-                target_version=desc.model_version,
+                target_model_id=entry.model_id,
+                target_version=entry.version,
                 rationale=dict(base_rationale, clause="registry_match", match_divergence=repr(div)),
             )
 
@@ -229,17 +229,15 @@ def decide_reactivation(
     slot_index: int,
 ) -> ControlAction | None:
     """While in legacy fallback, look for a stored model that fits again."""
-    match = registry.fetch_by_descriptor(
-        current_descriptor, ModelKind.CSI_PREDICTOR, policy.delta_match
-    )
+    match = registry.closest_entry(current_descriptor, ModelKind.CSI_PREDICTOR, policy.delta_match)
     if match is None:
         return None
-    package, div = match
+    entry, div = match
     return ControlAction(
         kind=ActionKind.REACTIVATE_AI,
         issued_slot=slot_index,
-        target_model_id=package.descriptor.model_id,
-        target_version=package.descriptor.model_version,
+        target_model_id=entry.model_id,
+        target_version=entry.version,
         rationale={"clause": "fallback_exit", "match_divergence": repr(div)},
     )
 
@@ -285,8 +283,9 @@ class ExecutionContext:
 def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> ControlEvent | None:
     """Carry out an action; returns the follow-up event, if any.
 
-    Model loads re-verify package integrity, so a tampered store
-    surfaces as ActionFailed(integrity) rather than a bad activation.
+    Switch, Rollback and ReactivateAI read their target here, once; the
+    read re-verifies package integrity, so a tampered store surfaces as
+    ActionFailed(integrity) rather than a bad activation.
     """
     try:
         if action.kind is ActionKind.KEEP:

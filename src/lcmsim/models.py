@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,7 +35,16 @@ class ModelKind(str, Enum):
 
 @dataclass
 class ModelDescriptor:
-    """Metadata travelling with every model package."""
+    """Metadata travelling with every model package.
+
+    ``payload_checksum`` is the SHA-256 trailer of the container the
+    package is stored as (:meth:`ModelPackage.container_bytes`). For a
+    full package that is its own serialization. For a delta version
+    (:func:`apply_delta`'s output) it is its :class:`DeltaPackage`
+    container, whose header names the root by id, version and payload
+    checksum: the checksum covers the correction directly and the root's
+    parameters through the root's checksum.
+    """
 
     model_id: str
     model_version: int
@@ -47,14 +56,28 @@ class ModelDescriptor:
     storage_bytes: int = 0
 
 
+class RootRef(NamedTuple):
+    """The full package whose parameters a delta version corrects."""
+
+    model_id: str
+    version: int
+    checksum: bytes
+
+
 @dataclass
 class ModelPackage:
-    """A named, versioned bundle of parameter matrices."""
+    """A named, versioned bundle of parameter matrices.
+
+    ``root`` is set on a delta version: the package is its root's
+    parameters plus the ``delta_*`` correction, and is stored as that
+    correction alone (:meth:`container_bytes`).
+    """
 
     descriptor: ModelDescriptor
     kind: ModelKind
     parameters: list[tuple[str, np.ndarray]]
     extra: dict[str, str] = field(default_factory=dict)
+    root: RootRef | None = None
 
     def param(self, name: str) -> np.ndarray:
         for key, value in self.parameters:
@@ -66,8 +89,22 @@ class ModelPackage:
         return any(key == name for key, _ in self.parameters)
 
     def to_bytes(self) -> bytes:
+        """The full serialization: every parameter, the root's included."""
         header = _package_header(self)
         return container.write_container(header, self.parameters)
+
+    def container_bytes(self) -> bytes:
+        """The container ``payload_checksum`` names and a registry stores:
+        :meth:`to_bytes`, or for a delta version its :class:`DeltaPackage`."""
+        if self.root is None:
+            return self.to_bytes()
+        d = self.descriptor
+        left, right, bias = (self.param(f"delta_{name}") for name in ("left", "right", "bias"))
+        return DeltaPackage(
+            d.model_id, d.model_version - 1, int(self.extra["delta_rank"]), left, right,
+            bias.ravel(), storage_for_parameters([("l", left), ("r", right), ("b", bias)]),
+            self.root,
+        ).to_bytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ModelPackage":
@@ -84,7 +121,9 @@ class DeltaPackage:
     """Low-rank correction shipped instead of a full model.
 
     Applying it post-composes the base model's output with
-    (I + left @ right^H) and adds ``bias``.
+    (I + left @ right^H) and adds ``bias``. The base is the version it was
+    fitted on; ``root``, set once the delta is applied, is the full
+    package whose raw output it maps (the base itself, or the base's root).
     """
 
     base_model_id: str
@@ -94,6 +133,7 @@ class DeltaPackage:
     right: np.ndarray
     bias: np.ndarray
     size_bytes: int = 0
+    root: RootRef | None = None
 
     def to_bytes(self) -> bytes:
         header = {
@@ -104,6 +144,10 @@ class DeltaPackage:
             "rank": str(self.rank),
             "size_bytes": str(self.size_bytes),
         }
+        if self.root is not None:
+            header["root_model_id"] = self.root.model_id
+            header["root_model_version"] = str(self.root.version)
+            header["root_checksum"] = self.root.checksum.hex()
         matrices = [
             ("left", self.left),
             ("right", self.right),
@@ -117,15 +161,23 @@ class DeltaPackage:
         if header.get("kind") != "DELTA":
             raise IntegrityError("not a delta container")
         by_name = dict(matrices)
-        return cls(
-            base_model_id=header["base_model_id"],
-            base_model_version=int(header["base_model_version"]),
-            rank=int(header["rank"]),
-            left=by_name["left"],
-            right=by_name["right"],
-            bias=by_name["bias"].ravel(),
-            size_bytes=int(header["size_bytes"]),
-        )
+        try:
+            root = None
+            if "root_model_id" in header:
+                root = RootRef(header["root_model_id"], int(header["root_model_version"]),
+                               bytes.fromhex(header["root_checksum"]))
+            return cls(
+                base_model_id=header["base_model_id"],
+                base_model_version=int(header["base_model_version"]),
+                rank=int(header["rank"]),
+                left=by_name["left"],
+                right=by_name["right"],
+                bias=by_name["bias"].ravel(),
+                size_bytes=int(header["size_bytes"]),
+                root=root,
+            )
+        except (KeyError, ValueError) as exc:
+            raise IntegrityError(f"bad delta container: {exc!r}") from None
 
 
 @dataclass(frozen=True)
@@ -178,12 +230,12 @@ def storage_for_parameters(parameters: list[tuple[str, np.ndarray]]) -> int:
 def finalize_package(pkg: ModelPackage) -> ModelPackage:
     """Fill size and cost fields, then freeze the payload checksum.
 
-    The checksum is the container's SHA-256 trailer, taken from the
-    bytes just written rather than hashed a second time.
+    The checksum is the SHA-256 trailer of :meth:`ModelPackage.container_bytes`,
+    taken from the bytes just written rather than hashed a second time.
     """
     pkg.descriptor.flops_per_inference = flops_for_parameters(pkg.parameters)
     pkg.descriptor.storage_bytes = storage_for_parameters(pkg.parameters)
-    pkg.descriptor.payload_checksum = pkg.to_bytes()[-container.CHECKSUM_LEN:]
+    pkg.descriptor.payload_checksum = pkg.container_bytes()[-container.CHECKSUM_LEN:]
     return pkg
 
 
@@ -205,9 +257,10 @@ def new_package(
 
 
 def verify_package(pkg: ModelPackage) -> bool:
-    """True iff the stored checksum matches a fresh serialization."""
+    """True iff the stored checksum matches a fresh serialization of the
+    container it names (for a delta version, its :class:`DeltaPackage`)."""
     return pkg.descriptor.payload_checksum == container.payload_checksum(
-        pkg.to_bytes()
+        pkg.container_bytes()
     )
 
 
@@ -647,7 +700,12 @@ def fit_adaptation_delta(
 
 def apply_delta(base: ModelPackage, delta: DeltaPackage) -> ModelPackage:
     """Return a new package with the correction attached and the version
-    bumped. The base package is left untouched."""
+    bumped. The base package is left untouched.
+
+    The result is a delta version over the base's root (the base itself
+    when it is a full package): its payload checksum names the delta
+    container, so the root's parameters are not serialized again.
+    """
     if (
         delta.base_model_id != base.descriptor.model_id
         or delta.base_model_version != base.descriptor.model_version
@@ -656,6 +714,34 @@ def apply_delta(base: ModelPackage, delta: DeltaPackage) -> ModelPackage:
             f"delta targets {delta.base_model_id} v{delta.base_model_version}, "
             f"base is {base.descriptor.model_id} v{base.descriptor.model_version}"
         )
+    root = base.root
+    if root is None:
+        if base.descriptor.payload_checksum is None:
+            raise ValueError("base package has no payload checksum")
+        root = RootRef(base.descriptor.model_id, base.descriptor.model_version,
+                       base.descriptor.payload_checksum)
+    return finalize_package(_corrected(base, delta, root))
+
+
+def rebuild_delta_version(root: ModelPackage, delta: DeltaPackage) -> ModelPackage:
+    """The delta version ``delta`` stores, rebuilt over its full ``root``
+    package: bit for bit the package :func:`apply_delta` returned.
+
+    Raises IntegrityError unless ``root`` is the package the delta names,
+    by id, version and payload checksum.
+    """
+    d = root.descriptor
+    if delta.root != (d.model_id, d.model_version, d.payload_checksum):
+        raise IntegrityError(
+            f"{d.model_id} v{d.model_version} as read is not the root that the delta "
+            f"for {delta.base_model_id} v{delta.base_model_version + 1} names"
+        )
+    return finalize_package(_corrected(root, delta, delta.root))
+
+
+def _corrected(base: ModelPackage, delta: DeltaPackage, root: RootRef) -> ModelPackage:
+    """``base``'s parameters, less any correction, plus ``delta``'s, as the
+    version after the delta's base; costs and checksum not yet filled."""
     params = [
         (name, m.copy())
         for name, m in base.parameters
@@ -666,17 +752,13 @@ def apply_delta(base: ModelPackage, delta: DeltaPackage) -> ModelPackage:
         ("delta_right", delta.right.copy()),
         ("delta_bias", delta.bias.reshape(-1, 1).copy()),
     ]
-    new_pkg = ModelPackage(
-        descriptor=replace(
-            base.descriptor,
-            model_version=base.descriptor.model_version + 1,
-            input_descriptor=base.descriptor.input_descriptor,
-        ),
+    return ModelPackage(
+        descriptor=replace(base.descriptor, model_version=delta.base_model_version + 1),
         kind=base.kind,
         parameters=params,
         extra=dict(base.extra, delta_rank=str(delta.rank)),
+        root=root,
     )
-    return finalize_package(new_pkg)
 
 
 # --------------------------------------------------------------------------

@@ -482,7 +482,9 @@ class _Loop:
 
 def run_scenario(config: ScenarioConfig, registry_root: str) -> RunResult:
     """Execute one scenario; the registry directory must be fresh."""
-    return _Loop(config, registry_root).run()
+    loop = _Loop(config, registry_root)
+    with loop.registry:
+        return loop.run()
 
 
 def write_metrics(result: RunResult, path: str) -> None:
