@@ -15,7 +15,14 @@ Layout, all integers little-endian:
 
 The trailing checksum is authoritative: it covers the header and every
 matrix block, and is what descriptor ``payload_checksum`` fields carry.
-It cannot itself appear inside the header it protects.
+It cannot itself appear inside the header it protects. A delta version
+of a model is stored as a delta container whose header names its root
+package by id, version and that root's checksum; the delta version's
+``payload_checksum`` is the delta container's trailer, which so covers
+the root's bytes too.
+
+A matrix payload is the buffer of a contiguous ``<c16`` (complex) or
+``<f8`` (real) array: written from that view and read back as one.
 """
 
 from __future__ import annotations
