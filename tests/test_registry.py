@@ -524,17 +524,15 @@ class TestDeltaVersions:
             assert verify_package(got) and verify_package(want)
         assert [status for *_, status in reg.verify_all()] == ["ok"] * 3
 
-    def test_apply_delta_serializes_no_root_parameters(self, tmp_path, monkeypatch):
-        v1 = make_package()
-        written = []
-        real = ModelPackage.to_bytes
-        monkeypatch.setattr(ModelPackage, "to_bytes", lambda pkg: written.append(1) or real(pkg))
-        v2 = apply_delta(v1, make_delta(v1))
+    def test_apply_and_store_serialize_no_root_parameters(self, tmp_path, monkeypatch):
         reg = open_registry(tmp_path)
+        v1 = make_package()
         reg.store(v1)
-        written.clear()
-        reg.store(v2)
-        assert written == []
+        full = []  # full serializations, the root's taps included
+        real = ModelPackage.to_bytes
+        monkeypatch.setattr(ModelPackage, "to_bytes", lambda pkg: full.append(pkg) or real(pkg))
+        reg.store(apply_delta(v1, make_delta(v1)))
+        assert full == []
 
     @pytest.mark.parametrize("victim", [1, 2], ids=["root", "delta"])
     def test_flipped_byte_in_either_file_raises(self, tmp_path, capsys, victim):
