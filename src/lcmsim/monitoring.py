@@ -144,7 +144,9 @@ class ThresholdWatch:
     The counter increments on each breached observation and resets to
     zero on a clean one. The flag is level-triggered (counter >= n),
     the alarm fires only on the transition n-1 -> n, and acknowledge()
-    zeroes the counter so a recovery episode starts fresh.
+    zeroes the counter so a recovery episode starts fresh. ``clean``
+    counts the run of observations at or above the threshold; a NaN
+    is neither breached nor clean and ends both runs.
     """
 
     def __init__(self, threshold: float, n_consec: int) -> None:
@@ -153,17 +155,19 @@ class ThresholdWatch:
         self.threshold = float(threshold)
         self.n_consec = int(n_consec)
         self.count = 0
+        self.clean = 0
 
     def observe(self, value: float) -> tuple[bool, bool]:
         """Returns (flag, rising_edge) for one observation; a value
         below the threshold is a breach."""
         self.count = self.count + 1 if value < self.threshold else 0
+        self.clean = self.clean + 1 if value >= self.threshold else 0
         flag = self.count >= self.n_consec
         rising = self.count == self.n_consec
         return flag, rising
 
     def acknowledge(self) -> None:
-        self.count = 0
+        self.count = self.clean = 0
 
 
 @dataclass
@@ -185,77 +189,43 @@ class MonitoringSession:
     def acknowledge(self) -> None:
         self.watch.acknowledge()
 
-    def _alarm(self, slot_index: int, value: float, rising: bool) -> DriftAlarm | None:
-        if not rising:
-            return None
-        return DriftAlarm(slot_index=slot_index, source="kpi_threshold", value=float(value))
-
-    def evaluate_type1(self, slot_index: int, sgcs_value: float) -> tuple[MonitoringReport, float, DriftAlarm | None]:
-        """UE-side comparison; only a 1-bit flag crosses the air interface."""
-        if not 0.0 <= sgcs_value <= 1.0:
-            raise ValueError(f"sgcs value {sgcs_value!r} outside [0, 1]")
-        flag, rising = self.watch.observe(sgcs_value)
-        report = MonitoringReport(
-            slot_index=slot_index,
-            mode=MonitoringMode.TYPE1,
-            overhead_bits=1,
-            perf_bad=int(flag),
-        )
-        report.validate()
-        return report, sgcs_value, self._alarm(slot_index, sgcs_value, rising)
-
-    def evaluate_type2(
-        self, slot_index: int, predicted: np.ndarray, ground_truth: np.ndarray
-    ) -> tuple[MonitoringReport, float, DriftAlarm | None]:
-        """UE reports both precoders; the gNB computes the metric itself."""
-        value = sgcs(predicted, ground_truth)
-        _, rising = self.watch.observe(value)
-        report = MonitoringReport(
-            slot_index=slot_index,
-            mode=MonitoringMode.TYPE2,
-            overhead_bits=precoder_report_bits(len(predicted)) + precoder_report_bits(len(ground_truth)),
-            predicted=np.array(predicted, dtype=np.complex128),
-            ground_truth=np.array(ground_truth, dtype=np.complex128),
-        )
-        report.validate()
-        return report, value, self._alarm(slot_index, value, rising)
-
-    def evaluate_type3(self, slot_index: int, sgcs_value: float) -> tuple[MonitoringReport, float, DriftAlarm | None]:
-        """UE sends the quantized metric; the gNB thresholds the dequantized value."""
-        code = quantize_metric(sgcs_value, self.cfg.quant_bits)
-        dequantized = dequantize_metric(code, self.cfg.quant_bits)
-        _, rising = self.watch.observe(dequantized)
-        report = MonitoringReport(
-            slot_index=slot_index,
-            mode=MonitoringMode.TYPE3,
-            overhead_bits=self.cfg.quant_bits,
-            quantized_sgcs_code=code,
-        )
-        report.validate()
-        return report, dequantized, self._alarm(slot_index, dequantized, rising)
-
     def evaluate(
-        self,
-        slot_index: int,
-        *,
-        sgcs_value: float | None = None,
-        predicted: np.ndarray | None = None,
-        ground_truth: np.ndarray | None = None,
-    ) -> tuple[MonitoringReport, float, DriftAlarm | None]:
-        """Mode dispatch used by the simulation loop.
+        self, slot_index: int, predicted: np.ndarray, ground_truth: np.ndarray
+    ) -> tuple[MonitoringReport, float, int, DriftAlarm | None]:
+        """Monitor one pair of a predicted and a ground-truth precoder.
 
-        Always returns the gNB-visible metric value alongside the
-        report so callers can log what the detector actually saw.
+        The sgcs of the pair is computed once; the mode decides only what
+        crosses the air and so which value the gNB sees. Type1 compares at
+        the UE and sends the 1-bit level flag, Type2 sends both precoders,
+        Type3 sends the quantized metric and the gNB sees it dequantized.
+        Returns the report, the gNB-visible value, perf_bad (Type1: the
+        reported flag; Type2/3: 1 if the seen value breaches the threshold)
+        and the alarm raised on the rising edge of the run-length watch.
         """
-        if self.cfg.mode is MonitoringMode.TYPE2:
-            if predicted is None or ground_truth is None:
-                raise ValueError("Type2 monitoring needs predicted and ground_truth precoders")
-            return self.evaluate_type2(slot_index, predicted, ground_truth)
-        if sgcs_value is None:
-            raise ValueError(f"{self.cfg.mode.value} monitoring needs sgcs_value")
-        if self.cfg.mode is MonitoringMode.TYPE1:
-            return self.evaluate_type1(slot_index, sgcs_value)
-        return self.evaluate_type3(slot_index, sgcs_value)
+        mode, bits = self.cfg.mode, self.cfg.quant_bits
+        value = sgcs(predicted, ground_truth)
+        if mode is MonitoringMode.TYPE1 and not 0.0 <= value <= 1.0:
+            raise ValueError(f"sgcs value {value!r} outside [0, 1]")
+        fields: dict = {}
+        if mode is MonitoringMode.TYPE2:
+            fields = dict(
+                predicted=np.array(predicted, dtype=np.complex128),
+                ground_truth=np.array(ground_truth, dtype=np.complex128),
+            )
+        elif mode is MonitoringMode.TYPE3:
+            fields = dict(quantized_sgcs_code=quantize_metric(value, bits))
+            value = dequantize_metric(fields["quantized_sgcs_code"], bits)
+        flag, rising = self.watch.observe(value)
+        if mode is MonitoringMode.TYPE1:
+            perf_bad = fields["perf_bad"] = int(flag)
+        else:
+            perf_bad = int(self.watch.count > 0)  # the seen value breached
+        report = MonitoringReport(
+            slot_index, mode, report_overhead_bits(mode, len(predicted), bits), **fields
+        )
+        report.validate()
+        alarm = DriftAlarm(slot_index, "kpi_threshold", value) if rising else None
+        return report, value, perf_bad, alarm
 
 
 def evaluation_slots(num_slots: int, cfg: MonitoringConfig, warmup_slots: int = 0) -> list[int]:
@@ -265,11 +235,3 @@ def evaluation_slots(num_slots: int, cfg: MonitoringConfig, warmup_slots: int = 
     period = int(cfg.eval_period_slots)
     return [t for t in range(num_slots) if t % period == 0 and t >= warmup_slots]
 
-
-def monitoring_overhead(num_slots: int, cfg: MonitoringConfig, num_antennas: int, warmup_slots: int = 0) -> tuple[int, float]:
-    """Total report bits over a run and the fraction of slots carrying them."""
-    slots = evaluation_slots(num_slots, cfg, warmup_slots)
-    per_report = report_overhead_bits(cfg.mode, num_antennas, cfg.quant_bits)
-    if num_slots <= 0:
-        return 0, 0.0
-    return per_report * len(slots), len(slots) / num_slots

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import CsiMeasurements, dft_codebook, generate_trace, measure_csi
+from .channel import dft_codebook, generate_trace, measure_csi
 from .config import ScenarioConfig
 from .controller import (
     ActionKind,
@@ -42,7 +42,7 @@ from .kpi import (
     lag1_terms,
     misalignment_divergence,
     nmse_rows,
-    sgcs,
+    sgcs,  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
     sgcs_rows,
 )
 from .models import (
@@ -124,31 +124,6 @@ def simulation_warmup(config: ScenarioConfig) -> int:
     return max(pipeline, config.policy.descriptor_window_slots)
 
 
-def _pretrain_models(
-    config: ScenarioConfig,
-    trace,
-    measurements: CsiMeasurements,
-    registry: ModelRegistry,
-) -> list[ModelPackage]:
-    """Train and store one predictor per pretrain window.
-
-    Windows are slices of the run's own measurements, so the stored
-    input descriptors genuinely describe the slots their regime occupies.
-    """
-    packages = []
-    pcfg = PredictorConfig(config.predictor_order, config.predictor_horizon)
-    for spec in config.pretrain:
-        package = train_predictor(
-            measurements.window(spec.start_slot, spec.end_slot),
-            pcfg,
-            codebook=trace.beam_codebook,
-            beam_powers=trace.per_beam_power[spec.start_slot : spec.end_slot],
-        )
-        registry.store(package, stored_at_slot=0)
-        packages.append(package)
-    return packages
-
-
 class _Loop:
     """Mutable state of one scenario run."""
 
@@ -208,7 +183,6 @@ class _Loop:
         self.eval_counter = 0
         self.last_action_kind: ActionKind | None = None
         self.last_action_eval: int | None = None
-        self.good_streak = 0
         self.alarm_count = 0
         self.action_counts: dict[str, int] = {}
         self.eval_set = set(
@@ -237,14 +211,18 @@ class _Loop:
 
     # -- capabilities handed to execute() ---------------------------
 
-    def _retrain(self, slot: int) -> ModelPackage:
-        start = max(0, slot + 1 - self.history_window)
+    def _train(self, start: int, stop: int) -> ModelPackage:
+        """Train a predictor on the run's own measurements of slots
+        start..stop-1, so its input descriptor describes those slots."""
         return train_predictor(
-            self.measurements.window(start, slot + 1),
+            self.measurements.window(start, stop),
             PredictorConfig(self.config.predictor_order, self.config.predictor_horizon),
             codebook=self.codebook,
-            beam_powers=self.trace.per_beam_power[start : slot + 1],
+            beam_powers=self.trace.per_beam_power[start:stop],
         )
+
+    def _retrain(self, slot: int) -> ModelPackage:
+        return self._train(max(0, slot + 1 - self.history_window), slot + 1)
 
     def _fit_delta(self, slot: int, base: ModelPackage, rank: int):
         applied = np.flatnonzero(self.from_model[self.pairs_from : slot + 1]) + self.pairs_from
@@ -337,7 +315,6 @@ class _Loop:
                 )
             self.log_transition(slot, follow)
         self.session.acknowledge()
-        self.good_streak = 0
         self.last_action_kind = action.kind
         self.last_action_eval = self.eval_counter
         name = action.kind.value
@@ -380,16 +357,9 @@ class _Loop:
         target = slot - self.config.monitoring.gt_slot_offset
         if target < 0 or not self.from_model[target]:
             return monitored
-        predicted = self.predicted[target % self.ring]
-        ground_truth = self.measured[target]
-        ue_value = sgcs(predicted, ground_truth)
-        report, gnb_value, alarm = self.session.evaluate(
-            slot, sgcs_value=ue_value, predicted=predicted, ground_truth=ground_truth
+        report, gnb_value, perf_bad, alarm = self.session.evaluate(
+            slot, self.predicted[target % self.ring], self.measured[target]
         )
-        if report.perf_bad is not None:
-            perf_bad = report.perf_bad
-        else:
-            perf_bad = int(gnb_value < self.config.monitoring.threshold_gamma)
         monitored["perf_bad"] = str(perf_bad)
         monitored["monitor_overhead_bits"] = str(report.overhead_bits)
         self.overhead_bits += report.overhead_bits
@@ -407,14 +377,11 @@ class _Loop:
         divergence = descriptor_divergence(descriptor, active_desc)
         monitored["descriptor_divergence"] = repr(divergence)
 
-        if gnb_value >= self.config.monitoring.threshold_gamma:
-            self.good_streak += 1
-            if self.state is LoopState.RECOVERING and self.good_streak >= self.policy.n_recover:
-                self.log(slot, "monitor", "KpiRecovered", streak=str(self.good_streak))
-                self.log_transition(slot, ControlEvent(EventKind.KPI_RECOVERED, slot))
-                self.good_streak = 0
-        else:
-            self.good_streak = 0
+        streak = self.session.watch.clean
+        if self.state is LoopState.RECOVERING and streak >= self.policy.n_recover:
+            self.log(slot, "monitor", "KpiRecovered", streak=str(streak))
+            self.log_transition(slot, ControlEvent(EventKind.KPI_RECOVERED, slot))
+            self.session.acknowledge()
 
         if alarm is not None:
             self.alarm_count += 1
@@ -433,8 +400,9 @@ class _Loop:
         return monitored
 
     def run(self) -> RunResult:
-        packages = _pretrain_models(self.config, self.trace, self.measurements, self.registry)
+        packages = [self._train(spec.start_slot, spec.end_slot) for spec in self.config.pretrain]
         for package in packages:
+            self.registry.store(package, stored_at_slot=0)
             desc = package.descriptor
             self.log(
                 0,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from lcmsim.kpi import sgcs
 from lcmsim.monitoring import (
@@ -12,9 +13,9 @@ from lcmsim.monitoring import (
     MonitoringMode,
     MonitoringReport,
     MonitoringSession,
+    ThresholdWatch,
     dequantize_metric,
     evaluation_slots,
-    monitoring_overhead,
     precoder_report_bits,
     quantize_metric,
     report_overhead_bits,
@@ -44,58 +45,76 @@ def window_scan_oracle(values, gamma, n):
     return flags, alarms
 
 
-def run_type1(values, gamma=GAMMA, n=3):
-    cfg = MonitoringConfig(mode=MonitoringMode.TYPE1, threshold_gamma=gamma, n_consec=n)
+def pair_of(value, n=100):
+    """A (predicted, ground_truth) pair whose sgcs is k/n for k = round(value * n),
+    bit for bit: n ones against k ones, so every sum is exact and the one
+    rounding is that of k*k / (n*k). k = 0 gives two orthogonal unit vectors."""
+    k = round(value * n)
+    if k == 0:
+        return tuple(np.eye(2, dtype=complex))
+    return np.ones(n, dtype=complex), (np.arange(n) < k).astype(complex)
+
+
+def run_mode(values, mode=MonitoringMode.TYPE1, gamma=GAMMA, n=3):
+    cfg = MonitoringConfig(mode=mode, threshold_gamma=gamma, n_consec=n)
     session = MonitoringSession(cfg)
     flags, alarms = [], []
     for slot, value in enumerate(values):
-        report, _, alarm = session.evaluate_type1(slot, value)
-        flags.append(report.perf_bad)
+        _, _, perf_bad, alarm = session.evaluate(slot, *pair_of(value))
+        flags.append(perf_bad)
         alarms.append(alarm is not None)
     return flags, alarms
 
 
+def check_window_scan_oracle(mode, n):
+    """Every above/below pattern of length 8 against the oracle. Type1
+    reports the level flag, Type2 and Type3 the breach of the value seen."""
+    for pattern in range(256):
+        values = [BELOW if (pattern >> i) & 1 else ABOVE for i in range(8)]
+        flags, alarms = run_mode(values, mode, n=n)
+        want_flags, want_alarms = window_scan_oracle(values, GAMMA, n)
+        if mode is not MonitoringMode.TYPE1:
+            want_flags = [int(v < GAMMA) for v in values]
+        assert flags == want_flags, (pattern, n)
+        assert alarms == want_alarms, (pattern, n)
+
+
+def test_pair_of_has_the_asked_sgcs_bit_for_bit():
+    for k in range(101):
+        assert sgcs(*pair_of(k / 100)) == k / 100
+
+
 class TestType1:
     def test_all_good_no_flag_no_alarm(self):
-        flags, alarms = run_type1([ABOVE, ABOVE, ABOVE])
+        flags, alarms = run_mode([ABOVE, ABOVE, ABOVE])
         assert flags == [0, 0, 0]
         assert alarms == [False, False, False]
 
     def test_three_bad_flags_third_and_alarms_once(self):
-        flags, alarms = run_type1([BELOW, BELOW, BELOW])
+        flags, alarms = run_mode([BELOW, BELOW, BELOW])
         assert flags == [0, 0, 1]
         assert alarms == [False, False, True]
 
     def test_reset_in_the_middle_suppresses_flag(self):
-        flags, alarms = run_type1([BELOW, BELOW, ABOVE, BELOW])
+        flags, alarms = run_mode([BELOW, BELOW, ABOVE, BELOW])
         assert flags == [0, 0, 0, 0]
         assert not any(alarms)
 
     def test_flag_stays_level_while_breach_continues(self):
-        flags, alarms = run_type1([BELOW] * 6, n=3)
+        flags, alarms = run_mode([BELOW] * 6, n=3)
         assert flags == [0, 0, 1, 1, 1, 1]
         assert alarms == [False, False, True, False, False, False]
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_exhaustive_patterns_match_window_scan_oracle(self, n):
-        # Every above/below pattern of length 8.
-        for pattern in range(256):
-            values = [BELOW if (pattern >> i) & 1 else ABOVE for i in range(8)]
-            flags, alarms = run_type1(values, n=n)
-            want_flags, want_alarms = window_scan_oracle(values, GAMMA, n)
-            assert flags == want_flags, (pattern, n)
-            assert alarms == want_alarms, (pattern, n)
 
     def test_acknowledge_restarts_episode(self):
         cfg = MonitoringConfig(mode=MonitoringMode.TYPE1, threshold_gamma=GAMMA, n_consec=2)
         session = MonitoringSession(cfg)
-        _, _, first = session.evaluate_type1(0, BELOW)
-        _, _, second = session.evaluate_type1(1, BELOW)
+        *_, first = session.evaluate(0, *pair_of(BELOW))
+        *_, second = session.evaluate(1, *pair_of(BELOW))
         assert first is None and second is not None
         session.acknowledge()
-        _, _, third = session.evaluate_type1(2, BELOW)
+        *_, third = session.evaluate(2, *pair_of(BELOW))
         assert third is None
-        _, _, fourth = session.evaluate_type1(3, BELOW)
+        *_, fourth = session.evaluate(3, *pair_of(BELOW))
         assert fourth is not None
 
     def test_reset_between_consecutive_alarms(self):
@@ -104,8 +123,8 @@ class TestType1:
         session = MonitoringSession(cfg)
         alarm_slots, reset_slots = [], []
         for slot in range(400):
-            value = float(rng.uniform(0.0, 1.0))
-            _, _, alarm = session.evaluate_type1(slot, value)
+            value = round(float(rng.uniform(0.0, 1.0)) * 100) / 100
+            *_, alarm = session.evaluate(slot, *pair_of(value))
             if value >= GAMMA:
                 reset_slots.append(slot)
             if alarm is not None:
@@ -114,24 +133,88 @@ class TestType1:
         for earlier, later in zip(alarm_slots, alarm_slots[1:]):
             assert any(earlier < r < later for r in reset_slots)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exhaustive_patterns_match_window_scan_oracle(self, n):
+        check_window_scan_oracle(MonitoringMode.TYPE1, n)
+
     def test_out_of_range_value_rejected(self):
+        # The UE compares a value it must hold in [0, 1]; a NaN entry gives a NaN sgcs.
         session = MonitoringSession(MonitoringConfig())
         with pytest.raises(ValueError):
-            session.evaluate_type1(0, 1.5)
+            session.evaluate(0, np.array([np.nan, 1.0]), np.ones(2))
 
     def test_alarm_carries_slot_source_and_value(self):
-        flags, _ = run_type1([BELOW, BELOW, BELOW], n=3)
+        flags, _ = run_mode([BELOW, BELOW, BELOW], n=3)
         session = MonitoringSession(MonitoringConfig(n_consec=1))
-        _, _, alarm = session.evaluate_type1(7, 0.25)
+        *_, alarm = session.evaluate(7, *pair_of(0.25))
         assert alarm == DriftAlarm(slot_index=7, source="kpi_threshold", value=0.25)
         assert flags[-1] == 1
 
 
+class TestOneEvaluatePath:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        mode=st.sampled_from(list(MonitoringMode)),
+        bits=st.integers(1, 16),
+        parts=st.lists(
+            st.tuples(*[st.floats(-1.0, 1.0, allow_subnormal=False)] * 4), min_size=1, max_size=8
+        ),
+    )
+    def test_value_is_the_seen_metric_and_cost_is_the_report_cost(self, mode, bits, parts):
+        p = np.array([a + 1j * b for a, b, _, _ in parts])
+        t = np.array([c + 1j * d for _, _, c, d in parts])
+        assume(np.vdot(p, p).real > 1e-300 and np.vdot(t, t).real > 1e-300)
+        session = MonitoringSession(
+            MonitoringConfig(mode=mode, threshold_gamma=GAMMA, n_consec=1, quant_bits=bits)
+        )
+        s = sgcs(p, t)
+        if mode is not MonitoringMode.TYPE2 and not 0.0 <= s <= 1.0:
+            with pytest.raises(ValueError):
+                session.evaluate(0, p, t)
+            return
+        report, value, perf_bad, alarm = session.evaluate(0, p, t)
+        if mode is MonitoringMode.TYPE3:
+            s = dequantize_metric(quantize_metric(s, bits), bits)
+        assert value.hex() == s.hex()
+        assert report.overhead_bits == report_overhead_bits(mode, len(p), bits)
+        assert perf_bad == int(value < GAMMA) == int(alarm is not None)
+
+
+class TestCleanStreak:
+    def test_counts_clean_values_and_nan_ends_both_runs(self):
+        watch = ThresholdWatch(GAMMA, n_consec=2)
+        cleans = []
+        for value in [ABOVE, GAMMA, BELOW, ABOVE, ABOVE, math.nan, ABOVE]:
+            watch.observe(value)
+            cleans.append(watch.clean)
+        assert cleans == [1, 2, 0, 1, 2, 0, 1]
+        watch.observe(BELOW)
+        watch.observe(math.nan)
+        assert watch.count == watch.clean == 0
+
+    @pytest.mark.parametrize("mode", list(MonitoringMode))
+    def test_acknowledge_resets_the_clean_streak(self, mode):
+        session = MonitoringSession(MonitoringConfig(mode=mode, threshold_gamma=GAMMA))
+        for slot in range(3):
+            session.evaluate(slot, *pair_of(ABOVE))
+        assert session.watch.clean == 3
+        session.acknowledge()
+        assert session.watch.clean == 0
+        session.evaluate(3, *pair_of(ABOVE))
+        assert session.watch.clean == 1
+        session.evaluate(4, *pair_of(BELOW))
+        assert session.watch.clean == 0
+
+
 class TestType2:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exhaustive_patterns_match_window_scan_oracle(self, n):
+        check_window_scan_oracle(MonitoringMode.TYPE2, n)
+
     def test_identical_precoders_metric_one_no_alarm(self):
         session = MonitoringSession(MonitoringConfig(mode=MonitoringMode.TYPE2))
         w = np.array([1, 1j, -1, -1j]) / 2.0
-        report, value, alarm = session.evaluate_type2(0, w, w)
+        report, value, _, alarm = session.evaluate(0, w, w)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert alarm is None
         assert np.array_equal(report.predicted, w)
@@ -144,24 +227,28 @@ class TestType2:
             a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-            _, value, _ = session.evaluate_type2(slot, a, b)
+            _, value, _, _ = session.evaluate(slot, a, b)
             assert value == pytest.approx(sgcs(a, b), abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         session = MonitoringSession(MonitoringConfig(mode=MonitoringMode.TYPE2))
         with pytest.raises(ValueError):
-            session.evaluate_type2(0, np.ones(4) / 2.0, np.ones(8) / np.sqrt(8))
+            session.evaluate(0, np.ones(4) / 2.0, np.ones(8) / np.sqrt(8))
 
     def test_alarm_rule_applies_to_gnb_side_value(self):
         session = MonitoringSession(MonitoringConfig(mode=MonitoringMode.TYPE2, n_consec=1))
         w = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         orthogonal = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-        _, value, alarm = session.evaluate_type2(4, w, orthogonal)
+        _, value, _, alarm = session.evaluate(4, w, orthogonal)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert alarm is not None and alarm.slot_index == 4
 
 
 class TestType3:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exhaustive_patterns_match_window_scan_oracle(self, n):
+        check_window_scan_oracle(MonitoringMode.TYPE3, n)
+
     def test_boundary_codes(self):
         assert quantize_metric(1.0, 8) == 255
         assert quantize_metric(0.0, 8) == 0
@@ -175,7 +262,7 @@ class TestType3:
 
     def test_round_trip_report_fields(self):
         session = MonitoringSession(MonitoringConfig(mode=MonitoringMode.TYPE3, quant_bits=8))
-        report, dequantized, _ = session.evaluate_type3(2, 0.5)
+        report, dequantized, _, _ = session.evaluate(2, *pair_of(0.5))
         assert report.quantized_sgcs_code == quantize_metric(0.5, 8)
         assert dequantized == pytest.approx(report.quantized_sgcs_code / 255)
         assert report.overhead_bits == 8
@@ -185,20 +272,23 @@ class TestType3:
             quantize_metric(-0.01, 8)
         with pytest.raises(ValueError):
             quantize_metric(1.01, 8)
+        session = MonitoringSession(MonitoringConfig(mode=MonitoringMode.TYPE3))
+        with pytest.raises(ValueError):
+            session.evaluate(0, np.array([np.nan, 1.0]), np.ones(2))
 
     def test_agrees_with_type1_away_from_threshold(self):
         """Quantization can only change decisions within a step of gamma."""
         rng = np.random.default_rng(9)
         bits = 4
         step = 1.0 / ((1 << bits) - 1)
-        values = rng.uniform(0.0, 1.0, size=500)
+        values = np.round(rng.uniform(0.0, 1.0, size=500) * 100) / 100  # pair_of's grid
         cfg1 = MonitoringConfig(mode=MonitoringMode.TYPE1, threshold_gamma=GAMMA, n_consec=2)
         cfg3 = MonitoringConfig(mode=MonitoringMode.TYPE3, threshold_gamma=GAMMA, n_consec=2, quant_bits=bits)
         s1, s3 = MonitoringSession(cfg1), MonitoringSession(cfg3)
         for slot, value in enumerate(values):
             value = float(value)
-            _, _, alarm1 = s1.evaluate_type1(slot, value)
-            _, _, alarm3 = s3.evaluate_type3(slot, value)
+            *_, alarm1 = s1.evaluate(slot, *pair_of(value))
+            *_, alarm3 = s3.evaluate(slot, *pair_of(value))
             below1 = value < GAMMA
             below3 = dequantize_metric(quantize_metric(value, bits), bits) < GAMMA
             if below1 != below3:
@@ -206,6 +296,15 @@ class TestType3:
             if (alarm1 is None) != (alarm3 is None):
                 # A divergent alarm needs at least one near-threshold value.
                 assert any(abs(float(v) - GAMMA) <= step for v in values[: slot + 1])
+
+
+def monitoring_overhead(num_slots, cfg, num_antennas, warmup_slots=0):
+    """Total report bits over a run and the fraction of slots carrying them."""
+    slots = evaluation_slots(num_slots, cfg, warmup_slots)
+    per_report = report_overhead_bits(cfg.mode, num_antennas, cfg.quant_bits)
+    if num_slots <= 0:
+        return 0, 0.0
+    return per_report * len(slots), len(slots) / num_slots
 
 
 class TestOverhead:

@@ -5,11 +5,11 @@ import re
 import numpy as np
 import pytest
 
-from lcmsim import channel, controller, simulation
+from lcmsim import channel, controller, monitoring, simulation
 from lcmsim.config import parse_scenario_config
 from lcmsim.errors import IntegrityError
 from lcmsim.models import PredictorConfig, train_predictor
-from lcmsim.monitoring import monitoring_overhead
+from lcmsim.monitoring import evaluation_slots, report_overhead_bits
 from lcmsim.simulation import (
     METRICS_HEADER,
     run_scenario,
@@ -17,7 +17,7 @@ from lcmsim.simulation import (
     write_events,
     write_metrics,
 )
-from scenario_configs import FALLBACK_DRIFT, QUIET_SMALL
+from scenario_configs import CANONICAL_DRIFT, FALLBACK_DRIFT, QUIET_SMALL
 
 EVENT_LINE = re.compile(r"^slot=\d+ source=\w+ kind=\w+( \S+=\S+)*$")
 
@@ -79,8 +79,9 @@ class TestMetricsFormat:
 
     def test_overhead_sum_matches_closed_form(self, quiet_run):
         cfg, result = quiet_run
-        total, _ = monitoring_overhead(
-            cfg.num_slots, cfg.monitoring, cfg.num_antennas, simulation_warmup(cfg)
+        mon = cfg.monitoring
+        total = report_overhead_bits(mon.mode, cfg.num_antennas, mon.quant_bits) * len(
+            evaluation_slots(cfg.num_slots, mon, simulation_warmup(cfg))
         )
         seen = sum(
             int(row.monitor_overhead_bits)
@@ -195,10 +196,10 @@ class TestMeasureOnce:
         self.counting(monkeypatch, simulation, "measure_csi", calls)
         self.counting(monkeypatch, channel, "measure_csi", calls)
         self.counting(monkeypatch, channel, "substream_normals", calls)
-        (package,) = simulation._pretrain_models(cfg, loop.trace, loop.measurements, loop.registry)
+        spec = cfg.pretrain[0]
+        package = loop._train(spec.start_slot, spec.end_slot)
         assert calls == []
         # Same model as one trained on per-slot measurements of the window.
-        spec = cfg.pretrain[0]
         monkeypatch.undo()
         slots = range(spec.start_slot, spec.end_slot)
         trace = loop.trace
@@ -219,6 +220,29 @@ class TestMeasureOnce:
         assert package.descriptor.model_id == reference.descriptor.model_id
         assert package.descriptor.payload_checksum == reference.descriptor.payload_checksum
         assert np.array_equal(package.param("taps"), reference.param("taps"))
+
+    def test_pretraining_and_retraining_train_the_same_way(self, tmp_path, monkeypatch):
+        cfg = parse_scenario_config(QUIET_SMALL)
+        loop = simulation._Loop(cfg, str(tmp_path / "registry"))
+        calls = []
+        original = simulation.train_predictor
+
+        def spy(history, pcfg, **kwargs):
+            calls.append((history, pcfg, kwargs))
+            return original(history, pcfg, **kwargs)
+
+        monkeypatch.setattr(simulation, "train_predictor", spy)
+        with loop.registry:
+            loop.run()
+            loop._retrain(250)
+        spec = cfg.pretrain[0]
+        windows = [(spec.start_slot, spec.end_slot), (max(0, 251 - loop.history_window), 251)]
+        assert len(calls) == len(windows)
+        for (history, pcfg, kwargs), (lo, hi) in zip(calls, windows):
+            assert history.precoders.tobytes() == loop.measured[lo:hi].tobytes()
+            assert pcfg == PredictorConfig(cfg.predictor_order, cfg.predictor_horizon)
+            assert kwargs["codebook"] is loop.codebook is loop.trace.beam_codebook
+            assert kwargs["beam_powers"].tobytes() == loop.trace.per_beam_power[lo:hi].tobytes()
 
 
 class TestQuietLoop:
@@ -283,3 +307,54 @@ class TestFallbackLoop:
         for event in result.events:
             if event.kind == "MonitoringReport":
                 assert event.slot <= fallback_slot
+
+
+class TestMonitoringPath:
+    @pytest.mark.parametrize("n_recover", [2, 3, 4])
+    def test_kpi_recovered_after_exactly_n_recover_clean_evaluations(self, tmp_path, n_recover):
+        cfg = parse_scenario_config(CANONICAL_DRIFT + f"policy.n_recover = {n_recover}\n")
+        result = run_scenario(cfg, str(tmp_path / "registry"))
+        gamma = cfg.monitoring.threshold_gamma
+        # Replay the log: an action restarts the clean run, a breach ends it.
+        state, clean, expected = "Stable", 0, []
+        for event in result.events:
+            payload = dict(event.payload)
+            if event.kind == "StateTransition":
+                state = payload["to"]
+            elif event.kind == "ActionIssued":
+                clean = 0
+            elif event.kind == "MonitoringReport":
+                clean = clean + 1 if float(payload["value"]) >= gamma else 0
+                if state == "Recovering" and clean == n_recover:
+                    expected.append((event.slot, str(n_recover)))
+                    clean = 0
+        recovered = [
+            (event.slot, dict(event.payload)["streak"])
+            for event in result.events
+            if event.kind == "KpiRecovered"
+        ]
+        # The Switch at the slot-840 alarm, then one clean evaluation every 20 slots.
+        assert recovered[0] == (840 + 20 * n_recover, str(n_recover))
+        assert recovered == expected
+
+    def test_type2_evaluation_computes_sgcs_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def count(owner):
+            original = owner.sgcs
+
+            def counted(*args):
+                calls.append(owner.__name__)
+                return original(*args)
+
+            monkeypatch.setattr(owner, "sgcs", counted)
+
+        for owner in (simulation, monitoring, controller):  # the traced sgcs sites
+            count(owner)
+        cfg = parse_scenario_config(
+            QUIET_SMALL.replace("monitoring.mode = Type1", "monitoring.mode = Type2")
+        )
+        result = run_scenario(cfg, str(tmp_path / "registry"))
+        reports = [event for event in result.events if event.kind == "MonitoringReport"]
+        assert reports and all(dict(event.payload)["mode"] == "Type2" for event in reports)
+        assert calls == ["lcmsim.monitoring"] * len(reports)
