@@ -82,8 +82,12 @@ def _measure_all(trace, seed: int):
     return measure_csi(trace.true_precoders, trace.snr_db, slots, seed)
 
 
-def _load_package(path: str) -> ModelPackage:
-    return ModelPackage.from_bytes(Path(path).read_bytes())
+def _load_package(path: str, kind: ModelKind | None = None, verb: str = "") -> ModelPackage:
+    """The package at ``path``; with ``kind``, any other kind is a usage error."""
+    package = ModelPackage.from_bytes(Path(path).read_bytes())
+    if kind is not None and package.kind is not kind:
+        raise ConfigError(f"{verb} expects a {kind.value}, got {package.kind.value}")
+    return package
 
 
 def _write_bytes(path: str, data: bytes) -> None:
@@ -91,6 +95,14 @@ def _write_bytes(path: str, data: bytes) -> None:
     if out.parent != Path(""):
         out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(data)
+
+
+def _write_model(path: str, package: ModelPackage) -> int:
+    _write_bytes(path, package.to_bytes())
+    print(f"model_id = {package.descriptor.model_id}")
+    print(f"associated_id = {package.descriptor.associated_id}")
+    print(f"out = {path}")
+    return 0
 
 
 def _out_root(explicit: str | None) -> Path:
@@ -187,9 +199,7 @@ def _cmd_train_autoencoder(args) -> int:
 
 
 def _cmd_eval_sgcs(args) -> int:
-    package = _load_package(args.model)
-    if package.kind is not ModelKind.CSI_PREDICTOR:
-        raise ConfigError(f"eval sgcs expects a csi_predictor, got {package.kind.value}")
+    package = _load_package(args.model, ModelKind.CSI_PREDICTOR, "eval sgcs")
     cfg = predictor_config(package)
     trace = _make_trace(args)
     if args.slots < cfg.order + cfg.horizon_slots + 1:
@@ -210,7 +220,7 @@ def _cmd_eval_beams(args) -> int:
     subset = [int(s) for s in args.subset.split(",") if s]
     split = rows.shape[0] // 2
     if args.model:
-        package = _load_package(args.model)
+        package = _load_package(args.model, ModelKind.BEAM_PREDICTOR, "eval beams")
     else:
         package = train_beam_predictor(rows[:split], subset, rows.shape[1])
     model_subset = [int(s) for s in package.extra["beam_subset"].split(",")]
@@ -225,99 +235,105 @@ def _cmd_eval_beams(args) -> int:
     return 0
 
 
-def _cmd_registry(args) -> int:
+def _cmd_registry_list(args) -> int:
     with ModelRegistry(args.root) as registry:
-        if args.registry_cmd == "list":
-            entries = registry.entries()
-            for e in entries:
-                print(
-                    f"{e.model_id} v{e.version} kind={e.kind} tag={e.functionality_tag} "
-                    f"status={e.status} stored_at={e.stored_at_slot}"
-                )
-            print(f"total = {len(entries)}")
-            return 0
-        if args.registry_cmd == "add":
-            package = _load_package(args.package)
-            model_id, version = registry.store(package, stored_at_slot=args.slot)
-            print(f"stored {model_id} v{version}")
-            return 0
-        if args.registry_cmd == "verify":
-            report = registry.verify_all()
-            bad = 0
-            for model_id, version, status in report:
-                print(f"{model_id} v{version} {status}")
-                bad += status != "ok"
-            print(f"checked = {len(report)}, corrupt = {bad}")
-            return 2 if bad else 0
+        entries = registry.entries()
+        for e in entries:
+            print(
+                f"{e.model_id} v{e.version} kind={e.kind} tag={e.functionality_tag} "
+                f"status={e.status} stored_at={e.stored_at_slot}"
+            )
+        print(f"total = {len(entries)}")
+    return 0
+
+
+def _cmd_registry_add(args) -> int:
+    with ModelRegistry(args.root) as registry:
+        model_id, version = registry.store(_load_package(args.package), stored_at_slot=args.slot)
+        print(f"stored {model_id} v{version}")
+    return 0
+
+
+def _cmd_registry_verify(args) -> int:
+    with ModelRegistry(args.root) as registry:
+        report = registry.verify_all()
+        bad = 0
+        for model_id, version, status in report:
+            print(f"{model_id} v{version} {status}")
+            bad += status != "ok"
+        print(f"checked = {len(report)}, corrupt = {bad}")
+    return 2 if bad else 0
+
+
+def _cmd_registry_gc(args) -> int:
+    with ModelRegistry(args.root) as registry:
         removed = registry.gc()
         for model_id, version in removed:
             print(f"removed {model_id} v{version}")
         print(f"collected = {len(removed)}")
-        return 0
+    return 0
 
 
-def _cmd_intervendor(args) -> int:
-    from . import intervendor as iv  # here, its only user: other commands skip the import
+# The intervendor verbs import lcmsim.intervendor when run, so other commands skip it.
 
-    if args.iv_cmd == "export-dataset":
-        encoder = _load_package(args.encoder)
-        trace = _make_trace(args)
-        dataset = iv.export_dataset(encoder, trace.true_precoders, args.vendor_index)
-        _write_bytes(args.out, dataset.to_bytes())
-        print(f"samples = {dataset.targets.shape[0]}")
-        print(f"associated_id = {dataset.associated_id}")
-        print(f"out = {args.out}")
-        return 0
+def _cmd_export_dataset(args) -> int:
+    from .intervendor import export_dataset
+    encoder = _load_package(args.encoder)
+    trace = _make_trace(args)
+    dataset = export_dataset(encoder, trace.true_precoders, args.vendor_index)
+    _write_bytes(args.out, dataset.to_bytes())
+    print(f"samples = {dataset.targets.shape[0]}")
+    print(f"associated_id = {dataset.associated_id}")
+    print(f"out = {args.out}")
+    return 0
 
-    if args.iv_cmd in ("train-decoder", "multivendor"):
-        datasets = [iv.CsiDataset.from_bytes(Path(p).read_bytes()) for p in args.dataset]
-        if args.iv_cmd == "train-decoder":
-            decoder = iv.train_decoder_from_dataset(
-                datasets if len(datasets) > 1 else datasets[0]
-            )
-        else:
-            decoder = iv.train_multivendor_decoder(datasets)
-        _write_bytes(args.out, decoder.to_bytes())
-        d = decoder.descriptor
-        print(f"model_id = {d.model_id}")
-        print(f"associated_id = {d.associated_id}")
-        print(f"out = {args.out}")
-        return 0
 
-    if args.iv_cmd == "train-encoder":
-        decoder = _load_package(args.decoder)
-        trace = _make_trace(args)
-        encoder = iv.train_encoder_against_reference(decoder, trace.true_precoders)
-        _write_bytes(args.out, encoder.to_bytes())
-        d = encoder.descriptor
-        print(f"model_id = {d.model_id}")
-        print(f"associated_id = {d.associated_id}")
-        print(f"out = {args.out}")
-        return 0
+def _cmd_train_decoder(args) -> int:
+    from .intervendor import CsiDataset, train_decoder_from_dataset
+    datasets = [CsiDataset.from_bytes(Path(p).read_bytes()) for p in args.dataset]
+    decoder = train_decoder_from_dataset(datasets if len(datasets) > 1 else datasets[0])
+    return _write_model(args.out, decoder)
 
-    if args.iv_cmd == "crosspair":
-        encoders = [_load_package(p) for p in args.encoder]
-        decoders = [_load_package(p) for p in args.decoder]
-        indices = None
-        if args.vendor_indices:
-            indices = [
-                None if tok == "-" else int(tok)
-                for tok in args.vendor_indices.split(",")
-            ]
-            if len(indices) != len(decoders):
-                raise ConfigError("--vendor-indices must list one entry per decoder")
-        trace = _make_trace(args)
-        grid = iv.cross_pairing_matrix(encoders, decoders, trace.true_precoders, indices)
-        print("encoder\\decoder," + ",".join(str(j) for j in range(len(decoders))))
-        for i in range(len(encoders)):
-            cells = ",".join(
-                "nan" if math.isnan(grid[i, j]) else f"{grid[i, j]:.6f}"
-                for j in range(len(decoders))
-            )
-            print(f"{i},{cells}")
-        return 0
 
-    # derive-reference
+def _cmd_multivendor(args) -> int:
+    from .intervendor import CsiDataset, train_multivendor_decoder
+    datasets = [CsiDataset.from_bytes(Path(p).read_bytes()) for p in args.dataset]
+    return _write_model(args.out, train_multivendor_decoder(datasets))
+
+
+def _cmd_train_encoder(args) -> int:
+    from .intervendor import train_encoder_against_reference
+    decoder = _load_package(args.decoder)
+    trace = _make_trace(args)
+    return _write_model(args.out, train_encoder_against_reference(decoder, trace.true_precoders))
+
+
+def _cmd_crosspair(args) -> int:
+    from .intervendor import cross_pairing_matrix
+    encoders = [_load_package(p, ModelKind.CSI_ENCODER, "crosspair") for p in args.encoder]
+    decoders = [_load_package(p, ModelKind.CSI_DECODER, "crosspair") for p in args.decoder]
+    indices = None
+    if args.vendor_indices:
+        indices = [
+            None if tok == "-" else int(tok)
+            for tok in args.vendor_indices.split(",")
+        ]
+        if len(indices) != len(decoders):
+            raise ConfigError("--vendor-indices must list one entry per decoder")
+    trace = _make_trace(args)
+    grid = cross_pairing_matrix(encoders, decoders, trace.true_precoders, indices)
+    print("encoder\\decoder," + ",".join(str(j) for j in range(len(decoders))))
+    for i in range(len(encoders)):
+        cells = ",".join(
+            "nan" if math.isnan(grid[i, j]) else f"{grid[i, j]:.6f}"
+            for j in range(len(decoders))
+        )
+        print(f"{i},{cells}")
+    return 0
+
+
+def _cmd_derive_reference(args) -> int:
+    from . import intervendor as iv
     latents = [int(tok) for tok in args.latents.split(",") if tok]
     bits = [int(tok) for tok in args.bits.split(",") if tok]
     if len(latents) != len(bits):
@@ -404,13 +420,13 @@ def build_parser() -> _Parser:
     reg = sub.add_parser("registry", help="inspect or edit a model store")
     reg.add_argument("--root", required=True)
     reg_sub = reg.add_subparsers(dest="registry_cmd", required=True, metavar="verb")
-    reg_sub.add_parser("list")
+    reg_sub.add_parser("list").set_defaults(func=_cmd_registry_list)
     p = reg_sub.add_parser("add")
     p.add_argument("--package", required=True)
     p.add_argument("--slot", type=int, default=0)
-    reg_sub.add_parser("verify")
-    reg_sub.add_parser("gc")
-    reg.set_defaults(func=_cmd_registry)
+    p.set_defaults(func=_cmd_registry_add)
+    reg_sub.add_parser("verify").set_defaults(func=_cmd_registry_verify)
+    reg_sub.add_parser("gc").set_defaults(func=_cmd_registry_gc)
 
     iv = sub.add_parser("intervendor", help="two-sided collaboration flows")
     iv_sub = iv.add_subparsers(dest="iv_cmd", required=True, metavar="verb")
@@ -419,21 +435,26 @@ def build_parser() -> _Parser:
     _add_trace_args(p, slots_default=1024)
     p.add_argument("--vendor-index", type=int, default=None)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_export_dataset)
     p = iv_sub.add_parser("train-decoder")
     p.add_argument("--dataset", action="append", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_train_decoder)
     p = iv_sub.add_parser("train-encoder")
     p.add_argument("--decoder", required=True)
     _add_trace_args(p, slots_default=1024)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_train_encoder)
     p = iv_sub.add_parser("multivendor")
     p.add_argument("--dataset", action="append", required=True)
     p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_multivendor)
     p = iv_sub.add_parser("crosspair")
     p.add_argument("--encoder", action="append", required=True)
     p.add_argument("--decoder", action="append", required=True)
     p.add_argument("--vendor-indices", help="per-decoder index, '-' for none")
     _add_trace_args(p, slots_default=256)
+    p.set_defaults(func=_cmd_crosspair)
     p = iv_sub.add_parser("derive-reference")
     p.add_argument("--latents", required=True, help="comma-separated latent dims")
     p.add_argument("--bits", required=True, help="comma-separated bit widths")
@@ -446,7 +467,7 @@ def build_parser() -> _Parser:
     p.add_argument("--robustness-floor", type=float, default=0.5)
     p.add_argument("--out-csv")
     p.add_argument("--out-model")
-    iv.set_defaults(func=_cmd_intervendor)
+    p.set_defaults(func=_cmd_derive_reference)
 
     return parser
 
@@ -467,9 +488,5 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def entry() -> None:
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    raise SystemExit(main())

@@ -20,6 +20,7 @@ from .channel import ChannelRegime, dft_codebook, generate_trace
 from .errors import IntegrityError, PairingError
 from .kpi import sgcs_rows
 from .models import (
+    CSI_COMPRESS_TAG,
     AutoencoderConfig,
     ModelKind,
     ModelPackage,
@@ -93,21 +94,24 @@ class CsiDataset:
         if header.get("kind") != "DSET":
             raise IntegrityError("not a dataset container")
         by_name = dict(matrices)
-        bits = int(header["bits_per_dim"])
-        feedbacks = by_name["feedbacks"]
-        if bits > 0:
-            feedbacks = np.round(feedbacks.real).astype(np.int64)
-        ranges = by_name.get("quant_ranges")
-        vendor = header.get("vendor_index", "")
-        return cls(
-            targets=by_name["targets"],
-            feedbacks=feedbacks,
-            associated_id=header["associated_id"],
-            latent_dim=int(header["latent_dim"]),
-            bits_per_dim=bits,
-            quant_ranges=None if ranges is None else ranges.ravel(),
-            vendor_index=int(vendor) if vendor else None,
-        )
+        try:
+            bits = int(header["bits_per_dim"])
+            feedbacks = by_name["feedbacks"]
+            if bits > 0:
+                feedbacks = np.round(feedbacks.real).astype(np.int64)
+            ranges = by_name.get("quant_ranges")
+            vendor = header.get("vendor_index", "")
+            return cls(
+                targets=by_name["targets"],
+                feedbacks=feedbacks,
+                associated_id=header["associated_id"],
+                latent_dim=int(header["latent_dim"]),
+                bits_per_dim=bits,
+                quant_ranges=None if ranges is None else ranges.ravel(),
+                vendor_index=int(vendor) if vendor else None,
+            )
+        except (KeyError, ValueError) as exc:
+            raise IntegrityError(f"bad dataset container: {exc!r}") from None
 
 
 def export_dataset(
@@ -137,20 +141,18 @@ def _decoder_package(
     targets: np.ndarray,
     associated_id: str,
     extra: dict[str, str],
-    functionality_tag: str,
     id_prefix: str,
 ) -> ModelPackage:
     material = [associated_id.encode()] + [m.tobytes() for _, m in basis_params]
     model_id = stable_id(id_prefix, *material)
     return new_package(
-        ModelKind.CSI_DECODER, basis_params, extra, model_id, functionality_tag,
+        ModelKind.CSI_DECODER, basis_params, extra, model_id, CSI_COMPRESS_TAG,
         _descriptor_from_targets(targets), associated_id,
     )
 
 
 def train_decoder_from_dataset(
     dataset: CsiDataset | list[CsiDataset],
-    functionality_tag: str = "csi-compress",
 ) -> ModelPackage:
     """Direction two: fit the reconstruction map from exchanged data.
 
@@ -180,15 +182,12 @@ def train_decoder_from_dataset(
     params: list[tuple[str, np.ndarray]] = [("basis", basis)]
     if first.bits_per_dim > 0:
         params.append(("quant_ranges", first.quant_ranges.reshape(-1, 1).copy()))
-    return _decoder_package(
-        params, targets, first.associated_id, extra, functionality_tag, "dec2"
-    )
+    return _decoder_package(params, targets, first.associated_id, extra, "dec2")
 
 
 def train_encoder_against_reference(
     reference_decoder: ModelPackage,
     targets: np.ndarray,
-    functionality_tag: str = "csi-compress",
 ) -> ModelPackage:
     """Direction one: fit an encoder through a frozen reference decoder.
 
@@ -223,15 +222,12 @@ def train_encoder_against_reference(
     associated = reference_decoder.descriptor.associated_id or ""
     model_id = stable_id("enc1", associated.encode(), basis_enc.tobytes())
     return new_package(
-        ModelKind.CSI_ENCODER, params, extra, model_id, functionality_tag,
+        ModelKind.CSI_ENCODER, params, extra, model_id, CSI_COMPRESS_TAG,
         _descriptor_from_targets(samples), associated,
     )
 
 
-def train_multivendor_decoder(
-    datasets: list[CsiDataset],
-    functionality_tag: str = "csi-compress",
-) -> ModelPackage:
+def train_multivendor_decoder(datasets: list[CsiDataset]) -> ModelPackage:
     """One decoder for several vendors' encoders, keyed by dataset index.
 
     The decoder input is the feedback together with the one-hot vendor
@@ -276,7 +272,7 @@ def train_multivendor_decoder(
         "multivendor": "1",
         "vendor_indices": ",".join(str(d.vendor_index) for d in ordered),
     }
-    return _decoder_package(params, targets, associated, extra, functionality_tag, "mvdec")
+    return _decoder_package(params, targets, associated, extra, "mvdec")
 
 
 def cross_pairing_matrix(

@@ -183,9 +183,34 @@ def _noise_gain(snr_db: float) -> float:
     return 1.0 + 10.0 ** (-snr_db / 10.0)
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+def _misalignments(
+    query: InputDescriptor, profiles: np.ndarray, dopplers: np.ndarray | float
+) -> np.ndarray:
+    """Jensen-Shannon divergence (natural log) of the query's beam distribution
+    against each row of ``profiles``, plus |doppler delta|. A zero share adds no
+    term: a row with one sums its other terms as one compacted vector, since
+    np.sum's pairwise grouping depends on the term count."""
+    q = np.asarray(query.mean_beam_power, dtype=np.float64)
+    if profiles.shape[1] != q.size:
+        raise ValueError("beam profiles have different codebook sizes")
+    x = np.empty((2, *profiles.shape))  # KL(q || m) and KL(p || m) of every row at once
+    np.divide(q, q.sum(), out=x[0])
+    np.divide(profiles, profiles.sum(axis=1, keepdims=True), out=x[1])
+    m = 0.5 * (x[0] + x[1])
+    if x.min() > 0:
+        kl = (x * np.log(x / m)).sum(axis=2)
+    else:
+        keep = x > 0
+        terms = x * np.log(np.divide(x, m, out=np.ones_like(x), where=keep))
+        flat = zip(terms.reshape(-1, q.size), keep.reshape(-1, q.size))
+        kl = np.array([t[k].sum() for t, k in flat]).reshape(2, -1)
+    js = np.fmax(0.0, 0.5 * kl[0] + 0.5 * kl[1])  # fmax: 0 for a NaN sum, as max(0.0, nan)
+    return js + np.abs(query.doppler_estimate - dopplers)
+
+
+def _snr_term(a: float, b: float) -> float:
+    """|snr delta| / 30, and 0 for two infinite SNRs."""
+    return 0.0 if math.isinf(a) and math.isinf(b) else abs(a - b) / 30.0
 
 
 def misalignment_divergence(a: InputDescriptor, b: InputDescriptor) -> float:
@@ -195,15 +220,8 @@ def misalignment_divergence(a: InputDescriptor, b: InputDescriptor) -> float:
     plus |doppler delta|. Used where SNR change is accounted for
     separately and only spatial or mobility drift should register.
     """
-    p = np.asarray(a.mean_beam_power, dtype=np.float64)
-    q = np.asarray(b.mean_beam_power, dtype=np.float64)
-    if p.size != q.size:
-        raise ValueError("beam profiles have different codebook sizes")
-    p = p / p.sum()
-    q = q / q.sum()
-    m = 0.5 * (p + q)
-    js = max(0.0, 0.5 * _kl(p, m) + 0.5 * _kl(q, m))
-    return js + abs(a.doppler_estimate - b.doppler_estimate)
+    profile = np.asarray(b.mean_beam_power, dtype=np.float64)[np.newaxis]
+    return float(_misalignments(a, profile, b.doppler_estimate)[0])
 
 
 def descriptor_divergence(a: InputDescriptor, b: InputDescriptor) -> float:
@@ -212,39 +230,16 @@ def descriptor_divergence(a: InputDescriptor, b: InputDescriptor) -> float:
     The misalignment divergence plus |snr delta| / 30, all terms
     weighted equally. Zero iff beam profile, Doppler and SNR coincide.
     """
-    snr_a, snr_b = a.mean_snr_db, b.mean_snr_db
-    if math.isinf(snr_a) and math.isinf(snr_b):
-        snr_term = 0.0
-    else:
-        snr_term = abs(snr_a - snr_b) / 30.0
-    return misalignment_divergence(a, b) + snr_term
+    return misalignment_divergence(a, b) + _snr_term(a.mean_snr_db, b.mean_snr_db)
 
 
 def descriptor_divergences(
     query: InputDescriptor, stored: Sequence[InputDescriptor]
 ) -> list[float]:
-    """``descriptor_divergence(query, d)`` for every d, bit for bit, in one pass:
-    the rows repeat its arithmetic step for step. A profile with a non-positive
-    share (query or row) keeps the scalar form, whose masked sums group differently."""
-    q = np.asarray(query.mean_beam_power, dtype=np.float64)
-    rows = [np.asarray(d.mean_beam_power, dtype=np.float64) for d in stored]
-    if any(r.size != q.size for r in rows):
-        raise ValueError("beam profiles have different codebook sizes")
-    if not rows:
+    """``descriptor_divergence(query, d)`` for every d, in one pass."""
+    if not stored:
         return []
+    profiles = np.stack([np.asarray(d.mean_beam_power, dtype=np.float64) for d in stored])
     dopplers = np.array([d.doppler_estimate for d in stored], dtype=np.float64)
-    snrs = np.array([d.mean_snr_db for d in stored], dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):  # such rows are redone below
-        q = q / q.sum()
-        p = np.stack(rows)
-        p = p / p.sum(axis=1, keepdims=True)
-        m = 0.5 * (q + p)
-        kl_query = (q * np.log(q / m)).sum(axis=1)
-        js = np.maximum(0.0, 0.5 * kl_query + 0.5 * (p * np.log(p / m)).sum(axis=1))
-        snr_terms = np.abs(query.mean_snr_db - snrs) / 30.0  # NaN where both are inf:
-    if math.isinf(query.mean_snr_db):
-        snr_terms[np.isinf(snrs)] = 0.0  # the scalar form's 0 for two infinite SNRs
-    out = ((js + np.abs(query.doppler_estimate - dopplers)) + snr_terms).tolist()
-    for i in np.flatnonzero(~((p > 0).all(axis=1) & (q > 0).all())).tolist():
-        out[i] = descriptor_divergence(query, stored[i])
-    return out
+    misaligned = zip(_misalignments(query, profiles, dopplers).tolist(), stored)
+    return [mis + _snr_term(query.mean_snr_db, d.mean_snr_db) for mis, d in misaligned]

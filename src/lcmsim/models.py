@@ -24,6 +24,12 @@ from .streams import stable_id
 
 RIDGE_SCALE = 1e-6  # ridge weight relative to mean Gram eigenvalue
 DELTA_RCOND = 0.1  # excitation cutoff for adaptation-delta fits
+CSI_COMPRESS_TAG = "csi-compress"  # the functionality of every encoder and decoder
+
+
+def predictor_tag(horizon_slots: int) -> str:
+    """The functionality tag of a CSI predictor: one per prediction horizon."""
+    return f"csi-pred-h{horizon_slots}"
 
 
 class ModelKind(str, Enum):
@@ -83,7 +89,7 @@ class ModelPackage:
         for key, value in self.parameters:
             if key == name:
                 return value
-        raise KeyError(name)
+        raise IntegrityError(f"package has no parameter {name!r}")
 
     def has_param(self, name: str) -> bool:
         return any(key == name for key, _ in self.parameters)
@@ -247,12 +253,9 @@ def new_package(
     functionality_tag: str,
     input_descriptor: InputDescriptor,
     associated_id: str | None = None,
-    model_version: int = 1,
 ) -> ModelPackage:
-    """Build a package with its descriptor, then :func:`finalize_package` it."""
-    descriptor = ModelDescriptor(
-        model_id, model_version, functionality_tag, associated_id, input_descriptor
-    )
+    """Build version 1 of a package, then :func:`finalize_package` it."""
+    descriptor = ModelDescriptor(model_id, 1, functionality_tag, associated_id, input_descriptor)
     return finalize_package(ModelPackage(descriptor, kind, parameters, extra))
 
 
@@ -296,6 +299,13 @@ def _package_header(pkg: ModelPackage) -> dict[str, str]:
     return header
 
 
+class _ReadExtra(dict):
+    """A read package's extra settings: one that its header lacks is damage."""
+
+    def __missing__(self, key: str) -> str:
+        raise IntegrityError(f"package header has no extra.{key}")
+
+
 def _package_from_header(
     header: dict[str, str], matrices: list[tuple[str, np.ndarray]]
 ) -> ModelPackage:
@@ -317,11 +327,9 @@ def _package_from_header(
         )
     except (KeyError, ValueError) as exc:
         raise IntegrityError(f"bad model header: {exc}") from None
-    extra = {
-        key[len("extra."):]: value
-        for key, value in header.items()
-        if key.startswith("extra.")
-    }
+    extra = _ReadExtra(
+        (key[len("extra."):], value) for key, value in header.items() if key.startswith("extra.")
+    )
     return ModelPackage(descriptor=descriptor, kind=kind, parameters=matrices,
                         extra=extra)
 
@@ -355,9 +363,6 @@ def stack_windows(rows: np.ndarray, order: int, newest) -> np.ndarray:
 def train_predictor(
     history: CsiMeasurements,
     cfg: PredictorConfig,
-    model_id: str | None = None,
-    model_version: int = 1,
-    functionality_tag: str | None = None,
     codebook: np.ndarray | None = None,
     beam_powers: np.ndarray | None = None,
 ) -> ModelPackage:
@@ -383,8 +388,7 @@ def train_predictor(
     if codebook is None:
         codebook = dft_codebook(n_ant)
     descriptor_stats = derive_input_descriptor(history, codebook, beam_powers)
-    if model_id is None:
-        model_id = stable_id("pred", features.tobytes(), repr(cfg))
+    model_id = stable_id("pred", features.tobytes(), repr(cfg))
     extra = {
         "order": str(cfg.order),
         "horizon_slots": str(cfg.horizon_slots),
@@ -392,8 +396,7 @@ def train_predictor(
     }
     return new_package(
         ModelKind.CSI_PREDICTOR, [("taps", taps)], extra, model_id,
-        functionality_tag or f"csi-pred-h{cfg.horizon_slots}", descriptor_stats,
-        model_version=model_version,
+        predictor_tag(cfg.horizon_slots), descriptor_stats,
     )
 
 
@@ -481,7 +484,6 @@ def train_autoencoder_joint(
     targets: np.ndarray,
     cfg: AutoencoderConfig,
     model_id_prefix: str | None = None,
-    functionality_tag: str = "csi-compress",
 ) -> tuple[ModelPackage, ModelPackage]:
     """Jointly train encoder and decoder.
 
@@ -519,7 +521,7 @@ def train_autoencoder_joint(
     def build(kind: ModelKind, suffix: str) -> ModelPackage:
         return new_package(
             kind, [(name, m.copy()) for name, m in params], dict(extra),
-            f"{prefix}-{suffix}", functionality_tag, descriptor_stats, associated,
+            f"{prefix}-{suffix}", CSI_COMPRESS_TAG, descriptor_stats, associated,
         )
 
     return build(ModelKind.CSI_ENCODER, "enc"), build(ModelKind.CSI_DECODER, "dec")
@@ -606,7 +608,7 @@ def decode_csi(
             raise ValueError("multi-vendor decoder needs a vendor_index")
         try:
             basis = decoder.param(f"basis_v{vendor_index}")
-        except KeyError:
+        except IntegrityError:
             raise ValueError(f"unknown vendor index {vendor_index}") from None
         z = decode_feedback_latent(decoder, feedback, f"quant_ranges_v{vendor_index}")
     else:
@@ -768,9 +770,6 @@ def train_beam_predictor(
     beam_power_rows: np.ndarray,
     measured_beam_subset: Sequence[int],
     codebook_size: int,
-    model_id: str | None = None,
-    functionality_tag: str = "beam-pred",
-    snr_db: float = math.inf,
 ) -> ModelPackage:
     """Ridge regression from a measured beam subset to the full per-beam
     power vector."""
@@ -790,18 +789,17 @@ def train_beam_predictor(
     descriptor_stats = InputDescriptor(
         mean_beam_power=mean_power / mean_power.sum(),
         doppler_estimate=0.0,
-        mean_snr_db=snr_db,
+        mean_snr_db=math.inf,
         window_len=rows.shape[0],
     )
-    if model_id is None:
-        model_id = stable_id("beam", rows.tobytes(), repr(subset))
+    model_id = stable_id("beam", rows.tobytes(), repr(subset))
     extra = {
         "beam_subset": ",".join(str(i) for i in subset),
         "codebook_size": str(codebook_size),
     }
     return new_package(
         ModelKind.BEAM_PREDICTOR, [("weights", weights)], extra, model_id,
-        functionality_tag, descriptor_stats,
+        "beam-pred", descriptor_stats,
     )
 
 

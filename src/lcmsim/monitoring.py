@@ -74,34 +74,27 @@ class MonitoringReport:
     ground_truth: np.ndarray | None = None
     quantized_sgcs_code: int | None = None
 
-    def validate(self) -> None:
-        if self.mode is MonitoringMode.TYPE1:
-            ok = (
-                self.perf_bad in (0, 1)
-                and self.predicted is None
-                and self.ground_truth is None
-                and self.quantized_sgcs_code is None
-                and self.overhead_bits == 1
-            )
-        elif self.mode is MonitoringMode.TYPE2:
-            ok = (
-                self.perf_bad is None
-                and self.predicted is not None
-                and self.ground_truth is not None
-                and self.quantized_sgcs_code is None
-                and self.overhead_bits
-                == precoder_report_bits(len(self.predicted)) + precoder_report_bits(len(self.ground_truth))
-            )
-        else:
-            ok = (
-                self.perf_bad is None
-                and self.predicted is None
-                and self.ground_truth is None
-                and self.quantized_sgcs_code is not None
-                and self.overhead_bits >= 1
-            )
-        if not ok:
+    def validate(self, quant_bits: int) -> None:
+        """Raises ValueError unless the fields are the mode's and ``overhead_bits``
+        is :func:`report_overhead_bits` at the session's ``quant_bits``."""
+        fields = (self.perf_bad, self.predicted, self.ground_truth, self.quantized_sgcs_code)
+        sent = tuple(value is not None for value in fields)
+        n = 0 if self.predicted is None else len(self.predicted)
+        if (
+            sent != _MODE_FIELDS[self.mode]
+            or self.perf_bad not in (None, 0, 1)
+            or (self.ground_truth is not None and len(self.ground_truth) != n)
+            or self.overhead_bits != report_overhead_bits(self.mode, n, quant_bits)
+        ):
             raise ValueError(f"report fields inconsistent with mode {self.mode.value}")
+
+
+# Which of (perf_bad, predicted, ground_truth, quantized_sgcs_code) each mode sends.
+_MODE_FIELDS = {
+    MonitoringMode.TYPE1: (True, False, False, False),
+    MonitoringMode.TYPE2: (False, True, True, False),
+    MonitoringMode.TYPE3: (False, False, False, True),
+}
 
 
 @dataclass(frozen=True)
@@ -223,7 +216,7 @@ class MonitoringSession:
         report = MonitoringReport(
             slot_index, mode, report_overhead_bits(mode, len(predicted), bits), **fields
         )
-        report.validate()
+        report.validate(bits)
         alarm = DriftAlarm(slot_index, "kpi_threshold", value) if rising else None
         return report, value, perf_bad, alarm
 

@@ -44,7 +44,6 @@ from .kpi import InputDescriptor, descriptor_divergences
 from .kpi import descriptor_divergence  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
 from .models import DeltaPackage, ModelKind, ModelPackage, rebuild_delta_version, verify_package
 
-STATUSES = ("available", "active", "retired")
 COMMIT = "commit"  # journal line that ends each operation's group
 COMPACT_RATIO = 4  # reopen compacts a journal this many times longer than its entries
 

@@ -51,6 +51,7 @@ from .models import (
     fit_adaptation_delta,
     predict_csi,  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
     predict_csi_rows,
+    predictor_tag,
     train_predictor,
 )
 from .monitoring import MonitoringSession, evaluation_slots
@@ -154,7 +155,6 @@ class _Loop:
         self.agent = InferenceAgent()
         self.session = MonitoringSession(config.monitoring)
         self.policy = config.policy
-        self.tag = f"csi-pred-h{config.predictor_horizon}"
         self.state = LoopState.STABLE
         self.events: list[EventLogRecord] = []
         self.lines: list[str] = []
@@ -234,7 +234,7 @@ class _Loop:
         return ExecutionContext(
             registry=self.registry,
             agent=self.agent,
-            functionality_tag=self.tag,
+            functionality_tag=predictor_tag(self.config.predictor_horizon),
             retrain=lambda: self._retrain(slot),
             fit_delta=lambda base, rank: self._fit_delta(slot, base, rank),
             delta_rank=self.policy.delta_rank,

@@ -1,14 +1,25 @@
 """Command-line harness: exit codes, outputs on disk, sweep behaviour."""
 
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lcmsim import cli
+from lcmsim import cli, container
+from lcmsim.channel import CsiMeasurements, unit_norm
 from lcmsim.cli import main
+from lcmsim.intervendor import export_dataset
+from lcmsim.models import (
+    AutoencoderConfig,
+    PredictorConfig,
+    train_autoencoder_joint,
+    train_beam_predictor,
+    train_predictor,
+)
 from scenario_configs import QUIET_SMALL
 
 
@@ -291,3 +302,111 @@ class TestIntervendorVerbs:
         assert rc == 0
         assert "no reference selected" in out
         assert not (tmp_path / "ref.lcmp").exists()
+
+
+def _without(blob: bytes, key: str) -> bytes:
+    """The container ``blob`` with header ``key`` dropped, checksummed anew."""
+    header, matrices, _ = container.read_container(blob)
+    del header[key]
+    return container.write_container(header, matrices)
+
+
+class TestArtifactFailures:
+    """Each verb that reads an artifact refuses one of the wrong kind or one
+    lacking a header key with one error line and exit 1 or 2, no traceback."""
+
+    @pytest.fixture(scope="class")
+    def artifacts(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("artifacts")
+        rng = np.random.default_rng(5)
+        targets = unit_norm(rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8)))
+        history = CsiMeasurements(range(64), targets, [20.0] * 64)
+        enc, dec = train_autoencoder_joint(targets, AutoencoderConfig(4, 0, 8))
+        blobs = {
+            "pred": train_predictor(history, PredictorConfig(2, 2)).to_bytes(),
+            "beam": train_beam_predictor(np.abs(targets) ** 2, [0, 3], 8).to_bytes(),
+            "enc": enc.to_bytes(),
+            "dec": dec.to_bytes(),
+            "ds": export_dataset(enc, targets, vendor_index=0).to_bytes(),
+        }
+        damaged = {
+            "pred-no-order": ("pred", "extra.order"),
+            "beam-no-subset": ("beam", "extra.beam_subset"),
+            "pred-no-id": ("pred", "model_id"),
+            "enc-no-bits": ("enc", "extra.bits_per_dim"),
+            "dec-no-latent": ("dec", "extra.latent_dim"),
+            "dec-no-bits": ("dec", "extra.bits_per_dim"),
+            "ds-no-id": ("ds", "associated_id"),
+            "ds-no-bits": ("ds", "bits_per_dim"),
+        }
+        for name, (source, key) in damaged.items():
+            blobs[name] = _without(blobs[source], key)
+        for name, blob in blobs.items():
+            (root / name).write_bytes(blob)
+        return root
+
+    TRACE = ["--seed", "1", "--slots", "64", "--antennas", "8"]
+    CASES = {
+        "eval-sgcs-kind": ["eval", "sgcs", "--model", "enc", *TRACE],
+        "eval-sgcs-key": ["eval", "sgcs", "--model", "pred-no-order", *TRACE],
+        "eval-beams-kind": ["eval", "beams", "--model", "pred", *TRACE],
+        "eval-beams-key": ["eval", "beams", "--model", "beam-no-subset", *TRACE],
+        "registry-add-kind": ["registry", "--root", "reg", "add", "--package", "ds"],
+        "registry-add-key": ["registry", "--root", "reg", "add", "--package", "pred-no-id"],
+        "export-kind": ["intervendor", "export-dataset", "--encoder", "dec", *TRACE, "--out", "o"],
+        "export-key": ["intervendor", "export-dataset", "--encoder", "enc-no-bits", *TRACE,
+                       "--out", "o"],
+        "train-decoder-kind": ["intervendor", "train-decoder", "--dataset", "dec", "--out", "o"],
+        "train-decoder-key": ["intervendor", "train-decoder", "--dataset", "ds-no-id",
+                              "--out", "o"],
+        "train-encoder-kind": ["intervendor", "train-encoder", "--decoder", "enc", *TRACE,
+                               "--out", "o"],
+        "train-encoder-key": ["intervendor", "train-encoder", "--decoder", "dec-no-latent",
+                              *TRACE, "--out", "o"],
+        "multivendor-kind": ["intervendor", "multivendor", "--dataset", "ds", "--dataset", "enc",
+                             "--out", "o"],
+        "multivendor-key": ["intervendor", "multivendor", "--dataset", "ds", "--dataset",
+                            "ds-no-bits", "--out", "o"],
+        "crosspair-encoder-kind": ["intervendor", "crosspair", "--encoder", "pred",
+                                   "--decoder", "dec", *TRACE],
+        "crosspair-decoder-kind": ["intervendor", "crosspair", "--encoder", "enc",
+                                   "--decoder", "enc", *TRACE],
+        "crosspair-encoder-key": ["intervendor", "crosspair", "--encoder", "enc-no-bits",
+                                  "--decoder", "dec", *TRACE],
+        "crosspair-decoder-key": ["intervendor", "crosspair", "--encoder", "enc",
+                                  "--decoder", "dec-no-bits", *TRACE],
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_error_line_and_exit_one_or_two(self, capsys, artifacts, monkeypatch, case):
+        monkeypatch.chdir(artifacts)
+        rc, _, err = run_cli(capsys, self.CASES[case])
+        assert rc in (1, 2)
+        assert err.count("\n") == 1 and err.startswith(("error: ", "config error: ")), err
+        assert not (artifacts / "o").exists()
+
+
+def readme_commands(*headings: str) -> list[list[str]]:
+    """The ``lcmsim`` commands of the sh blocks that follow ``headings`` in
+    README.md, continuation lines joined, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for heading in headings:
+        block = text.split(f"\n{heading}\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line)
+            assert argv[0] == "lcmsim"
+            commands.append(argv[1:])
+    return commands
+
+
+class TestReadmeCommands:
+    def test_outside_the_loop_and_two_sided_blocks_run(self, capsys, tmp_path, monkeypatch):
+        commands = readme_commands(
+            "Train and evaluate models outside the loop:", "Two-sided collaboration:"
+        )
+        assert len(commands) == 8
+        monkeypatch.chdir(tmp_path)
+        for argv in commands:
+            rc, _, err = run_cli(capsys, argv)
+            assert rc == 0, (argv, err)

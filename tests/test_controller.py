@@ -303,7 +303,7 @@ def trained_base(order=4, horizon=4, n_ant=N_ANT, seed=0):
         v = rng.standard_normal(n_ant) + 1j * rng.standard_normal(n_ant)
         vectors.append(v / np.linalg.norm(v))
     history = CsiMeasurements(range(64), vectors, [20.0] * 64)
-    return train_predictor(history, PredictorConfig(order, horizon), model_id="base-model")
+    return train_predictor(history, PredictorConfig(order, horizon))
 
 
 class TestExecute:
@@ -384,13 +384,13 @@ class TestExecute:
 
         ctx = self.make_ctx(tmp_path, fit_delta=fit, delta_rank=2)
         ctx.registry.store(base)
-        ctx.registry.activate("base-model", 1)
+        ctx.registry.activate(base.descriptor.model_id, 1)
         ctx.agent.activate(base)
         action = ControlAction(kind=ActionKind.DELTA_UPDATE, issued_slot=3)
         event = execute(action, ctx, slot_index=3)
         assert event.kind is EventKind.MODEL_ACTIVATED
         active = ctx.registry.active_entry("csi-pred-h4")
-        assert (active.model_id, active.version) == ("base-model", 2)
+        assert (active.model_id, active.version) == (base.descriptor.model_id, 2)
         assert ctx.agent.active_model.has_param("delta_left")
 
     def test_delta_update_without_active_model_fails(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lcmsim import container
 from lcmsim.channel import ChannelRegime, dft_codebook, generate_trace
 from lcmsim.errors import IntegrityError, PairingError
 from lcmsim.intervendor import (
@@ -89,6 +90,16 @@ class TestExportDataset:
         corrupted[len(corrupted) // 3] ^= 0x10
         with pytest.raises(IntegrityError):
             CsiDataset.from_bytes(bytes(corrupted))
+
+    def test_checksummed_container_missing_a_field_is_damage(self):
+        targets = regime_targets("ex-a", 0.02, 16, 40, seed=3)
+        header = {"container": "dataset", "kind": "DSET", "associated_id": "ae-1"}
+        with pytest.raises(IntegrityError):
+            CsiDataset.from_bytes(container.write_container(header, [("targets", targets)]))
+        header.update(latent_dim="4", bits_per_dim="x")
+        matrices = [("targets", targets), ("feedbacks", targets[:, :4])]
+        with pytest.raises(IntegrityError):
+            CsiDataset.from_bytes(container.write_container(header, matrices))
 
 
 class TestCodecRows:

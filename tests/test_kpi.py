@@ -251,6 +251,25 @@ class TestDescriptorDivergence:
         assert descriptor_divergence(a, b) == 0.0
 
 
+def divergence_reference(a, b, with_snr=True):
+    """The scalar formula of the divergence: each KL sums the compacted
+    positive-share terms of one vector. The kernel's rows must equal it bit for bit."""
+    def kl(x, m):
+        mask = x > 0
+        return float(np.sum(x[mask] * np.log(x[mask] / m[mask])))
+
+    p = a.mean_beam_power / a.mean_beam_power.sum()
+    q = b.mean_beam_power / b.mean_beam_power.sum()
+    m = 0.5 * (p + q)
+    js = max(0.0, 0.5 * kl(p, m) + 0.5 * kl(q, m))
+    misalignment = js + abs(a.doppler_estimate - b.doppler_estimate)
+    if not with_snr:
+        return misalignment
+    if math.isinf(a.mean_snr_db) and math.isinf(b.mean_snr_db):
+        return misalignment + 0.0
+    return misalignment + abs(a.mean_snr_db - b.mean_snr_db) / 30.0
+
+
 class TestDescriptorDivergences:
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -272,9 +291,22 @@ class TestDescriptorDivergences:
         if query_zero:
             query.mean_beam_power[int(rng.integers(beams))] = 0.0
         stored = [draw() for _ in range(rows)] + [query]
+        want = [divergence_reference(query, d) for d in stored]
         got = descriptor_divergences(query, stored)
-        want = [descriptor_divergence(query, d) for d in stored]
         assert [x.hex() for x in got] == [x.hex() for x in want]
+        got = [descriptor_divergence(query, d) for d in stored]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+        got = [misalignment_divergence(query, d) for d in stored]
+        want = [divergence_reference(query, d, with_snr=False) for d in stored]
+        assert [x.hex() for x in got] == [x.hex() for x in want]
+
+    def test_all_zero_profile_keeps_the_scalar_value(self):
+        query = make_desc([0.25, 0.25, 0.5], 0.1)
+        zero = make_desc([0.0, 0.0, 0.0], 0.3)
+        with np.errstate(invalid="ignore"):  # the zero profile normalizes to NaN
+            want = divergence_reference(query, zero)
+            got = descriptor_divergences(query, [zero])
+        assert [x.hex() for x in got] == [want.hex()]
 
     def test_empty_and_mismatched_profiles(self):
         query = make_desc([0.5, 0.5])

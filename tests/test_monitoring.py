@@ -1,6 +1,7 @@
 """Monitoring modes, run-length alarm semantics, and overhead accounting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -365,9 +366,27 @@ class TestConfigAndSchema:
     def test_report_schema_mismatch_detected(self):
         bad = MonitoringReport(slot_index=0, mode=MonitoringMode.TYPE1, overhead_bits=1)
         with pytest.raises(ValueError):
-            bad.validate()
+            bad.validate(8)
         overhead_wrong = MonitoringReport(
             slot_index=0, mode=MonitoringMode.TYPE1, overhead_bits=2, perf_bad=0
         )
         with pytest.raises(ValueError):
-            overhead_wrong.validate()
+            overhead_wrong.validate(8)
+
+    def test_type3_report_costs_the_session_quant_bits(self):
+        report = MonitoringReport(
+            slot_index=0, mode=MonitoringMode.TYPE3, overhead_bits=4, quantized_sgcs_code=3
+        )
+        report.validate(quant_bits=4)
+        with pytest.raises(ValueError):
+            report.validate(quant_bits=8)
+        with pytest.raises(ValueError):
+            replace(report, overhead_bits=8).validate(quant_bits=4)
+
+    def test_type2_report_costs_both_precoders(self):
+        p = np.ones(4, dtype=np.complex128)
+        report = MonitoringReport(slot_index=0, mode=MonitoringMode.TYPE2,
+                                  overhead_bits=2 * 4 * 2 * 64, predicted=p, ground_truth=p)
+        report.validate(quant_bits=8)
+        with pytest.raises(ValueError):
+            replace(report, ground_truth=np.ones(5, dtype=np.complex128)).validate(quant_bits=8)
