@@ -177,12 +177,9 @@ class ChannelTrace:
     channel, i.e. what a beam sweep would measure.
     """
 
-    num_tx_antennas: int
     true_precoders: np.ndarray
     per_beam_power: np.ndarray
     snr_db: np.ndarray
-    regime_schedule: RegimeSchedule
-    seed: int
     beam_codebook: np.ndarray = field(repr=False, default=None)
 
     @property
@@ -257,12 +254,9 @@ def generate_trace(
     beam_power **= 2
 
     return ChannelTrace(
-        num_tx_antennas=num_tx_antennas,
         true_precoders=true_precoders,
         per_beam_power=beam_power,
         snr_db=snr,
-        regime_schedule=list(regime_schedule),
-        seed=seed,
         beam_codebook=codebook,
     )
 

@@ -7,6 +7,7 @@ failure (integrity violations, missing registry entries, I/O).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -112,6 +113,13 @@ def _out_root(explicit: str | None) -> Path:
     return Path(env) if env else Path(".")
 
 
+def _given(args, cls) -> dict:
+    """The flags in ``args`` named after fields of ``cls``. Their parser
+    defaults are suppressed, so an absent flag keeps the field's default."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _override_key(text: str, key: str, value: str) -> str:
     """Drop existing assignments to ``key`` and append the new one."""
     kept = []
@@ -171,7 +179,7 @@ def _cmd_train_predictor(args) -> int:
     trace = _make_trace(args)
     package = train_predictor(
         _measure_all(trace, args.seed),
-        PredictorConfig(args.order, args.horizon),
+        PredictorConfig(**_given(args, PredictorConfig)),
         codebook=trace.beam_codebook,
         beam_powers=trace.per_beam_power,
     )
@@ -291,7 +299,7 @@ def _cmd_export_dataset(args) -> int:
 def _cmd_train_decoder(args) -> int:
     from .intervendor import CsiDataset, train_decoder_from_dataset
     datasets = [CsiDataset.from_bytes(Path(p).read_bytes()) for p in args.dataset]
-    decoder = train_decoder_from_dataset(datasets if len(datasets) > 1 else datasets[0])
+    decoder = train_decoder_from_dataset(datasets)
     return _write_model(args.out, decoder)
 
 
@@ -341,18 +349,8 @@ def _cmd_derive_reference(args) -> int:
     if not latents:
         raise ConfigError("need at least one candidate")
     candidates = [AutoencoderConfig(l, b, args.antennas) for l, b in zip(latents, bits)]
-    spec = iv.DerivationSpec(
-        regime=_regime(args),
-        num_antennas=args.antennas,
-        num_train=args.train_samples,
-        num_eval=args.eval_samples,
-    )
-    criteria = iv.EvalCriteria(
-        sgcs_floor=args.sgcs_floor,
-        flops_budget=args.flops_budget,
-        storage_budget_bytes=args.storage_budget,
-        robustness_floor=args.robustness_floor,
-    )
+    spec = iv.DerivationSpec(_regime(args), args.antennas, **_given(args, iv.DerivationSpec))
+    criteria = iv.EvalCriteria(**_given(args, iv.EvalCriteria))
     artifact, report = iv.derive_reference_model(candidates, spec, criteria, args.seed)
     sys.stdout.write(report.to_text())
     if args.out_csv:
@@ -391,8 +389,8 @@ def build_parser() -> _Parser:
     train_sub = train.add_subparsers(dest="train_cmd", required=True, metavar="kind")
     p = train_sub.add_parser("predictor")
     _add_trace_args(p, slots_default=400)
-    p.add_argument("--order", type=int, default=8)
-    p.add_argument("--horizon", type=int, default=4)
+    p.add_argument("--order", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--horizon", dest="horizon_slots", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_predictor)
     p = train_sub.add_parser("autoencoder")
@@ -459,12 +457,14 @@ def build_parser() -> _Parser:
     p.add_argument("--latents", required=True, help="comma-separated latent dims")
     p.add_argument("--bits", required=True, help="comma-separated bit widths")
     _add_trace_args(p, slots_default=0)
-    p.add_argument("--train-samples", type=int, default=1024)
-    p.add_argument("--eval-samples", type=int, default=256)
-    p.add_argument("--sgcs-floor", type=float, default=0.7)
-    p.add_argument("--flops-budget", type=int, default=10**9)
-    p.add_argument("--storage-budget", type=int, default=10**9)
-    p.add_argument("--robustness-floor", type=float, default=0.5)
+    # Spec and criteria flags default to the fields of DerivationSpec and EvalCriteria.
+    p.add_argument("--train-samples", dest="num_train", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--eval-samples", dest="num_eval", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--sgcs-floor", type=float, default=argparse.SUPPRESS)
+    p.add_argument("--flops-budget", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--storage-budget", dest="storage_budget_bytes", type=int,
+                   default=argparse.SUPPRESS)
+    p.add_argument("--robustness-floor", type=float, default=argparse.SUPPRESS)
     p.add_argument("--out-csv")
     p.add_argument("--out-model")
     p.set_defaults(func=_cmd_derive_reference)

@@ -2,18 +2,24 @@
 
 One ``key = value`` assignment per line, ``#`` starts a comment, blank
 lines ignored. Every key must be known; parsing fails with the line
-number of the first offending entry.
+number of the first offending entry. The ``policy``, ``monitoring``,
+``predictor`` and ``pretrain.<i>`` sections are the fields of the
+dataclasses they fill, which own their types and defaults.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields
+from enum import Enum
 
 from .channel import ChannelRegime, check_schedule
 from .controller import DecisionPolicy
 from .errors import ConfigError
-from .monitoring import MonitoringConfig, MonitoringMode
+from .models import PredictorConfig
+from .monitoring import MonitoringConfig
 
 __all__ = [
     "PretrainSpec",
@@ -44,8 +50,7 @@ class ScenarioConfig:
     regime_schedule: list[tuple[int, ChannelRegime]]
     pretrain: list[PretrainSpec]
     monitoring: MonitoringConfig
-    predictor_order: int
-    predictor_horizon: int
+    predictor: PredictorConfig
     policy: DecisionPolicy
     snr_overrides: list[tuple[int, float]] = field(default_factory=list)
     registry_path: str = "registry"
@@ -65,11 +70,11 @@ class ScenarioConfig:
                     f"pretrain window [{spec.start_slot}, {spec.end_slot}) must lie "
                     f"inside [0, {self.num_slots}]"
                 )
-            if spec.end_slot - spec.start_slot < self.predictor_order + self.predictor_horizon + 10:
+            if spec.end_slot - spec.start_slot < self.predictor.min_history:
                 raise ConfigError(
                     f"pretrain window of {spec.end_slot - spec.start_slot} slots is too "
-                    f"short for order {self.predictor_order}, "
-                    f"horizon {self.predictor_horizon}"
+                    f"short for order {self.predictor.order}, "
+                    f"horizon {self.predictor.horizon_slots}"
                 )
         for start, _ in self.snr_overrides:
             if not 0 <= start < self.num_slots:
@@ -79,10 +84,9 @@ class ScenarioConfig:
         try:
             self.monitoring.validate()
             self.policy.validate()
+            self.predictor.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.predictor_order < 1 or self.predictor_horizon < 1:
-            raise ConfigError("predictor.order and predictor.horizon_slots must be positive")
 
 
 @dataclass
@@ -98,35 +102,44 @@ class _KeyTable:
         self.used.add(key)
         return self.values.get(key, default)
 
-    def require(self, key: str, default: str | None = None) -> str:
-        value = self.take(key, default)
-        if value is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return value
+    def value_of(self, key: str, kind: type, default=None):
+        """``key`` parsed as ``kind`` (int, float or an Enum), else ``default``.
 
-    def int_of(self, key: str, default: int | None = None) -> int:
-        raw = self.require(key, None if default is None else str(default))
+        NaN and ``-inf`` are refused; ``inf`` stays legal (a noiseless SNR,
+        monitoring switched off).
+        """
+        raw = self.take(key)
+        if raw is None:
+            if default is None:
+                raise ConfigError(f"missing required key {key!r}")
+            return default
+        line = self.lines[key]
+        if issubclass(kind, Enum):
+            try:
+                return kind(raw)
+            except ValueError:
+                names = "/".join(member.value for member in kind)
+                raise ConfigError(f"{key} must be one of {names}, got {raw!r}", line) from None
         try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key} expects an integer, got {raw!r}", self.lines.get(key))
-
-    def float_of(self, key: str, default: float | None = None) -> float:
-        raw = self.require(key, None if default is None else repr(default))
-        try:
-            value = float(raw)
+            value = kind(raw)
         except ValueError:
             value = math.nan
         if math.isnan(value):
-            raise ConfigError(f"{key} expects a number, got {raw!r}", self.lines.get(key))
+            noun = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key} expects {noun}, got {raw!r}", line)
+        if value == -math.inf:
+            raise ConfigError(f"{key} must be above -inf", line)
         return value
 
-    def snr_of(self, key: str, default: float | None = None) -> float:
-        """An SNR in dB: ``inf`` means noiseless, ``-inf`` is refused."""
-        value = self.float_of(key, default)
-        if value == -math.inf:
-            raise ConfigError(f"{key} must be above -inf dB", self.lines.get(key))
-        return value
+    def section(self, cls: type, prefix: str):
+        """A ``cls`` dataclass from the ``<prefix>.<field>`` keys, each parsed
+        by its field's type; an absent key leaves the field's default."""
+        values = {}
+        for name, kind, required in _section_fields(cls):
+            key = f"{prefix}.{name}"
+            if required or key in self.values:
+                values[name] = self.value_of(key, kind)
+        return cls(**values)
 
     def indexed_groups(self, prefix: str) -> list[int]:
         """Sorted indices i for which some ``<prefix>.<i>.<field>`` exists."""
@@ -146,6 +159,12 @@ class _KeyTable:
     def unknown(self) -> list[tuple[str, int]]:
         extras = [k for k in self.values if k not in self.used]
         return sorted(((k, self.lines[k]) for k in extras), key=lambda kv: kv[1])
+
+
+@functools.cache  # annotations are resolved once per class, not once per parse
+def _section_fields(cls: type) -> list[tuple[str, type, bool]]:
+    hints = typing.get_type_hints(cls)
+    return [(f.name, hints[f.name], f.default is MISSING) for f in fields(cls)]
 
 
 def _scan(text: str) -> _KeyTable:
@@ -174,26 +193,13 @@ def _parse_regimes(table: _KeyTable) -> list[tuple[int, ChannelRegime]]:
         base = f"channel.regime.{i}"
         regime = ChannelRegime(
             regime_id=table.take(f"{base}.regime_id", f"regime-{i}"),
-            num_paths=table.int_of(f"{base}.num_paths", 6),
-            doppler_norm=table.float_of(f"{base}.doppler_norm"),
-            angle_spread=table.float_of(f"{base}.angle_spread", 0.9),
-            mean_snr_db=table.snr_of(f"{base}.mean_snr_db", math.inf),
+            num_paths=table.value_of(f"{base}.num_paths", int, 6),
+            doppler_norm=table.value_of(f"{base}.doppler_norm", float),
+            angle_spread=table.value_of(f"{base}.angle_spread", float, 0.9),
+            mean_snr_db=table.value_of(f"{base}.mean_snr_db", float, math.inf),
         )
-        schedule.append((table.int_of(f"{base}.start_slot", 0 if i == 0 else None), regime))
+        schedule.append((table.value_of(f"{base}.start_slot", int, 0 if i == 0 else None), regime))
     return schedule
-
-
-def _parse_pretrain(table: _KeyTable) -> list[PretrainSpec]:
-    specs = []
-    for i in table.indexed_groups("pretrain"):
-        base = f"pretrain.{i}"
-        specs.append(
-            PretrainSpec(
-                start_slot=table.int_of(f"{base}.start_slot"),
-                end_slot=table.int_of(f"{base}.end_slot"),
-            )
-        )
-    return specs
 
 
 def _parse_snr_overrides(table: _KeyTable) -> list[tuple[int, float]]:
@@ -202,58 +208,25 @@ def _parse_snr_overrides(table: _KeyTable) -> list[tuple[int, float]]:
     overrides = []
     for i in table.indexed_groups("channel.snr_override"):
         base = f"channel.snr_override.{i}"
-        overrides.append(
-            (table.int_of(f"{base}.start_slot"), table.snr_of(f"{base}.mean_snr_db"))
-        )
+        start = table.value_of(f"{base}.start_slot", int)
+        overrides.append((start, table.value_of(f"{base}.mean_snr_db", float)))
     return overrides
-
-
-def _parse_monitoring(table: _KeyTable) -> MonitoringConfig:
-    mode_raw = table.take("monitoring.mode", "Type1")
-    try:
-        mode = MonitoringMode(mode_raw)
-    except ValueError:
-        raise ConfigError(
-            f"monitoring.mode must be one of Type1/Type2/Type3, got {mode_raw!r}",
-            table.lines.get("monitoring.mode"),
-        )
-    return MonitoringConfig(
-        mode=mode,
-        threshold_gamma=table.float_of("monitoring.threshold_gamma", 0.8),
-        n_consec=table.int_of("monitoring.n_consec", 3),
-        quant_bits=table.int_of("monitoring.quant_bits", 8),
-        gt_slot_offset=table.int_of("monitoring.gt_slot_offset", 0),
-        eval_period_slots=table.float_of("monitoring.eval_period_slots", 40.0),
-    )
-
-
-def _parse_policy(table: _KeyTable) -> DecisionPolicy:
-    return DecisionPolicy(
-        delta_low=table.float_of("policy.delta_low", 0.05),
-        delta_match=table.float_of("policy.delta_match", 0.10),
-        delta_delta=table.float_of("policy.delta_delta", 0.25),
-        snr_floor_db=table.float_of("policy.snr_floor_db", 5.0),
-        cooldown_evals=table.int_of("policy.cooldown_evals", 3),
-        n_recover=table.int_of("policy.n_recover", 3),
-        min_train_samples=table.int_of("policy.min_train_samples", 64),
-        delta_rank=table.int_of("policy.delta_rank", 8),
-        descriptor_window_slots=table.int_of("policy.descriptor_window_slots", 40),
-    )
 
 
 def parse_scenario_config(text: str) -> ScenarioConfig:
     table = _scan(text)
     cfg = ScenarioConfig(
-        seed=table.int_of("seed"),
-        num_slots=table.int_of("num_slots"),
-        num_antennas=table.int_of("channel.num_antennas"),
+        seed=table.value_of("seed", int),
+        num_slots=table.value_of("num_slots", int),
+        num_antennas=table.value_of("channel.num_antennas", int),
         regime_schedule=_parse_regimes(table),
-        pretrain=_parse_pretrain(table),
-        monitoring=_parse_monitoring(table),
+        pretrain=[
+            table.section(PretrainSpec, f"pretrain.{i}") for i in table.indexed_groups("pretrain")
+        ],
+        monitoring=table.section(MonitoringConfig, "monitoring"),
         snr_overrides=_parse_snr_overrides(table),
-        predictor_order=table.int_of("predictor.order", 8),
-        predictor_horizon=table.int_of("predictor.horizon_slots", 4),
-        policy=_parse_policy(table),
+        predictor=table.section(PredictorConfig, "predictor"),
+        policy=table.section(DecisionPolicy, "policy"),
         registry_path=table.take("registry.path", "registry"),
         metrics_path=table.take("output.metrics", "metrics.csv"),
         events_path=table.take("output.events", "events.log"),

@@ -70,7 +70,6 @@ class ControlEvent:
 @dataclass(frozen=True)
 class ControlAction:
     kind: ActionKind
-    issued_slot: int
     target_model_id: str = ""
     target_version: int = 0
     rationale: dict[str, str] = field(default_factory=dict)
@@ -134,7 +133,6 @@ class DecisionPolicy:
 class DecisionInputs:
     """Everything decide() may look at, gathered by the harness."""
 
-    slot_index: int
     current_descriptor: InputDescriptor
     divergence: float
     misalignment: float
@@ -162,7 +160,6 @@ def decide(inputs: DecisionInputs, policy: DecisionPolicy, registry: ModelRegist
     if inputs.mean_snr_db < policy.snr_floor_db and inputs.misalignment < policy.delta_low:
         return ControlAction(
             kind=ActionKind.KEEP,
-            issued_slot=inputs.slot_index,
             rationale=dict(base_rationale, clause="snr_attribution"),
         )
 
@@ -179,7 +176,6 @@ def decide(inputs: DecisionInputs, policy: DecisionPolicy, registry: ModelRegist
         ):
             return ControlAction(
                 kind=ActionKind.SWITCH,
-                issued_slot=inputs.slot_index,
                 target_model_id=entry.model_id,
                 target_version=entry.version,
                 rationale=dict(base_rationale, clause="registry_match", match_divergence=repr(div)),
@@ -189,7 +185,6 @@ def decide(inputs: DecisionInputs, policy: DecisionPolicy, registry: ModelRegist
     if inputs.divergence < policy.delta_delta:
         return ControlAction(
             kind=ActionKind.DELTA_UPDATE,
-            issued_slot=inputs.slot_index,
             rationale=dict(base_rationale, clause="small_divergence"),
         )
 
@@ -202,7 +197,6 @@ def decide(inputs: DecisionInputs, policy: DecisionPolicy, registry: ModelRegist
         if previous is not None:
             return ControlAction(
                 kind=ActionKind.ROLLBACK,
-                issued_slot=inputs.slot_index,
                 target_model_id=inputs.active_model_id,
                 target_version=previous,
                 rationale=dict(base_rationale, clause="rollback_after_failed_remedy"),
@@ -210,14 +204,12 @@ def decide(inputs: DecisionInputs, policy: DecisionPolicy, registry: ModelRegist
         if inputs.buffered_samples >= policy.min_train_samples:
             return ControlAction(
                 kind=ActionKind.RETRAIN,
-                issued_slot=inputs.slot_index,
                 rationale=dict(base_rationale, clause="retrain_after_failed_remedy"),
             )
 
     # (5) Nothing model-based is defensible.
     return ControlAction(
         kind=ActionKind.FALLBACK,
-        issued_slot=inputs.slot_index,
         rationale=dict(base_rationale, clause="no_model_remedy"),
     )
 
@@ -226,7 +218,6 @@ def decide_reactivation(
     current_descriptor: InputDescriptor,
     policy: DecisionPolicy,
     registry: ModelRegistry,
-    slot_index: int,
 ) -> ControlAction | None:
     """While in legacy fallback, look for a stored model that fits again."""
     match = registry.closest_entry(current_descriptor, ModelKind.CSI_PREDICTOR, policy.delta_match)
@@ -235,7 +226,6 @@ def decide_reactivation(
     entry, div = match
     return ControlAction(
         kind=ActionKind.REACTIVATE_AI,
-        issued_slot=slot_index,
         target_model_id=entry.model_id,
         target_version=entry.version,
         rationale={"clause": "fallback_exit", "match_divergence": repr(div)},

@@ -365,7 +365,6 @@ class CandidateScore:
 class DerivationReport:
     scores: tuple[CandidateScore, ...]
     selected_index: int | None
-    criteria: EvalCriteria
 
     def to_text(self) -> str:
         lines = ["candidate scores (index latent bits sgcs flops storage robustness eligible)"]
@@ -483,10 +482,10 @@ def derive_reference_model(
 
     eligible = [s for s in scores if s.eligible]
     if not eligible:
-        report = DerivationReport(scores=tuple(scores), selected_index=None, criteria=criteria)
+        report = DerivationReport(scores=tuple(scores), selected_index=None)
         return None, report
     best = max(eligible, key=lambda s: (s.mean_sgcs, -s.index))
-    report = DerivationReport(scores=tuple(scores), selected_index=best.index, criteria=criteria)
+    report = DerivationReport(scores=tuple(scores), selected_index=best.index)
     _, decoder = packages[best.index]
     artifact = ReferenceArtifact(
         kind="reference_model",

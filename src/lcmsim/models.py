@@ -188,8 +188,13 @@ class DeltaPackage:
 
 @dataclass(frozen=True)
 class PredictorConfig:
-    order: int
-    horizon_slots: int
+    order: int = 8
+    horizon_slots: int = 4
+
+    @property
+    def min_history(self) -> int:
+        """Fewest measurements train_predictor accepts: eleven training windows."""
+        return self.order + self.horizon_slots + 10
 
     def validate(self) -> None:
         if self.order < 1:
@@ -374,7 +379,7 @@ def train_predictor(
     """
     cfg.validate()
     vectors = history.precoders
-    if len(vectors) < cfg.order + cfg.horizon_slots + 10:
+    if len(vectors) < cfg.min_history:
         raise ValueError(
             f"history of {len(vectors)} too short for order {cfg.order} "
             f"and horizon {cfg.horizon_slots}"

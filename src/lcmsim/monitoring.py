@@ -31,8 +31,8 @@ class MonitoringMode(str, Enum):
 class MonitoringConfig:
     """Knobs for one monitoring session.
 
-    eval_period_slots may be math.inf, the sentinel for monitoring
-    switched off. gt_slot_offset is the lag between the slot a
+    eval_period_slots may be math.inf (not -inf), the sentinel for
+    monitoring switched off. gt_slot_offset is the lag between the slot a
     prediction applies to and the slot whose measurement serves as
     ground truth for it.
     """
@@ -42,7 +42,7 @@ class MonitoringConfig:
     n_consec: int = 3
     quant_bits: int = 8
     gt_slot_offset: int = 0
-    eval_period_slots: float = 40
+    eval_period_slots: float = 40.0
 
     def validate(self) -> None:
         if not 0.0 < self.threshold_gamma < 1.0:
@@ -53,9 +53,9 @@ class MonitoringConfig:
             raise ValueError("quant_bits must lie in [1, 16]")
         if self.gt_slot_offset < 0:
             raise ValueError("gt_slot_offset must be non-negative")
-        if not math.isinf(self.eval_period_slots):
-            if self.eval_period_slots != int(self.eval_period_slots) or self.eval_period_slots < 1:
-                raise ValueError("eval_period_slots must be a positive integer or inf")
+        period = self.eval_period_slots
+        if period != math.inf and not (period >= 1 and period == int(period)):
+            raise ValueError("eval_period_slots must be a positive integer or inf")
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,9 @@ class MonitoringReport:
     quantized_sgcs_code: int | None = None
 
     def validate(self, quant_bits: int) -> None:
-        """Raises ValueError unless the fields are the mode's and ``overhead_bits``
-        is :func:`report_overhead_bits` at the session's ``quant_bits``."""
+        """Raises ValueError unless the fields are the mode's, ``overhead_bits``
+        is :func:`report_overhead_bits` at the session's ``quant_bits`` and a
+        Type3 code fits in those bits."""
         fields = (self.perf_bad, self.predicted, self.ground_truth, self.quantized_sgcs_code)
         sent = tuple(value is not None for value in fields)
         n = 0 if self.predicted is None else len(self.predicted)
@@ -87,6 +88,8 @@ class MonitoringReport:
             or self.overhead_bits != report_overhead_bits(self.mode, n, quant_bits)
         ):
             raise ValueError(f"report fields inconsistent with mode {self.mode.value}")
+        if self.quantized_sgcs_code is not None:
+            dequantize_metric(self.quantized_sgcs_code, quant_bits)  # the code fits the bits
 
 
 # Which of (perf_bad, predicted, ground_truth, quantized_sgcs_code) each mode sends.

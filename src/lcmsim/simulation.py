@@ -47,7 +47,6 @@ from .kpi import (
 )
 from .models import (
     ModelPackage,
-    PredictorConfig,
     fit_adaptation_delta,
     predict_csi,  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
     predict_csi_rows,
@@ -121,7 +120,7 @@ class RunResult:
 def simulation_warmup(config: ScenarioConfig) -> int:
     """First slot eligible for monitoring: the prediction pipeline must
     be full and a whole descriptor window must exist."""
-    pipeline = config.predictor_order - 1 + config.predictor_horizon
+    pipeline = config.predictor.order - 1 + config.predictor.horizon_slots
     return max(pipeline, config.policy.descriptor_window_slots)
 
 
@@ -174,9 +173,9 @@ class _Loop:
         # t is applied, in predicted[t % ring], a ring that outlasts every read (a
         # chunk, monitoring lag or pairs behind the newest write, a horizon ahead).
         # legacy_beam[t] is the beam reported in fallback, or -1.
-        span = config.num_slots + config.predictor_horizon
+        span = config.num_slots + config.predictor.horizon_slots
         lag = max(_BLOCK_SLOTS, config.monitoring.gt_slot_offset + 1, self.history_window)
-        self.ring = lag + config.predictor_horizon
+        self.ring = lag + config.predictor.horizon_slots
         self.predicted = np.empty((self.ring, config.num_antennas), dtype=np.complex128)
         self.from_model = np.zeros(span, dtype=bool)
         self.legacy_beam = np.full(span, -1)
@@ -216,7 +215,7 @@ class _Loop:
         start..stop-1, so its input descriptor describes those slots."""
         return train_predictor(
             self.measurements.window(start, stop),
-            PredictorConfig(self.config.predictor_order, self.config.predictor_horizon),
+            self.config.predictor,
             codebook=self.codebook,
             beam_powers=self.trace.per_beam_power[start:stop],
         )
@@ -234,7 +233,7 @@ class _Loop:
         return ExecutionContext(
             registry=self.registry,
             agent=self.agent,
-            functionality_tag=predictor_tag(self.config.predictor_horizon),
+            functionality_tag=predictor_tag(self.config.predictor.horizon_slots),
             retrain=lambda: self._retrain(slot),
             fit_delta=lambda base, rank: self._fit_delta(slot, base, rank),
             delta_rank=self.policy.delta_rank,
@@ -245,12 +244,12 @@ class _Loop:
     def report(self, lo: int, stop: int) -> None:
         """Report slots lo..stop-1 by the block's route: legacy beams in
         fallback, else the active predictor once its window is full."""
-        horizon = self.config.predictor_horizon
+        horizon = self.config.predictor.horizon_slots
         if self.agent.fallback:
             beams = legacy_csi_reports(self.measured[lo:stop], self.beams)
             self.legacy_beam[lo + horizon : stop + horizon] = beams
         elif self.agent.predictor is not None:
-            first = max(lo, self.config.predictor_order - 1)
+            first = max(lo, self.config.predictor.order - 1)
             if first < stop:
                 targets = np.arange(first + horizon, stop + horizon)
                 self.predicted[targets % self.ring] = predict_csi_rows(
@@ -329,7 +328,6 @@ class _Loop:
             else 10**9
         )
         inputs = DecisionInputs(
-            slot_index=slot,
             current_descriptor=descriptor,
             divergence=divergence,
             misalignment=misalignment_divergence(descriptor, active.input_descriptor),
@@ -349,7 +347,7 @@ class _Loop:
         monitored = dict.fromkeys(METRICS_HEADER.split(",")[-4:], "")
 
         if self.agent.fallback:
-            action = decide_reactivation(descriptor, self.policy, self.registry, slot)
+            action = decide_reactivation(descriptor, self.policy, self.registry)
             if action is not None:
                 monitored["action"] = self.issue(slot, action)
             return monitored

@@ -9,10 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lcmsim import cli, container
+from lcmsim import cli, container, intervendor
 from lcmsim.channel import CsiMeasurements, unit_norm
 from lcmsim.cli import main
-from lcmsim.intervendor import export_dataset
+from lcmsim.intervendor import DerivationReport, DerivationSpec, EvalCriteria, export_dataset
 from lcmsim.models import (
     AutoencoderConfig,
     PredictorConfig,
@@ -386,10 +386,13 @@ class TestArtifactFailures:
         assert not (artifacts / "o").exists()
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 def readme_commands(*headings: str) -> list[list[str]]:
     """The ``lcmsim`` commands of the sh blocks that follow ``headings`` in
     README.md, continuation lines joined, in order."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    text = README.read_text(encoding="utf-8")
     commands = []
     for heading in headings:
         block = text.split(f"\n{heading}\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -410,3 +413,75 @@ class TestReadmeCommands:
         for argv in commands:
             rc, _, err = run_cli(capsys, argv)
             assert rc == 0, (argv, err)
+
+    def test_quick_start_and_library_use_tell_the_readme_story(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        text = README.read_text(encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        Path("drift.cfg").write_text(text.split("```ini\n", 1)[1].split("```", 1)[0])
+
+        [simulate] = readme_commands("Run it:")
+        rc, out, err = run_cli(capsys, simulate)
+        assert rc == 0, err
+        assert "final_state = Stable" in out.splitlines()
+        log = Path("run1/events.log").read_text(encoding="utf-8").splitlines()
+        assert [line.split()[0] for line in log if " kind=DriftAlarm " in line] == ["slot=840"]
+        assert any(" kind=ActionIssued action=Switch clause=registry_match " in line
+                   for line in log)
+
+        for argv in readme_commands("Inspect the model store:"):
+            rc, _, err = run_cli(capsys, argv)
+            assert rc == 0, (argv, err)
+
+        [sweep] = readme_commands("Sweep a config key:")
+        rc, out, err = run_cli(capsys, sweep)
+        assert rc == 0, err
+        rows = [line for line in out.splitlines() if " evaluations=" in line]
+        assert [int(row.split("evaluations=")[1].split()[0]) for row in rows] == [392, 196, 98]
+
+        snippet = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        namespace = {}
+        exec(snippet, namespace)
+        capsys.readouterr()
+        assert namespace["result"].summary["final_state"] == "Stable"
+        assert namespace["result"].metrics_text() == Path("run1/metrics.csv").read_text()
+
+
+class TestFlagDefaults:
+    """Flags that fill a dataclass field default to that field's default."""
+
+    def test_train_predictor_defaults_to_predictor_config(self, capsys, tmp_path, monkeypatch):
+        seen = []
+        real = cli.train_predictor
+
+        def spy(history, cfg, **kwargs):
+            seen.append(cfg)
+            return real(history, cfg, **kwargs)
+
+        monkeypatch.setattr(cli, "train_predictor", spy)
+        argv = ["train", "predictor", "--slots", "60", "--antennas", "8",
+                "--out", str(tmp_path / "pred.lcmp")]
+        assert run_cli(capsys, argv)[0] == 0
+        assert run_cli(capsys, argv + ["--order", "3", "--horizon", "2"])[0] == 0
+        assert seen == [PredictorConfig(), PredictorConfig(order=3, horizon_slots=2)]
+
+    def test_derive_reference_defaults_to_spec_and_criteria(self, capsys, monkeypatch):
+        seen = []
+
+        def fake(candidates, spec, criteria, seed):
+            seen.append((spec, criteria))
+            return None, DerivationReport(scores=(), selected_index=None)
+
+        monkeypatch.setattr(intervendor, "derive_reference_model", fake)
+        argv = ["intervendor", "derive-reference", "--latents", "4", "--bits", "0",
+                "--antennas", "16"]
+        assert run_cli(capsys, argv)[0] == 0
+        flags = ["--train-samples", "10", "--eval-samples", "5", "--sgcs-floor", "0.5",
+                 "--flops-budget", "7", "--storage-budget", "8", "--robustness-floor", "0.25"]
+        assert run_cli(capsys, argv + flags)[0] == 0
+        (spec, criteria), (spec2, criteria2) = seen
+        assert spec == DerivationSpec(spec.regime, num_antennas=16)
+        assert criteria == EvalCriteria()
+        assert spec2 == DerivationSpec(spec.regime, 16, num_train=10, num_eval=5)
+        assert criteria2 == EvalCriteria(0.5, 7, 8, 0.25)

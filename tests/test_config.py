@@ -1,15 +1,19 @@
 """Scenario config parser: totality, defaults, and line-number errors."""
 
 import math
+from dataclasses import fields, replace
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lcmsim.channel import ChannelRegime, dft_codebook, generate_trace
-from lcmsim.config import load_scenario_config, parse_scenario_config
+from lcmsim.config import PretrainSpec, load_scenario_config, parse_scenario_config
+from lcmsim.controller import DecisionPolicy
 from lcmsim.errors import ConfigError
-from lcmsim.monitoring import MonitoringMode
+from lcmsim.models import PredictorConfig
+from lcmsim.monitoring import MonitoringConfig, MonitoringMode
 
 MINIMAL = """
 seed = 1
@@ -40,7 +44,7 @@ class TestParsing:
         assert cfg.monitoring.threshold_gamma == 0.8
         assert cfg.monitoring.n_consec == 3
         assert cfg.monitoring.eval_period_slots == 40.0
-        assert (cfg.predictor_order, cfg.predictor_horizon) == (8, 4)
+        assert (cfg.predictor.order, cfg.predictor.horizon_slots) == (8, 4)
         assert cfg.policy.delta_low == 0.05
         assert cfg.policy.delta_match == 0.10
         assert cfg.policy.delta_delta == 0.25
@@ -108,6 +112,50 @@ class TestParsing:
         assert math.isinf(cfg.monitoring.eval_period_slots)
 
 
+SECTIONS = [("policy", DecisionPolicy), ("monitoring", MonitoringConfig),
+            ("predictor", PredictorConfig)]
+
+
+def other_value(default):
+    """A valid value other than a field's default: the last Enum member,
+    an int one larger, a float one (or, below 1, one hundredth) larger."""
+    if isinstance(default, Enum):
+        return list(type(default))[-1]
+    if isinstance(default, int):
+        return default + 1
+    return default + (1.0 if default >= 1 else 0.01)
+
+
+class TestSections:
+    """policy.*, monitoring.*, predictor.* and pretrain.<i>.* are the fields
+    of the dataclass each section fills, with that dataclass's defaults."""
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        cfg = parse_scenario_config(MINIMAL)
+        assert cfg.policy == DecisionPolicy()
+        assert cfg.monitoring == MonitoringConfig()
+        assert cfg.predictor == PredictorConfig()
+        assert cfg.pretrain == [PretrainSpec(start_slot=0, end_slot=64)]
+
+    @pytest.mark.parametrize(
+        "prefix, cls, name", [(p, cls, f.name) for p, cls in SECTIONS for f in fields(cls)]
+    )
+    def test_every_field_is_a_key(self, prefix, cls, name):
+        value = other_value(getattr(cls(), name))
+        text = value.value if isinstance(value, Enum) else repr(value)
+        cfg = parse_scenario_config(MINIMAL + f"{prefix}.{name} = {text}\n")
+        assert getattr(cfg, prefix) == replace(cls(), **{name: value})
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(PretrainSpec)])
+    def test_every_pretrain_field_is_a_required_key(self, name):
+        key = f"pretrain.0.{name}"
+        text = "".join(f"{line}\n" for line in MINIMAL.splitlines() if not line.startswith(key))
+        with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
+            parse_scenario_config(text)
+        cfg = parse_scenario_config(MINIMAL + "pretrain.1.start_slot = 100\npretrain.1.end_slot = 150\n")
+        assert cfg.pretrain[1] == PretrainSpec(100, 150)
+
+
 class TestScanErrors:
     def test_duplicate_key_reports_second_line(self):
         text = with_lines("seed = 1", "seed = 2")
@@ -147,8 +195,11 @@ class TestScanErrors:
              "mean_snr_db must be above -inf"),
             (["policy.snr_floor_db = NaN"], "snr_floor_db expects a number"),
             (["monitoring.threshold_gamma = nan"], "threshold_gamma expects a number"),
+            (["monitoring.eval_period_slots = -inf"], "eval_period_slots must be above -inf"),
+            (["policy.snr_floor_db = -inf"], "snr_floor_db must be above -inf"),
         ],
-        ids=["regime-nan", "regime-neg-inf", "override-nan", "override-neg-inf", "floor-nan", "gamma-nan"],
+        ids=["regime-nan", "regime-neg-inf", "override-nan", "override-neg-inf", "floor-nan",
+             "gamma-nan", "period-neg-inf", "floor-neg-inf"],
     )
     def test_non_finite_values_rejected_at_parse_time(self, lines, message):
         last_line = MINIMAL.count("\n") + len(lines)

@@ -153,7 +153,6 @@ def make_inputs(
     current = current if current is not None else make_descriptor()
     active = active if active is not None else make_descriptor()
     return DecisionInputs(
-        slot_index=100,
         current_descriptor=current,
         divergence=descriptor_divergence(current, active),
         misalignment=misalignment_divergence(current, active),
@@ -284,9 +283,9 @@ class TestDecide:
 
     def test_reactivation_from_fallback(self, tmp_path):
         reg = ModelRegistry(tmp_path)
-        assert decide_reactivation(make_descriptor(), DecisionPolicy(), reg, 5) is None
+        assert decide_reactivation(make_descriptor(), DecisionPolicy(), reg) is None
         reg.store(make_package(model_id="m-b", doppler=0.15))
-        action = decide_reactivation(make_descriptor(doppler=0.15), DecisionPolicy(), reg, 5)
+        action = decide_reactivation(make_descriptor(doppler=0.15), DecisionPolicy(), reg)
         assert action is not None and action.kind is ActionKind.REACTIVATE_AI
         assert action.target_model_id == "m-b"
 
@@ -316,8 +315,7 @@ class TestExecute:
         ctx = self.make_ctx(tmp_path)
         pkg = make_package(model_id="m-b")
         ctx.registry.store(pkg)
-        action = ControlAction(kind=ActionKind.SWITCH, issued_slot=10,
-                               target_model_id="m-b", target_version=1)
+        action = ControlAction(kind=ActionKind.SWITCH, target_model_id="m-b", target_version=1)
         event = execute(action, ctx, slot_index=10)
         assert event is not None and event.kind is EventKind.MODEL_ACTIVATED
         assert ctx.agent.active_model.descriptor.model_id == "m-b"
@@ -325,8 +323,7 @@ class TestExecute:
 
     def test_switch_to_missing_model_fails(self, tmp_path):
         ctx = self.make_ctx(tmp_path)
-        action = ControlAction(kind=ActionKind.SWITCH, issued_slot=0,
-                               target_model_id="ghost", target_version=1)
+        action = ControlAction(kind=ActionKind.SWITCH, target_model_id="ghost", target_version=1)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.ACTION_FAILED
         assert event.detail.startswith("not_found: ")
@@ -339,8 +336,7 @@ class TestExecute:
         data = bytearray(path.read_bytes())
         data[len(data) // 2] ^= 0x01
         path.write_bytes(bytes(data))
-        action = ControlAction(kind=ActionKind.SWITCH, issued_slot=0,
-                               target_model_id="m-b", target_version=1)
+        action = ControlAction(kind=ActionKind.SWITCH, target_model_id="m-b", target_version=1)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.ACTION_FAILED
         assert event.detail.startswith("integrity: ")
@@ -350,8 +346,7 @@ class TestExecute:
         ctx.registry.store(make_package(model_id="m-a", version=1))
         ctx.registry.store(make_package(model_id="m-a", version=2))
         ctx.registry.activate("m-a", 2)
-        action = ControlAction(kind=ActionKind.ROLLBACK, issued_slot=0,
-                               target_model_id="m-a", target_version=1)
+        action = ControlAction(kind=ActionKind.ROLLBACK, target_model_id="m-a", target_version=1)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.MODEL_ACTIVATED
         active = ctx.registry.active_entry("csi-pred-h4")
@@ -363,7 +358,7 @@ class TestExecute:
         ctx.registry.store(pkg)
         ctx.registry.activate("m-a", 1)
         ctx.agent.activate(pkg)
-        action = ControlAction(kind=ActionKind.FALLBACK, issued_slot=0)
+        action = ControlAction(kind=ActionKind.FALLBACK)
         event = execute(action, ctx, slot_index=0)
         assert event is None
         assert ctx.agent.fallback is True
@@ -386,7 +381,7 @@ class TestExecute:
         ctx.registry.store(base)
         ctx.registry.activate(base.descriptor.model_id, 1)
         ctx.agent.activate(base)
-        action = ControlAction(kind=ActionKind.DELTA_UPDATE, issued_slot=3)
+        action = ControlAction(kind=ActionKind.DELTA_UPDATE)
         event = execute(action, ctx, slot_index=3)
         assert event.kind is EventKind.MODEL_ACTIVATED
         active = ctx.registry.active_entry("csi-pred-h4")
@@ -395,7 +390,7 @@ class TestExecute:
 
     def test_delta_update_without_active_model_fails(self, tmp_path):
         ctx = self.make_ctx(tmp_path, fit_delta=lambda pkg, rank: None)
-        action = ControlAction(kind=ActionKind.DELTA_UPDATE, issued_slot=0)
+        action = ControlAction(kind=ActionKind.DELTA_UPDATE)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.ACTION_FAILED
         assert event.detail.startswith("not_found: ")
@@ -419,7 +414,7 @@ class TestExecute:
         ctx.registry.store(base)
         ctx.registry.activate("m-a", 1)
         ctx.agent.activate(base)
-        action = ControlAction(kind=ActionKind.DELTA_UPDATE, issued_slot=0)
+        action = ControlAction(kind=ActionKind.DELTA_UPDATE)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.ACTION_FAILED
         assert event.action_kind is ActionKind.DELTA_UPDATE
@@ -430,14 +425,14 @@ class TestExecute:
     def test_retrain_stores_new_package(self, tmp_path):
         fresh = make_package(model_id="m-new")
         ctx = self.make_ctx(tmp_path, retrain=lambda: fresh)
-        action = ControlAction(kind=ActionKind.RETRAIN, issued_slot=0)
+        action = ControlAction(kind=ActionKind.RETRAIN)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.MODEL_ACTIVATED
         assert ctx.registry.active_entry("csi-pred-h4").model_id == "m-new"
 
     def test_keep_is_a_no_op(self, tmp_path):
         ctx = self.make_ctx(tmp_path)
-        action = ControlAction(kind=ActionKind.KEEP, issued_slot=0)
+        action = ControlAction(kind=ActionKind.KEEP)
         assert execute(action, ctx, slot_index=0) is None
 
     def test_reactivate_leaves_fallback(self, tmp_path):
@@ -445,7 +440,7 @@ class TestExecute:
         pkg = make_package(model_id="m-b")
         ctx.registry.store(pkg)
         ctx.agent.enter_fallback()
-        action = ControlAction(kind=ActionKind.REACTIVATE_AI, issued_slot=0,
+        action = ControlAction(kind=ActionKind.REACTIVATE_AI,
                                target_model_id="m-b", target_version=1)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.MODEL_ACTIVATED

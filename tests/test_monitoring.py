@@ -383,6 +383,19 @@ class TestConfigAndSchema:
         with pytest.raises(ValueError):
             replace(report, overhead_bits=8).validate(quant_bits=4)
 
+    def test_type3_code_must_fit_the_quant_bits(self):
+        report = MonitoringReport(0, MonitoringMode.TYPE3, 8, quantized_sgcs_code=255)
+        report.validate(8)
+        replace(report, quantized_sgcs_code=0).validate(8)
+        for code in (-1, 256, 300):
+            with pytest.raises(ValueError, match=f"code {code} outside"):
+                replace(report, quantized_sgcs_code=code).validate(8)
+
+    @pytest.mark.parametrize("period", [-math.inf, math.nan, 0, 2.5])
+    def test_eval_period_is_a_positive_integer_or_plus_inf(self, period):
+        with pytest.raises(ValueError, match="eval_period_slots"):
+            MonitoringConfig(eval_period_slots=period).validate()
+
     def test_type2_report_costs_both_precoders(self):
         p = np.ones(4, dtype=np.complex128)
         report = MonitoringReport(slot_index=0, mode=MonitoringMode.TYPE2,

@@ -8,7 +8,7 @@ import pytest
 from lcmsim import channel, controller, monitoring, simulation
 from lcmsim.config import parse_scenario_config
 from lcmsim.errors import IntegrityError
-from lcmsim.models import PredictorConfig, train_predictor
+from lcmsim.models import train_predictor
 from lcmsim.monitoring import evaluation_slots, report_overhead_bits
 from lcmsim.simulation import (
     METRICS_HEADER,
@@ -213,7 +213,7 @@ class TestMeasureOnce:
         )
         reference = train_predictor(
             history,
-            PredictorConfig(cfg.predictor_order, cfg.predictor_horizon),
+            cfg.predictor,
             codebook=loop.codebook,
             beam_powers=loop.trace.per_beam_power[spec.start_slot : spec.end_slot],
         )
@@ -240,7 +240,7 @@ class TestMeasureOnce:
         assert len(calls) == len(windows)
         for (history, pcfg, kwargs), (lo, hi) in zip(calls, windows):
             assert history.precoders.tobytes() == loop.measured[lo:hi].tobytes()
-            assert pcfg == PredictorConfig(cfg.predictor_order, cfg.predictor_horizon)
+            assert pcfg is cfg.predictor
             assert kwargs["codebook"] is loop.codebook is loop.trace.beam_codebook
             assert kwargs["beam_powers"].tobytes() == loop.trace.per_beam_power[lo:hi].tobytes()
 
@@ -269,7 +269,7 @@ class TestQuietLoop:
         cfg, result = quiet_run
         filled = [float(row.sgcs) for row in result.rows if row.sgcs]
         # Predictions land from the first full pipeline onward.
-        pipeline = cfg.predictor_order - 1 + 2 * cfg.predictor_horizon
+        pipeline = cfg.predictor.order - 1 + 2 * cfg.predictor.horizon_slots
         assert len(filled) >= cfg.num_slots - pipeline - 1
         assert sum(filled) / len(filled) > 0.9
 
@@ -292,7 +292,7 @@ class TestFallbackLoop:
             event.slot for event in result.events if event.kind == "StateTransition"
             and dict(event.payload)["to"] == "Fallback"
         )
-        tail = result.rows[fallback_slot + cfg.predictor_horizon + 1 :]
+        tail = result.rows[fallback_slot + cfg.predictor.horizon_slots + 1 :]
         assert all(row.sgcs for row in tail)
         assert all(row.loop_state == "Fallback" for row in tail)
 
