@@ -440,12 +440,14 @@ class TestReadmeCommands:
         rows = [line for line in out.splitlines() if " evaluations=" in line]
         assert [int(row.split("evaluations=")[1].split()[0]) for row in rows] == [392, 196, 98]
 
-        snippet = text.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        library = text.split("## Library use", 1)[1]
+        snippet = library.split("```python\n", 1)[1].split("```", 1)[0]
         namespace = {}
         exec(snippet, namespace)
         capsys.readouterr()
-        assert namespace["result"].summary["final_state"] == "Stable"
-        assert namespace["result"].metrics_text() == Path("run1/metrics.csv").read_text()
+        result = namespace["result"]
+        assert result.summary["final_state"] == "Stable"
+        assert result.metrics_text() == Path("run1/metrics.csv").read_text(encoding="utf-8")
 
 
 class TestFlagDefaults:

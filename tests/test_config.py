@@ -152,8 +152,6 @@ class TestSections:
         text = "".join(f"{line}\n" for line in MINIMAL.splitlines() if not line.startswith(key))
         with pytest.raises(ConfigError, match=f"missing required key '{key}'"):
             parse_scenario_config(text)
-        cfg = parse_scenario_config(MINIMAL + "pretrain.1.start_slot = 100\npretrain.1.end_slot = 150\n")
-        assert cfg.pretrain[1] == PretrainSpec(100, 150)
 
 
 class TestScanErrors:
