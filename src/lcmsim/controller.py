@@ -61,8 +61,6 @@ class ActionKind(str, Enum):
 @dataclass(frozen=True)
 class ControlEvent:
     kind: EventKind
-    slot_index: int
-    source: str = ""
     action_kind: ActionKind | None = None
     detail: str = ""
 
@@ -309,8 +307,6 @@ def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> Co
         ctx.agent.activate(package)
         return ControlEvent(
             kind=EventKind.MODEL_ACTIVATED,
-            slot_index=slot_index,
-            source="controller",
             detail=f"{desc.model_id}:v{desc.model_version}",
         )
     except (IntegrityError, NotFoundError, ValueError) as exc:
@@ -324,8 +320,6 @@ def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> Co
             reason = "invalid"
         return ControlEvent(
             kind=EventKind.ACTION_FAILED,
-            slot_index=slot_index,
-            source="controller",
             action_kind=action.kind,
             detail=f"{reason}: {exc}",
         )

@@ -143,8 +143,7 @@ def _decoder_package(
     extra: dict[str, str],
     id_prefix: str,
 ) -> ModelPackage:
-    material = [associated_id.encode()] + [m.tobytes() for _, m in basis_params]
-    model_id = stable_id(id_prefix, *material)
+    model_id = stable_id(id_prefix, associated_id, *(m for _, m in basis_params))
     return new_package(
         ModelKind.CSI_DECODER, basis_params, extra, model_id, CSI_COMPRESS_TAG,
         _descriptor_from_targets(targets), associated_id,
@@ -220,7 +219,7 @@ def train_encoder_against_reference(
         params.append(("quant_ranges", reference_decoder.param("quant_ranges").copy()))
 
     associated = reference_decoder.descriptor.associated_id or ""
-    model_id = stable_id("enc1", associated.encode(), basis_enc.tobytes())
+    model_id = stable_id("enc1", associated, basis_enc)
     return new_package(
         ModelKind.CSI_ENCODER, params, extra, model_id, CSI_COMPRESS_TAG,
         _descriptor_from_targets(samples), associated,

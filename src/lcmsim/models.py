@@ -345,14 +345,19 @@ def _package_from_header(
 def _ridge_solve(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Solve min |features @ C - targets|^2 + lam |C|^2 with the package
     ridge convention lam = RIDGE_SCALE * trace(Gram) / dim."""
-    gram = features.conj().T @ features
+    features_h = features.conj().T
+    gram = features_h @ features
+    rhs = features_h @ targets
+    del features_h  # complex features: a copy, not needed by the solve
     dim = gram.shape[0]
     tr = float(np.trace(gram).real)
     if tr <= 0:
         raise ValueError("degenerate training data (zero energy)")
-    lam = RIDGE_SCALE * tr / dim
-    rhs = features.conj().T @ targets
-    return np.linalg.solve(gram + lam * np.eye(dim), rhs)
+    # gram + lam * I, in place: adding 0.0 first turns each -0.0 into
+    # +0.0, as adding the identity's zeros does.
+    gram += 0.0
+    gram.flat[:: dim + 1] += RIDGE_SCALE * tr / dim
+    return np.linalg.solve(gram, rhs)
 
 
 # --------------------------------------------------------------------------
@@ -393,7 +398,7 @@ def train_predictor(
     if codebook is None:
         codebook = dft_codebook(n_ant)
     descriptor_stats = derive_input_descriptor(history, codebook, beam_powers)
-    model_id = stable_id("pred", features.tobytes(), repr(cfg))
+    model_id = stable_id("pred", features, repr(cfg))
     extra = {
         "order": str(cfg.order),
         "horizon_slots": str(cfg.horizon_slots),
@@ -514,7 +519,7 @@ def train_autoencoder_joint(
         ranges = np.maximum(np.abs(latents).max(axis=0), 1e-12)
         params.append(("quant_ranges", ranges.reshape(-1, 1)))
 
-    associated = stable_id("ae", samples.tobytes(), repr(cfg))
+    associated = stable_id("ae", samples, repr(cfg))
     descriptor_stats = _descriptor_from_targets(samples)
     prefix = model_id_prefix or associated
     extra = {
@@ -673,13 +678,14 @@ def fit_adaptation_delta(
     residual = (truth - g_mean) - (pred - p_mean)
     coeff, _, _, _ = np.linalg.lstsq(pred - p_mean, residual, rcond=DELTA_RCOND)
     new_corr = coeff.T
-    new_bias = g_mean - (np.eye(dim) + new_corr) @ p_mean
+    new_map = np.eye(dim) + new_corr
+    new_bias = g_mean - new_map @ p_mean
 
     if base.has_param("delta_left"):
         old_corr = base.param("delta_left") @ base.param("delta_right").conj().T
         old_bias = base.param("delta_bias").ravel()
         correction = old_corr + new_corr + new_corr @ old_corr
-        bias = (np.eye(dim) + new_corr) @ old_bias + new_bias
+        bias = new_map @ old_bias + new_bias
     else:
         correction = new_corr
         bias = new_bias
@@ -797,7 +803,7 @@ def train_beam_predictor(
         mean_snr_db=math.inf,
         window_len=rows.shape[0],
     )
-    model_id = stable_id("beam", rows.tobytes(), repr(subset))
+    model_id = stable_id("beam", rows, repr(subset))
     extra = {
         "beam_subset": ",".join(str(i) for i in subset),
         "codebook_size": str(codebook_size),

@@ -294,9 +294,7 @@ class _Loop:
         """Log, execute and acknowledge one action; returns its name."""
         self.log(slot, "controller", "ActionIssued", action=action.kind.value,
                  **{k: str(v) for k, v in sorted(action.rationale.items())})
-        self.log_transition(
-            slot, ControlEvent(EventKind.ACTION_ISSUED, slot, action_kind=action.kind)
-        )
+        self.log_transition(slot, ControlEvent(EventKind.ACTION_ISSUED, action_kind=action.kind))
         follow = execute(action, self.context(slot), slot)
         if action.kind is ActionKind.FALLBACK:
             self.from_model[slot + 1 :] = False  # drop pending predictions
@@ -378,7 +376,7 @@ class _Loop:
         streak = self.session.watch.clean
         if self.state is LoopState.RECOVERING and streak >= self.policy.n_recover:
             self.log(slot, "monitor", "KpiRecovered", streak=str(streak))
-            self.log_transition(slot, ControlEvent(EventKind.KPI_RECOVERED, slot))
+            self.log_transition(slot, ControlEvent(EventKind.KPI_RECOVERED))
             self.session.acknowledge()
 
         if alarm is not None:
@@ -390,16 +388,17 @@ class _Loop:
                 detector=alarm.source,
                 value=repr(alarm.value),
             )
-            self.log_transition(
-                slot, ControlEvent(EventKind.DRIFT_ALARM, slot, source=alarm.source)
-            )
+            self.log_transition(slot, ControlEvent(EventKind.DRIFT_ALARM))
             if self.state is LoopState.DEGRADED:
                 monitored["action"] = self.run_decision(slot, divergence, descriptor)
         return monitored
 
     def run(self) -> RunResult:
-        packages = [self._train(spec.start_slot, spec.end_slot) for spec in self.config.pretrain]
-        for package in packages:
+        # Store each package as it is fitted: only the first, to activate,
+        # stays in memory.
+        first = None
+        for spec in self.config.pretrain:
+            package = self._train(spec.start_slot, spec.end_slot)
             self.registry.store(package, stored_at_slot=0)
             desc = package.descriptor
             self.log(
@@ -410,7 +409,8 @@ class _Loop:
                 version=str(desc.model_version),
                 tag=desc.functionality_tag,
             )
-        first = packages[0]
+            if first is None:
+                first = package
         self.registry.activate(first.descriptor.model_id, first.descriptor.model_version)
         self.agent.activate(first)
         self.log(

@@ -118,12 +118,18 @@ def substream_normals(
     return out
 
 
-def stable_id(prefix: str, *parts: bytes | str) -> str:
-    """Derive a short reproducible identifier from content bytes."""
+def stable_id(prefix: str, *parts: bytes | str | np.ndarray) -> str:
+    """Derive a short reproducible identifier from content bytes.
+
+    An array part is hashed as its C-order bytes, what ``.tobytes()``
+    returns, from its own buffer when it is C-contiguous.
+    """
     h = hashlib.sha256()
     for part in parts:
         if isinstance(part, str):
             part = part.encode()
+        elif isinstance(part, np.ndarray):
+            part = np.ascontiguousarray(part)
         h.update(part)
         h.update(b"\x00")
     return f"{prefix}-{h.hexdigest()[:12]}"

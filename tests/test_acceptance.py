@@ -222,7 +222,6 @@ class TestCriterion03:
                             LoopState(state),
                             ControlEvent(
                                 kind=EventKind(event),
-                                slot_index=0,
                                 action_kind=ActionKind(action) if action else None,
                             ),
                         )
@@ -231,7 +230,7 @@ class TestCriterion03:
             rng = np.random.default_rng(3)
             for _ in range(100):
                 state = "Stable"
-                for step in range(1_000):
+                for _ in range(1_000):
                     event = EVENT_NAMES[int(rng.integers(len(EVENT_NAMES)))]
                     action = None
                     if event == "ActionIssued":
@@ -240,7 +239,6 @@ class TestCriterion03:
                         LoopState(state),
                         ControlEvent(
                             kind=EventKind(event),
-                            slot_index=step,
                             action_kind=ActionKind(action) if action else None,
                         ),
                     ).value

@@ -72,14 +72,14 @@ def expected_transition(state, kind, action_kind):
     return state
 
 
-def all_events(slot=0):
+def all_events():
     events = []
     for kind in EVENT_KINDS:
         if kind is EventKind.ACTION_ISSUED:
             for action_kind in ACTION_KINDS:
-                events.append(ControlEvent(kind=kind, slot_index=slot, action_kind=action_kind))
+                events.append(ControlEvent(kind=kind, action_kind=action_kind))
         else:
-            events.append(ControlEvent(kind=kind, slot_index=slot))
+            events.append(ControlEvent(kind=kind))
     return events
 
 
@@ -92,8 +92,8 @@ class TestTransition:
                 assert got is want, (state, event.kind, event.action_kind)
 
     def test_quoted_examples(self):
-        alarm = ControlEvent(kind=EventKind.DRIFT_ALARM, slot_index=0)
-        recovered = ControlEvent(kind=EventKind.KPI_RECOVERED, slot_index=0)
+        alarm = ControlEvent(kind=EventKind.DRIFT_ALARM)
+        recovered = ControlEvent(kind=EventKind.KPI_RECOVERED)
         assert transition(LoopState.STABLE, alarm) is LoopState.DEGRADED
         assert transition(LoopState.RECOVERING, recovered) is LoopState.STABLE
         assert transition(LoopState.FALLBACK, alarm) is LoopState.FALLBACK

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from lcmsim.channel import (
 from lcmsim.errors import DegenerateInputError
 from lcmsim.kpi import sgcs
 from lcmsim.models import (
+    RIDGE_SCALE,
     AutoencoderConfig,
     CsiPredictor,
     DeltaPackage,
@@ -37,6 +39,7 @@ from lcmsim.models import (
     train_beam_predictor,
     train_predictor,
     verify_package,
+    _ridge_solve,
 )
 from lcmsim.kpi import InputDescriptor
 
@@ -146,6 +149,71 @@ class TestPredictor:
         assert np.array_equal(
             d.mean_beam_power, model.descriptor.input_descriptor.mean_beam_power
         )
+
+
+def ridge_reference(features, targets):
+    """The ridge solve as a formula: conjugate twice, add lam * I out of place."""
+    gram = features.conj().T @ features
+    dim = gram.shape[0]
+    lam = RIDGE_SCALE * float(np.trace(gram).real) / dim
+    return np.linalg.solve(gram + lam * np.eye(dim), features.conj().T @ targets)
+
+
+class TestRidgeSolve:
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_equals_the_reference_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            rows, dim, out = (int(v) for v in rng.integers(1, [40, 12, 5], endpoint=True))
+            shape = (rows + dim, dim)
+            features = rng.standard_normal(shape).astype(dtype)
+            targets = rng.standard_normal((rows + dim, out)).astype(dtype)
+            if dtype is np.complex128:
+                features += 1j * rng.standard_normal(shape)
+                targets += 1j * rng.standard_normal(targets.shape)
+            features[:, rng.random(dim) < 0.3] = 0.0
+            if not features.any():
+                features[0, 0] = 1.0
+            got = _ridge_solve(features, targets)
+            assert got.tobytes() == ridge_reference(features, targets).tobytes()
+
+    def test_complex_zero_column_gives_the_reference_signed_zeros(self):
+        # A zero column next to purely real or imaginary ones puts -0.0 in
+        # the Gram; gram + lam * I turns it into +0.0, and some solutions
+        # carry that sign into a zero coefficient.
+        rng = np.random.default_rng(5)
+        axes = np.array([1, -1, 1j, -1j])
+        negative_zeros = 0
+        for _ in range(200):
+            rows = int(rng.integers(1, 6))
+            features = axes[rng.integers(4, size=3)] * (1 + rng.random((rows, 3)))
+            features[:, rng.integers(3)] = 0.0
+            targets = axes[rng.integers(4, size=2)] * (1 + rng.random((rows, 2)))
+            gram = (features.conj().T @ features).view(np.float64)
+            negative_zeros += np.signbit(gram[gram == 0]).any()
+            got = _ridge_solve(features, targets)
+            assert got.tobytes() == ridge_reference(features, targets).tobytes()
+        assert negative_zeros
+
+
+class TestTrainingMemory:
+    def test_predictor_peak_is_features_conjugate_and_gram(self):
+        # 64 antennas, order 8: a 512-wide ridge, as the 64-antenna loop fits.
+        cfg, n_ant, slots = PredictorConfig(), 64, 400
+        history = trace_history(slots=slots, n_ant=n_ant)
+        codebook = dft_codebook(n_ant)
+        train_predictor(history, cfg, codebook=codebook)
+        tracemalloc.start()
+        try:
+            train_predictor(history, cfg, codebook=codebook)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = slots - cfg.order - cfg.horizon_slots + 1
+        dim = cfg.order * n_ant
+        features = rows * dim * np.dtype(np.complex128).itemsize
+        gram = dim * dim * np.dtype(np.complex128).itemsize
+        assert peak <= 1.1 * (2 * features + gram)
 
 
 class TestAutoencoder:

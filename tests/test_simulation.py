@@ -1,6 +1,8 @@
 """Closed-loop scenario runs: output formats, determinism, loop behaviour."""
 
+import gc
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -243,6 +245,32 @@ class TestMeasureOnce:
             assert pcfg is cfg.predictor
             assert kwargs["codebook"] is loop.codebook is loop.trace.beam_codebook
             assert kwargs["beam_powers"].tobytes() == loop.trace.per_beam_power[lo:hi].tobytes()
+
+
+class TestPretraining:
+    def test_each_package_is_freed_once_stored_but_the_first(self, tmp_path, monkeypatch):
+        windows = [(100, 200), (200, 300), (50, 250)]
+        cfg = parse_scenario_config(QUIET_SMALL + "".join(
+            f"pretrain.{i}.start_slot = {lo}\npretrain.{i}.end_slot = {hi}\n"
+            for i, (lo, hi) in enumerate(windows, start=1)
+        ))
+        assert len(cfg.pretrain) == 4
+        loop = simulation._Loop(cfg, str(tmp_path / "registry"))
+        stored, alive_at_store = [], []
+        original = loop.registry.store
+
+        def store(package, stored_at_slot=0):
+            gc.collect()
+            alive_at_store.append([ref() is not None for ref in stored])
+            stored.append(weakref.ref(package))
+            return original(package, stored_at_slot)
+
+        monkeypatch.setattr(loop.registry, "store", store)
+        with loop.registry:
+            loop.run()
+        # Store k sees the first package and no other earlier one alive.
+        for k, alive in enumerate(alive_at_store[: len(cfg.pretrain)]):
+            assert alive == [True] * min(k, 1) + [False] * max(k - 1, 0)
 
 
 class TestQuietLoop:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcmsim.streams import substream, substream_normals
+from lcmsim.streams import stable_id, substream, substream_normals
 
 
 class TestSubstreamNormals:
@@ -39,3 +39,13 @@ class TestSubstreamNormals:
         rng = substream(5, "chan.gains", 3)
         halves = np.concatenate([rng.standard_normal(6), rng.standard_normal(6)])
         assert substream_normals(5, "chan.gains", [3], 12)[0].tobytes() == halves.tobytes()
+
+
+class TestStableId:
+    def test_array_parts_hash_as_their_bytes(self):
+        rng = np.random.default_rng(4)
+        real = rng.standard_normal((6, 5))
+        cplx = real + 1j * rng.standard_normal((6, 5))
+        for array in (real, real.T, cplx, cplx.T, cplx[:, ::2]):
+            assert stable_id("x", array, "cfg") == stable_id("x", array.tobytes(), "cfg")
+        assert stable_id("x", real) != stable_id("x", real.T)
