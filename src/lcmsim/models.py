@@ -154,11 +154,7 @@ class DeltaPackage:
             header["root_model_id"] = self.root.model_id
             header["root_model_version"] = str(self.root.version)
             header["root_checksum"] = self.root.checksum.hex()
-        matrices = [
-            ("left", self.left),
-            ("right", self.right),
-            ("bias", self.bias.reshape(-1, 1)),
-        ]
+        matrices = [("left", self.left), ("right", self.right), ("bias", self.bias.reshape(-1, 1))]
         return container.write_container(header, matrices)
 
     @classmethod
@@ -342,13 +338,15 @@ def _package_from_header(
 # --------------------------------------------------------------------------
 # ridge helper
 
-def _ridge_solve(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Solve min |features @ C - targets|^2 + lam |C|^2 with the package
-    ridge convention lam = RIDGE_SCALE * trace(Gram) / dim."""
+def _normal_equations(features: np.ndarray, targets: np.ndarray):
+    """The ridge's Gram ``features^H features`` and right side ``features^H targets``."""
     features_h = features.conj().T
-    gram = features_h @ features
-    rhs = features_h @ targets
-    del features_h  # complex features: a copy, not needed by the solve
+    return features_h @ features, features_h @ targets
+
+
+def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (gram + lam I) C = rhs, adding lam I to ``gram`` in place, with
+    the package ridge convention lam = RIDGE_SCALE * trace(gram) / dim."""
     dim = gram.shape[0]
     tr = float(np.trace(gram).real)
     if tr <= 0:
@@ -358,6 +356,11 @@ def _ridge_solve(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
     gram += 0.0
     gram.flat[:: dim + 1] += RIDGE_SCALE * tr / dim
     return np.linalg.solve(gram, rhs)
+
+
+def _ridge_solve(features: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Solve min |features @ C - targets|^2 + lam |C|^2."""
+    return _solve_normal(*_normal_equations(features, targets))
 
 
 # --------------------------------------------------------------------------
@@ -390,15 +393,18 @@ def train_predictor(
             f"and horizon {cfg.horizon_slots}"
         )
     n_ant = vectors[0].size
-    newest = np.arange(cfg.order - 1, len(vectors) - cfg.horizon_slots)
-    features = stack_windows(vectors, cfg.order, newest)
-    coeff = _ridge_solve(features, vectors[newest + cfg.horizon_slots])  # (order*n, n)
-    taps = coeff.T.copy()  # (n, order*n), prediction = taps @ stacked
+    first, horizon = cfg.order - 1, cfg.horizon_slots
+    features = stack_windows(vectors, cfg.order, np.arange(first, len(vectors) - horizon))
+    model_id = stable_id("pred", features, repr(cfg))
+    # Row i's target is row first + i + horizon: a view, not a copy, of a
+    # C-contiguous history.
+    gram, rhs = _normal_equations(features, np.ascontiguousarray(vectors[first + horizon :]))
+    del features  # the solve (and its copy of the Gram) need not sit beside the stack
+    taps = _solve_normal(gram, rhs).T.copy()  # (n, order*n), prediction = taps @ stacked
 
     if codebook is None:
         codebook = dft_codebook(n_ant)
     descriptor_stats = derive_input_descriptor(history, codebook, beam_powers)
-    model_id = stable_id("pred", features, repr(cfg))
     extra = {
         "order": str(cfg.order),
         "horizon_slots": str(cfg.horizon_slots),
@@ -693,17 +699,9 @@ def fit_adaptation_delta(
     u, s, vh = np.linalg.svd(correction)
     left = u[:, :rank] * s[:rank]
     right = vh[:rank].conj().T
-    delta = DeltaPackage(
-        base_model_id=base.descriptor.model_id,
-        base_model_version=base.descriptor.model_version,
-        rank=rank,
-        left=left,
-        right=right,
-        bias=bias,
-    )
-    delta.size_bytes = storage_for_parameters(
-        [("l", left), ("r", right), ("b", bias.reshape(-1, 1))]
-    )
+    size = storage_for_parameters([("l", left), ("r", right), ("b", bias.reshape(-1, 1))])
+    delta = DeltaPackage(base.descriptor.model_id, base.descriptor.model_version, rank,
+                         left, right, bias, size)
     if delta.size_bytes >= base.descriptor.storage_bytes:
         raise ValueError(
             "delta would not be smaller than the base package; lower the rank"
@@ -755,11 +753,7 @@ def rebuild_delta_version(root: ModelPackage, delta: DeltaPackage) -> ModelPacka
 def _corrected(base: ModelPackage, delta: DeltaPackage, root: RootRef) -> ModelPackage:
     """``base``'s parameters, less any correction, plus ``delta``'s, as the
     version after the delta's base; costs and checksum not yet filled."""
-    params = [
-        (name, m.copy())
-        for name, m in base.parameters
-        if not name.startswith("delta_")
-    ]
+    params = [(name, m.copy()) for name, m in base.parameters if not name.startswith("delta_")]
     params += [
         ("delta_left", delta.left.copy()),
         ("delta_right", delta.right.copy()),

@@ -36,6 +36,7 @@ from .controller import (
     legacy_csi_reports,
     transition,
 )
+from .errors import ConfigError
 from .kpi import (
     derive_input_descriptor,
     descriptor_divergence,
@@ -129,6 +130,9 @@ class _Loop:
 
     def __init__(self, config: ScenarioConfig, registry_root: str):
         config.validate()
+        self.registry = ModelRegistry(registry_root)
+        if self.registry.entries():  # pretraining would store over them
+            raise ConfigError(f"registry {registry_root} already holds models; use a fresh one")
         self.config = config
         self.codebook = dft_codebook(config.num_antennas)
         self.beams = legacy_beams(self.codebook)
@@ -150,7 +154,6 @@ class _Loop:
         self.measured = self.measurements.precoders
         # lag_terms[t] pairs slots t and t+1; descriptor windows slice it.
         self.lag_terms = lag1_terms(self.measured, trace.snr_db.tolist())
-        self.registry = ModelRegistry(registry_root)
         self.agent = InferenceAgent()
         self.session = MonitoringSession(config.monitoring)
         self.policy = config.policy
@@ -447,7 +450,7 @@ class _Loop:
 
 
 def run_scenario(config: ScenarioConfig, registry_root: str) -> RunResult:
-    """Execute one scenario; the registry directory must be fresh."""
+    """Execute one scenario; a registry that already holds models is refused."""
     loop = _Loop(config, registry_root)
     with loop.registry:
         return loop.run()

@@ -110,6 +110,17 @@ class TestSimulate:
         for name in ("metrics.csv", "events.log"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    def test_used_output_directory_refused_with_exit_one(self, capsys, quiet_cfg, tmp_path):
+        out_dir = tmp_path / "run"
+        argv = ["simulate", "--config", str(quiet_cfg), "--out", str(out_dir)]
+        assert run_cli(capsys, argv)[0] == 0
+        metrics = (out_dir / "metrics.csv").read_bytes()
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert err == (f"config error: registry {out_dir / 'registry'} already holds models; "
+                       "use a fresh one\n")
+        assert (out_dir / "metrics.csv").read_bytes() == metrics
+
     def test_env_var_sets_output_root(self, capsys, quiet_cfg, tmp_path, monkeypatch):
         root = tmp_path / "from-env"
         monkeypatch.setenv("LCM_SIM_OUT", str(root))

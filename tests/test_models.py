@@ -10,11 +10,12 @@ from lcmsim.channel import (
     CsiMeasurements,
     dft_codebook,
     generate_trace,
+    measure_csi,
     ula_steering,
     unit_norm,
 )
 from lcmsim.errors import DegenerateInputError
-from lcmsim.kpi import sgcs
+from lcmsim.kpi import derive_input_descriptor, sgcs
 from lcmsim.models import (
     RIDGE_SCALE,
     AutoencoderConfig,
@@ -30,9 +31,11 @@ from lcmsim.models import (
     finalize_package,
     fit_adaptation_delta,
     flops_for_parameters,
+    new_package,
     predict_beams,
     predict_csi,
     predict_csi_rows,
+    predictor_tag,
     stack_windows,
     storage_for_parameters,
     train_autoencoder_joint,
@@ -42,6 +45,7 @@ from lcmsim.models import (
     _ridge_solve,
 )
 from lcmsim.kpi import InputDescriptor
+from lcmsim.streams import stable_id
 
 
 def random_unit(rng, n):
@@ -196,6 +200,52 @@ class TestRidgeSolve:
         assert negative_zeros
 
 
+def predictor_reference(history, cfg, codebook, beam_powers=None):
+    """train_predictor as a formula: the stack and index-array targets
+    kept together through the ridge, the stack hashed as ``.tobytes()``."""
+    vectors = history.precoders
+    newest = np.arange(cfg.order - 1, len(vectors) - cfg.horizon_slots)
+    features = stack_windows(vectors, cfg.order, newest)
+    taps = ridge_reference(features, vectors[newest + cfg.horizon_slots]).T.copy()
+    extra = {
+        "order": str(cfg.order),
+        "horizon_slots": str(cfg.horizon_slots),
+        "num_antennas": str(vectors.shape[1]),
+    }
+    return new_package(
+        ModelKind.CSI_PREDICTOR, [("taps", taps)], extra,
+        stable_id("pred", features.tobytes(), repr(cfg)), predictor_tag(cfg.horizon_slots),
+        derive_input_descriptor(history, codebook, beam_powers),
+    )
+
+
+class TestPredictorBytes:
+    @pytest.mark.parametrize(
+        "n_ant, cfg", [(32, PredictorConfig(order=4, horizon_slots=2)), (64, PredictorConfig())]
+    )
+    @pytest.mark.parametrize("with_beam_powers", [False, True])
+    def test_package_equals_the_reference_bit_for_bit(self, n_ant, cfg, with_beam_powers):
+        # A window of the run's measurements, as the loop trains on, and
+        # the same rows in Fortran order (targets that are no C-order view).
+        slots, start, stop = 360, 40, 340
+        codebook = dft_codebook(n_ant)
+        trace = generate_trace(
+            [(0, ChannelRegime("r", 6, 0.05, 1.2, 12.0))], slots, n_ant, codebook, 17
+        )
+        run = measure_csi(trace.true_precoders, trace.snr_db, np.arange(slots), 17)
+        window = run.window(start, stop)
+        fortran = CsiMeasurements(
+            window.slots, np.asfortranarray(window.precoders), window.snr_db
+        )
+        beam_powers = trace.per_beam_power[start:stop] if with_beam_powers else None
+        for history in (window, fortran):
+            got = train_predictor(history, cfg, codebook=codebook, beam_powers=beam_powers)
+            want = predictor_reference(history, cfg, codebook, beam_powers)
+            assert got.descriptor.model_id == want.descriptor.model_id
+            assert got.param("taps").tobytes() == want.param("taps").tobytes()
+            assert got.to_bytes() == want.to_bytes()
+
+
 class TestTrainingMemory:
     def test_predictor_peak_is_features_conjugate_and_gram(self):
         # 64 antennas, order 8: a 512-wide ridge, as the 64-antenna loop fits.
@@ -214,6 +264,35 @@ class TestTrainingMemory:
         features = rows * dim * np.dtype(np.complex128).itemsize
         gram = dim * dim * np.dtype(np.complex128).itemsize
         assert peak <= 1.1 * (2 * features + gram)
+
+    def test_window_stack_is_freed_before_the_solve(self, monkeypatch):
+        # np.linalg.solve copies the Gram into a LAPACK workspace that
+        # tracemalloc does not see, so the peak test above cannot tell
+        # whether the 3 MiB window stack is still alive beside it.
+        cfg, n_ant, slots = PredictorConfig(), 64, 400
+        history = trace_history(slots=slots, n_ant=n_ant)
+        codebook = dft_codebook(n_ant)
+        solve, held = np.linalg.solve, []
+
+        def recording_solve(a, b):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train_predictor(history, cfg, codebook=codebook)
+        finally:
+            tracemalloc.stop()
+        rows = slots - cfg.order - cfg.horizon_slots + 1
+        dim = cfg.order * n_ant
+        itemsize = np.dtype(np.complex128).itemsize
+        features, gram, rhs = (rows * dim * itemsize, dim * dim * itemsize,
+                               dim * n_ant * itemsize)
+        [at_solve] = held
+        # The Gram and the right-hand side, and less than half the stack.
+        assert at_solve - before < gram + rhs + features / 2, at_solve - before
 
 
 class TestAutoencoder:

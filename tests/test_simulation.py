@@ -9,7 +9,7 @@ import pytest
 
 from lcmsim import channel, controller, monitoring, simulation
 from lcmsim.config import parse_scenario_config
-from lcmsim.errors import IntegrityError
+from lcmsim.errors import ConfigError
 from lcmsim.models import train_predictor
 from lcmsim.monitoring import evaluation_slots, report_overhead_bits
 from lcmsim.simulation import (
@@ -138,12 +138,20 @@ class TestDeterminism:
         assert a.events_text() == b.events_text()
         assert a.summary == b.summary
 
-    def test_reused_registry_root_rejected(self, tmp_path):
+    def test_reused_registry_root_rejected(self, tmp_path, monkeypatch):
+        # Refused by name before any work, and the registry is left as it was.
         cfg = parse_scenario_config(QUIET_SMALL)
-        root = str(tmp_path / "registry")
-        run_scenario(cfg, root)
-        with pytest.raises(IntegrityError, match="already stored"):
-            run_scenario(cfg, root)
+        root = tmp_path / "registry"
+        run_scenario(cfg, str(root))
+        index = (root / "index.txt").read_bytes()
+
+        def no_trace(*args):
+            raise AssertionError("built a trace for a used registry")
+
+        monkeypatch.setattr(simulation, "generate_trace", no_trace)
+        with pytest.raises(ConfigError, match=re.escape(f"registry {root} already holds models")):
+            run_scenario(cfg, str(root))
+        assert (root / "index.txt").read_bytes() == index
 
 
 class TestMeasureOnce:

@@ -14,6 +14,11 @@ fresh registry in a temporary directory. Prints one line per run:
 the same outputs when, in the same numeric environment (BLAS thread
 variables unset on both sides), they print the same lines.
 
+With ``--registry`` each line ends with a third digest,
+``registry_digest`` of the run's registry directory: its files' relative
+paths and bytes, in sorted path order. Two checkouts write the same
+model store when those digests match too.
+
 ``fingerprint_fields`` names that numeric environment, and
 ``fingerprint`` hashes it: ``tools/record_digests.py`` files the lines
 under it, and ``tests/test_digests.py`` compares against that file.
@@ -93,14 +98,32 @@ def digest(text: str, registry_root: str) -> tuple[str, str]:
     )
 
 
+def registry_digest(root: Path) -> str:
+    """SHA-256 over every file under ``root`` in sorted relative-path order:
+    each path (POSIX form), the length of its bytes, then the bytes."""
+    files = sorted((path.relative_to(root).as_posix(), path)
+                   for path in root.rglob("*") if path.is_file())
+    h = hashlib.sha256()
+    for name, path in files:
+        data = path.read_bytes()
+        h.update(b"%s\x00%d\x00" % (name.encode("utf-8"), len(data)))
+        h.update(data)
+    return h.hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--registry", action="store_true",
+                        help="also print the SHA-256 of each run's registry directory")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         for i, (label, text) in enumerate(scenario_texts(args.seed)):
-            metrics, events = digest(text, str(Path(work) / f"registry-{i}"))
-            print(label, metrics, events, flush=True)
+            root = Path(work) / f"registry-{i}"
+            line = [label, *digest(text, str(root))]
+            if args.registry:
+                line.append(registry_digest(root))
+            print(*line, flush=True)
     return 0
 
 
