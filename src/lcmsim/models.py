@@ -154,7 +154,11 @@ class DeltaPackage:
             header["root_model_id"] = self.root.model_id
             header["root_model_version"] = str(self.root.version)
             header["root_checksum"] = self.root.checksum.hex()
-        matrices = [("left", self.left), ("right", self.right), ("bias", self.bias.reshape(-1, 1))]
+        matrices = [
+            ("left", self.left),
+            ("right", self.right),
+            ("bias", self.bias.reshape(-1, 1)),
+        ]
         return container.write_container(header, matrices)
 
     @classmethod
@@ -400,7 +404,11 @@ def train_predictor(
     # C-contiguous history.
     gram, rhs = _normal_equations(features, np.ascontiguousarray(vectors[first + horizon :]))
     del features  # the solve (and its copy of the Gram) need not sit beside the stack
-    taps = _solve_normal(gram, rhs).T.copy()  # (n, order*n), prediction = taps @ stacked
+    coeff = _solve_normal(gram, rhs)  # (order*n, n)
+    # Free the Gram before the taps, which outlive the fit: allocated
+    # above it on the heap, they would keep its pages resident.
+    del gram, rhs
+    taps = coeff.T.copy()  # (n, order*n), prediction = taps @ stacked
 
     if codebook is None:
         codebook = dft_codebook(n_ant)
@@ -699,9 +707,17 @@ def fit_adaptation_delta(
     u, s, vh = np.linalg.svd(correction)
     left = u[:, :rank] * s[:rank]
     right = vh[:rank].conj().T
-    size = storage_for_parameters([("l", left), ("r", right), ("b", bias.reshape(-1, 1))])
-    delta = DeltaPackage(base.descriptor.model_id, base.descriptor.model_version, rank,
-                         left, right, bias, size)
+    delta = DeltaPackage(
+        base_model_id=base.descriptor.model_id,
+        base_model_version=base.descriptor.model_version,
+        rank=rank,
+        left=left,
+        right=right,
+        bias=bias,
+    )
+    delta.size_bytes = storage_for_parameters(
+        [("l", left), ("r", right), ("b", bias.reshape(-1, 1))]
+    )
     if delta.size_bytes >= base.descriptor.storage_bytes:
         raise ValueError(
             "delta would not be smaller than the base package; lower the rank"
@@ -753,7 +769,11 @@ def rebuild_delta_version(root: ModelPackage, delta: DeltaPackage) -> ModelPacka
 def _corrected(base: ModelPackage, delta: DeltaPackage, root: RootRef) -> ModelPackage:
     """``base``'s parameters, less any correction, plus ``delta``'s, as the
     version after the delta's base; costs and checksum not yet filled."""
-    params = [(name, m.copy()) for name, m in base.parameters if not name.startswith("delta_")]
+    params = [
+        (name, m.copy())
+        for name, m in base.parameters
+        if not name.startswith("delta_")
+    ]
     params += [
         ("delta_left", delta.left.copy()),
         ("delta_right", delta.right.copy()),

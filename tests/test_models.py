@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -293,6 +294,26 @@ class TestTrainingMemory:
         [at_solve] = held
         # The Gram and the right-hand side, and less than half the stack.
         assert at_solve - before < gram + rhs + features / 2, at_solve - before
+
+    def test_gram_is_freed_before_the_taps_are_copied(self, monkeypatch):
+        # The taps outlive the fit, in the package. Copied while the Gram
+        # is held, they land above it on the heap and keep its pages
+        # resident after the fit, which tracemalloc cannot see either.
+        solve, refs, held = np.linalg.solve, [], []
+
+        class Coefficients(np.ndarray):
+            def copy(self, *args, **kwargs):
+                held.append([ref() is not None for ref in refs])
+                return np.ndarray.copy(self, *args, **kwargs).view(np.ndarray)
+
+        def recording_solve(a, b):
+            refs.extend([weakref.ref(a), weakref.ref(b)])
+            return solve(a, b).view(Coefficients)
+
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        train_predictor(trace_history(slots=120, n_ant=32), PredictorConfig(),
+                        codebook=dft_codebook(32))
+        assert held == [[False, False]]  # neither the Gram nor the right-hand side
 
 
 class TestAutoencoder:

@@ -1,4 +1,4 @@
-"""``tools/output_digests.py --registry``: the digest of a registry directory."""
+"""``tools/output_digests.py``: its lines and the digest of a registry directory."""
 
 from test_digests import load_tool
 
@@ -23,12 +23,12 @@ def test_registry_digest_hashes_paths_and_bytes_in_path_order(tmp_path):
     assert tool.registry_digest(a) != tool.registry_digest(b)
 
 
-def test_registry_lines_end_with_the_registry_digest(tmp_path, monkeypatch, capsys):
+def test_each_line_is_label_and_three_digests(monkeypatch, capsys):
     tool = load_tool()
     texts = tool.scenario_texts(42)[-1:]
     monkeypatch.setattr(tool, "scenario_texts", lambda seed: texts)
     assert tool.main(["--seed", "42"]) == 0
-    plain = capsys.readouterr().out.split()
-    assert tool.main(["--seed", "42", "--registry"]) == 0
-    with_registry = capsys.readouterr().out.split()
-    assert with_registry[:3] == plain and len(with_registry[3]) == 64
+    label, *digests = capsys.readouterr().out.split()
+    assert label == texts[0][0]
+    assert [len(d) for d in digests] == [64, 64, 64]
+    assert all(set(d) <= set("0123456789abcdef") for d in digests)

@@ -1,4 +1,4 @@
-"""Print the SHA-256 of metrics.csv and events.log for a set of scenario runs.
+"""Print the SHA-256 of metrics.csv, events.log and the registry of scenario runs.
 
 Usage, from any git checkout of this repository:
 
@@ -8,20 +8,19 @@ Runs the five scenarios of ``tests/scenario_configs.py`` with their ``seed``
 line set to ``--seed``, and every instance of the three perfbench workloads
 at that seed (``perfbench/workloads.py``, read and not edited), each with a
 fresh registry in a temporary directory. Prints one line per run:
-``label metrics-sha256 events-sha256``, the digests of the bytes that
-``write_metrics`` and ``write_events`` put in metrics.csv and events.log
-(``metrics_text()`` and ``events_text()`` as UTF-8). Two checkouts produce
-the same outputs when, in the same numeric environment (BLAS thread
-variables unset on both sides), they print the same lines.
-
-With ``--registry`` each line ends with a third digest,
-``registry_digest`` of the run's registry directory: its files' relative
-paths and bytes, in sorted path order. Two checkouts write the same
-model store when those digests match too.
+``label metrics-sha256 events-sha256 registry-sha256``: the digests of
+the bytes that ``write_metrics`` and ``write_events`` put in metrics.csv
+and events.log (``metrics_text()`` and ``events_text()`` as UTF-8), and
+``registry_digest`` of the run's registry directory (its files' relative
+paths and bytes, in sorted path order). Two checkouts produce the same
+outputs and write the same model store when, in the same numeric
+environment (BLAS thread variables unset on both sides), they print the
+same lines.
 
 ``fingerprint_fields`` names that numeric environment, and
-``fingerprint`` hashes it: ``tools/record_digests.py`` files the lines
-under it, and ``tests/test_digests.py`` compares against that file.
+``fingerprint`` hashes it: ``tools/record_digests.py`` files the first
+three columns under it, and ``tests/test_digests.py`` compares against
+that file.
 """
 
 from __future__ import annotations
@@ -114,16 +113,11 @@ def registry_digest(root: Path) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--registry", action="store_true",
-                        help="also print the SHA-256 of each run's registry directory")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as work:
         for i, (label, text) in enumerate(scenario_texts(args.seed)):
             root = Path(work) / f"registry-{i}"
-            line = [label, *digest(text, str(root))]
-            if args.registry:
-                line.append(registry_digest(root))
-            print(*line, flush=True)
+            print(label, *digest(text, str(root)), registry_digest(root), flush=True)
     return 0
 
 

@@ -4,7 +4,8 @@
 
 Writes ``tests/digests/<fingerprint>.txt``: the fields of
 ``output_digests.fingerprint_fields`` as ``key = value`` lines, a blank
-line, then the lines ``output_digests.py --seed 42`` prints.
+line, then per run the first three columns that ``output_digests.py
+--seed 42`` prints: label, metrics and events digests.
 ``tests/test_digests.py`` compares every later run with the file of its
 environment. Re-record only in a change that moves outputs on purpose,
 and name each changed line and its reason; a change that claims speed or
