@@ -1,6 +1,8 @@
-"""Byte-identity gate: metrics.csv and events.log of every run that
-``tools/output_digests.py --seed 42`` makes must hash to the lines
-recorded for this numeric environment by ``tools/record_digests.py``.
+"""Byte-identity gate: metrics.csv, events.log and the registry of every
+run that ``tools/output_digests.py --seed 42`` makes, and the stdout and
+files of every command of its ``CLI_COMMANDS``, must hash to the lines
+recorded for this numeric environment by ``tools/record_digests.py``
+(``gate_lines``).
 
 The 1e-9 pins of test_acceptance.py let a last-bit change through; this
 test does not. A digest holds only in the environment it was recorded
@@ -36,8 +38,7 @@ def test_outputs_match_the_recorded_digests():
     assert head.splitlines() == [f"{key} = {value}" for key, value in fields]
     recorded = body.splitlines()
     with tempfile.TemporaryDirectory() as work:
-        runs = [" ".join((label, *tool.digest(text, str(Path(work) / f"registry-{i}"))))
-                for i, (label, text) in enumerate(tool.scenario_texts(SEED))]
+        runs = tool.gate_lines(SEED, Path(work))
     assert len(runs) == len(recorded)
     changed = [f"recorded {want}\n     got {got}" for want, got in zip(recorded, runs) if want != got]
     assert not changed, "outputs moved:\n" + "\n".join(changed)

@@ -4,11 +4,14 @@
 
 Writes ``tests/digests/<fingerprint>.txt``: the fields of
 ``output_digests.fingerprint_fields`` as ``key = value`` lines, a blank
-line, then per run the first three columns that ``output_digests.py
---seed 42`` prints: label, metrics and events digests.
-``tests/test_digests.py`` compares every later run with the file of its
-environment. Re-record only in a change that moves outputs on purpose,
-and name each changed line and its reason; a change that claims speed or
+line, then ``output_digests.gate_lines`` at seed 42: per run the first
+three columns that ``output_digests.py --seed 42`` prints (label,
+metrics and events digests), per run its registry digest, and one line
+per command of ``output_digests.CLI_COMMANDS`` (stdout and every file
+written). ``tests/test_digests.py`` compares every later run with the
+file of its environment. The digest files change only through this
+script: re-record only in a change that moves outputs on purpose, and
+name each changed line and its reason; a change that claims speed or
 design alone must reproduce the recorded lines.
 """
 
@@ -18,7 +21,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from output_digests import ROOT, digest, fingerprint, fingerprint_fields, scenario_texts
+from output_digests import ROOT, fingerprint, fingerprint_fields, gate_lines
 
 SEED = 42
 
@@ -27,8 +30,7 @@ def main() -> int:
     fields = fingerprint_fields()
     lines = [f"{key} = {value}" for key, value in fields] + [""]
     with tempfile.TemporaryDirectory() as work:
-        for i, (label, text) in enumerate(scenario_texts(SEED)):
-            lines.append(" ".join((label, *digest(text, str(Path(work) / f"registry-{i}")))))
+        lines += gate_lines(SEED, Path(work))
     out = ROOT / "tests" / "digests" / f"{fingerprint(fields)}.txt"
     out.parent.mkdir(exist_ok=True)
     out.write_text("\n".join(lines) + "\n", encoding="utf-8")
