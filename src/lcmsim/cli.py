@@ -113,6 +113,14 @@ def _out_root(explicit: str | None) -> Path:
     return Path(env) if env else Path(".")
 
 
+def _int_list(none: str | None = None):
+    """An argparse ``type`` for comma-separated integers, ``none`` standing
+    for None: argparse makes the ValueError of a malformed list a usage error."""
+    def int_list(text: str) -> list[int | None]:
+        return [None if tok == none else int(tok) for tok in text.split(",") if tok]
+    return int_list
+
+
 def _given(args, cls) -> dict:
     """The flags in ``args`` named after fields of ``cls``. Their parser
     defaults are suppressed, so an absent flag keeps the field's default."""
@@ -225,12 +233,11 @@ def _cmd_eval_sgcs(args) -> int:
 def _cmd_eval_beams(args) -> int:
     trace = _make_trace(args)
     rows = trace.per_beam_power
-    subset = [int(s) for s in args.subset.split(",") if s]
     split = rows.shape[0] // 2
     if args.model:
         package = _load_package(args.model, ModelKind.BEAM_PREDICTOR, "eval beams")
     else:
-        package = train_beam_predictor(rows[:split], subset, rows.shape[1])
+        package = train_beam_predictor(rows[:split], args.subset, rows.shape[1])
     model_subset = [int(s) for s in package.extra["beam_subset"].split(",")]
     history = [
         (predict_beams(package, rows[t][model_subset]), rows[t])
@@ -297,16 +304,10 @@ def _cmd_export_dataset(args) -> int:
 
 
 def _cmd_train_decoder(args) -> int:
-    from .intervendor import CsiDataset, train_decoder_from_dataset
-    datasets = [CsiDataset.from_bytes(Path(p).read_bytes()) for p in args.dataset]
-    decoder = train_decoder_from_dataset(datasets)
-    return _write_model(args.out, decoder)
-
-
-def _cmd_multivendor(args) -> int:
-    from .intervendor import CsiDataset, train_multivendor_decoder
-    datasets = [CsiDataset.from_bytes(Path(p).read_bytes()) for p in args.dataset]
-    return _write_model(args.out, train_multivendor_decoder(datasets))
+    """train-decoder and multivendor: ``args.trainer`` names the trainer."""
+    from . import intervendor as iv
+    datasets = [iv.CsiDataset.from_bytes(Path(p).read_bytes()) for p in args.dataset]
+    return _write_model(args.out, getattr(iv, args.trainer)(datasets))
 
 
 def _cmd_train_encoder(args) -> int:
@@ -320,14 +321,9 @@ def _cmd_crosspair(args) -> int:
     from .intervendor import cross_pairing_matrix
     encoders = [_load_package(p, ModelKind.CSI_ENCODER, "crosspair") for p in args.encoder]
     decoders = [_load_package(p, ModelKind.CSI_DECODER, "crosspair") for p in args.decoder]
-    indices = None
-    if args.vendor_indices:
-        indices = [
-            None if tok == "-" else int(tok)
-            for tok in args.vendor_indices.split(",")
-        ]
-        if len(indices) != len(decoders):
-            raise ConfigError("--vendor-indices must list one entry per decoder")
+    indices = args.vendor_indices or None
+    if indices and len(indices) != len(decoders):
+        raise ConfigError("--vendor-indices must list one entry per decoder")
     trace = _make_trace(args)
     grid = cross_pairing_matrix(encoders, decoders, trace.true_precoders, indices)
     print("encoder\\decoder," + ",".join(str(j) for j in range(len(decoders))))
@@ -342,13 +338,11 @@ def _cmd_crosspair(args) -> int:
 
 def _cmd_derive_reference(args) -> int:
     from . import intervendor as iv
-    latents = [int(tok) for tok in args.latents.split(",") if tok]
-    bits = [int(tok) for tok in args.bits.split(",") if tok]
-    if len(latents) != len(bits):
+    if len(args.latents) != len(args.bits):
         raise ConfigError("--latents and --bits must have the same length")
-    if not latents:
+    if not args.latents:
         raise ConfigError("need at least one candidate")
-    candidates = [AutoencoderConfig(l, b, args.antennas) for l, b in zip(latents, bits)]
+    candidates = [AutoencoderConfig(l, b, args.antennas) for l, b in zip(args.latents, args.bits)]
     spec = iv.DerivationSpec(_regime(args), args.antennas, **_given(args, iv.DerivationSpec))
     criteria = iv.EvalCriteria(**_given(args, iv.EvalCriteria))
     artifact, report = iv.derive_reference_model(candidates, spec, criteria, args.seed)
@@ -410,7 +404,8 @@ def build_parser() -> _Parser:
     p = ev_sub.add_parser("beams")
     p.add_argument("--model", help="beam predictor package; trained on the fly if omitted")
     _add_trace_args(p, slots_default=400)
-    p.add_argument("--subset", default="0,4,8,12", help="measured beam indices")
+    p.add_argument("--subset", type=_int_list(), default="0,4,8,12",
+                   help="measured beam indices")
     p.add_argument("--top-k", type=int, default=4)
     p.add_argument("--top-m", type=int, default=1)
     p.set_defaults(func=_cmd_eval_beams)
@@ -434,28 +429,28 @@ def build_parser() -> _Parser:
     p.add_argument("--vendor-index", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_export_dataset)
-    p = iv_sub.add_parser("train-decoder")
-    p.add_argument("--dataset", action="append", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_train_decoder)
+    for verb, trainer in (("train-decoder", "train_decoder_from_dataset"),
+                          ("multivendor", "train_multivendor_decoder")):
+        p = iv_sub.add_parser(verb)
+        p.add_argument("--dataset", action="append", required=True)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=_cmd_train_decoder, trainer=trainer)
     p = iv_sub.add_parser("train-encoder")
     p.add_argument("--decoder", required=True)
     _add_trace_args(p, slots_default=1024)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_encoder)
-    p = iv_sub.add_parser("multivendor")
-    p.add_argument("--dataset", action="append", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_multivendor)
     p = iv_sub.add_parser("crosspair")
     p.add_argument("--encoder", action="append", required=True)
     p.add_argument("--decoder", action="append", required=True)
-    p.add_argument("--vendor-indices", help="per-decoder index, '-' for none")
+    p.add_argument("--vendor-indices", type=_int_list(none="-"),
+                   help="per-decoder index, '-' for none")
     _add_trace_args(p, slots_default=256)
     p.set_defaults(func=_cmd_crosspair)
     p = iv_sub.add_parser("derive-reference")
-    p.add_argument("--latents", required=True, help="comma-separated latent dims")
-    p.add_argument("--bits", required=True, help="comma-separated bit widths")
+    p.add_argument("--latents", type=_int_list(), required=True,
+                   help="comma-separated latent dims")
+    p.add_argument("--bits", type=_int_list(), required=True, help="comma-separated bit widths")
     _add_trace_args(p, slots_default=0)
     # Spec and criteria flags default to the fields of DerivationSpec and EvalCriteria.
     p.add_argument("--train-samples", dest="num_train", type=int, default=argparse.SUPPRESS)

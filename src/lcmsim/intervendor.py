@@ -20,16 +20,15 @@ from .channel import ChannelRegime, dft_codebook, generate_trace
 from .errors import IntegrityError, PairingError
 from .kpi import sgcs_rows
 from .models import (
-    CSI_COMPRESS_TAG,
     AutoencoderConfig,
     ModelKind,
     ModelPackage,
-    _descriptor_from_targets,
     _ridge_solve,
+    codec_config,
+    codec_package,
     decode_csi,
-    dequantize_codes,
     encode_csi,
-    new_package,
+    feedback_latents,
     train_autoencoder_joint,
 )
 from .streams import stable_id
@@ -60,16 +59,13 @@ class CsiDataset:
         return len(self) == 0
 
     @property
-    def input_dim(self) -> int:
-        return self.targets.shape[1]
+    def config(self) -> AutoencoderConfig:
+        """The sizes of the encoder that made the set."""
+        return AutoencoderConfig(self.latent_dim, self.bits_per_dim, self.targets.shape[1])
 
     def latents(self) -> np.ndarray:
         """Feedback rows as complex latents, dequantized if needed."""
-        if self.bits_per_dim == 0:
-            return self.feedbacks.astype(np.complex128)
-        if self.quant_ranges is None:
-            raise IntegrityError("quantized dataset lacks quantizer ranges")
-        return dequantize_codes(self.feedbacks, self.quant_ranges, self.bits_per_dim)
+        return feedback_latents(self.feedbacks, self.bits_per_dim, self.quant_ranges)
 
     def to_bytes(self) -> bytes:
         header = {
@@ -124,29 +120,15 @@ def export_dataset(
     if samples.ndim != 2:
         raise ValueError("targets must be a (samples, antennas) matrix")
     feedbacks = encode_csi(encoder, samples)
-    bits = int(encoder.extra["bits_per_dim"])
+    cfg = codec_config(encoder)
     return CsiDataset(
         targets=samples,
         feedbacks=feedbacks,
         associated_id=encoder.descriptor.associated_id or "",
-        latent_dim=int(encoder.extra["latent_dim"]),
-        bits_per_dim=bits,
-        quant_ranges=encoder.param("quant_ranges").ravel().copy() if bits > 0 else None,
+        latent_dim=cfg.latent_dim,
+        bits_per_dim=cfg.bits_per_dim,
+        quant_ranges=encoder.param("quant_ranges").ravel().copy() if cfg.bits_per_dim else None,
         vendor_index=vendor_index,
-    )
-
-
-def _decoder_package(
-    basis_params: list[tuple[str, np.ndarray]],
-    targets: np.ndarray,
-    associated_id: str,
-    extra: dict[str, str],
-    id_prefix: str,
-) -> ModelPackage:
-    model_id = stable_id(id_prefix, associated_id, *(m for _, m in basis_params))
-    return new_package(
-        ModelKind.CSI_DECODER, basis_params, extra, model_id, CSI_COMPRESS_TAG,
-        _descriptor_from_targets(targets), associated_id,
     )
 
 
@@ -171,17 +153,11 @@ def train_decoder_from_dataset(
     latents = np.vstack([p.latents() for p in parts])
 
     coeff = _ridge_solve(latents, targets)  # (latent, antennas)
-    basis = coeff.T.copy()
     first = parts[0]
-    extra = {
-        "latent_dim": str(first.latent_dim),
-        "bits_per_dim": str(first.bits_per_dim),
-        "input_dim": str(targets.shape[1]),
-    }
-    params: list[tuple[str, np.ndarray]] = [("basis", basis)]
-    if first.bits_per_dim > 0:
-        params.append(("quant_ranges", first.quant_ranges.reshape(-1, 1).copy()))
-    return _decoder_package(params, targets, first.associated_id, extra, "dec2")
+    return codec_package(
+        ModelKind.CSI_DECODER, first.config, [("", coeff.T, first.quant_ranges)], targets,
+        first.associated_id, id_prefix="dec2",
+    )
 
 
 def train_encoder_against_reference(
@@ -206,23 +182,13 @@ def train_encoder_against_reference(
     if samples.shape[1] != basis_dec.shape[0]:
         raise ValueError("target length does not match the reference decoder")
 
-    encode_map = np.linalg.pinv(basis_dec)  # (latent, antennas)
-    basis_enc = encode_map.conj().T.copy()
-
-    extra = {
-        "latent_dim": reference_decoder.extra["latent_dim"],
-        "bits_per_dim": reference_decoder.extra["bits_per_dim"],
-        "input_dim": reference_decoder.extra["input_dim"],
-    }
-    params: list[tuple[str, np.ndarray]] = [("basis", basis_enc)]
-    if int(extra["bits_per_dim"]) > 0:
-        params.append(("quant_ranges", reference_decoder.param("quant_ranges").copy()))
-
+    basis_enc = np.linalg.pinv(basis_dec).conj().T  # pinv is (latent, antennas)
+    cfg = codec_config(reference_decoder)
+    ranges = reference_decoder.param("quant_ranges") if cfg.bits_per_dim > 0 else None
     associated = reference_decoder.descriptor.associated_id or ""
-    model_id = stable_id("enc1", associated, basis_enc)
-    return new_package(
-        ModelKind.CSI_ENCODER, params, extra, model_id, CSI_COMPRESS_TAG,
-        _descriptor_from_targets(samples), associated,
+    return codec_package(
+        ModelKind.CSI_ENCODER, cfg, [("", basis_enc, ranges)], samples, associated,
+        stable_id("enc1", associated, basis_enc),
     )
 
 
@@ -245,33 +211,23 @@ def train_multivendor_decoder(datasets: list[CsiDataset]) -> ModelPackage:
     widths = {d.feedbacks.shape[1] for d in datasets}
     if len(widths) != 1:
         raise ValueError(f"feedback lengths differ across vendors: {sorted(widths)}")
-    dims = {(d.latent_dim, d.bits_per_dim, d.input_dim) for d in datasets}
-    if len(dims) != 1:
+    configs = {d.config for d in datasets}
+    if len(configs) != 1:
         raise ValueError("latent_dim, bits_per_dim, and input_dim must match")
 
     ordered = sorted(datasets, key=lambda d: d.vendor_index)
-    first = ordered[0]
-    params: list[tuple[str, np.ndarray]] = []
+    blocks = []
     for part in ordered:
         if part.is_empty:
             raise ValueError(f"vendor {part.vendor_index} dataset is empty")
         coeff = _ridge_solve(part.latents(), part.targets)
-        params.append((f"basis_v{part.vendor_index}", coeff.T.copy()))
-        if part.bits_per_dim > 0:
-            params.append(
-                (f"quant_ranges_v{part.vendor_index}", part.quant_ranges.reshape(-1, 1).copy())
-            )
+        blocks.append((f"_v{part.vendor_index}", coeff.T, part.quant_ranges))
 
-    targets = np.vstack([d.targets for d in ordered])
-    associated = ",".join(d.associated_id for d in ordered)
-    extra = {
-        "latent_dim": str(first.latent_dim),
-        "bits_per_dim": str(first.bits_per_dim),
-        "input_dim": str(first.input_dim),
-        "multivendor": "1",
-        "vendor_indices": ",".join(str(d.vendor_index) for d in ordered),
-    }
-    return _decoder_package(params, targets, associated, extra, "mvdec")
+    return codec_package(
+        ModelKind.CSI_DECODER, configs.pop(), blocks, np.vstack([d.targets for d in ordered]),
+        ",".join(d.associated_id for d in ordered), id_prefix="mvdec", multivendor="1",
+        vendor_indices=",".join(str(d.vendor_index) for d in ordered),
+    )
 
 
 def cross_pairing_matrix(

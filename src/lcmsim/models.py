@@ -526,37 +526,56 @@ def train_autoencoder_joint(
 
     u, _, _ = np.linalg.svd(samples.T, full_matrices=False)
     basis = _canonical_columns(u[:, : cfg.latent_dim])
-
-    params: list[tuple[str, np.ndarray]] = [("basis", basis)]
+    ranges = None
     if cfg.bits_per_dim > 0:
         latents = samples @ basis.conj()
         ranges = np.maximum(np.abs(latents).max(axis=0), 1e-12)
-        params.append(("quant_ranges", ranges.reshape(-1, 1)))
 
     associated = stable_id("ae", samples, repr(cfg))
-    descriptor_stats = _descriptor_from_targets(samples)
     prefix = model_id_prefix or associated
-    extra = {
-        "latent_dim": str(cfg.latent_dim),
-        "bits_per_dim": str(cfg.bits_per_dim),
-        "input_dim": str(cfg.input_dim),
-    }
-
-    def build(kind: ModelKind, suffix: str) -> ModelPackage:
-        return new_package(
-            kind, [(name, m.copy()) for name, m in params], dict(extra),
-            f"{prefix}-{suffix}", CSI_COMPRESS_TAG, descriptor_stats, associated,
-        )
-
-    return build(ModelKind.CSI_ENCODER, "enc"), build(ModelKind.CSI_DECODER, "dec")
-
-
-def _descriptor_from_targets(samples: np.ndarray) -> InputDescriptor:
-    count, n_ant = samples.shape
-    pseudo = CsiMeasurements(
-        np.arange(count), unit_norm(samples), np.full(count, math.inf)
+    return tuple(
+        codec_package(kind, cfg, [("", basis, ranges)], samples, associated, f"{prefix}-{suffix}")
+        for kind, suffix in ((ModelKind.CSI_ENCODER, "enc"), (ModelKind.CSI_DECODER, "dec"))
     )
-    return derive_input_descriptor(pseudo, dft_codebook(n_ant))
+
+
+def codec_config(pkg: ModelPackage) -> AutoencoderConfig:
+    """The sizes an encoder or decoder package records in its extra settings."""
+    return AutoencoderConfig(
+        *(int(pkg.extra[key]) for key in ("latent_dim", "bits_per_dim", "input_dim"))
+    )
+
+
+def codec_package(
+    kind: ModelKind,
+    cfg: AutoencoderConfig,
+    blocks: Sequence[tuple[str, np.ndarray, np.ndarray | None]],
+    targets: np.ndarray,
+    associated_id: str,
+    model_id: str | None = None,
+    id_prefix: str = "",
+    **extra: str,
+) -> ModelPackage:
+    """Version 1 of an encoder or decoder: per block ``(suffix, basis, ranges)``
+    the parameter ``basis<suffix>`` and, if ``cfg`` quantizes, the column
+    ``quant_ranges<suffix>``; ``cfg``'s sizes and ``extra`` as extra settings;
+    the descriptor of ``targets``, the precoders it was trained on. The id is
+    ``model_id``, else ``stable_id`` of ``id_prefix``, ``associated_id`` and
+    every parameter."""
+    params = []
+    for suffix, basis, ranges in blocks:
+        params.append((f"basis{suffix}", basis.copy()))
+        if cfg.bits_per_dim > 0:
+            params.append((f"quant_ranges{suffix}", ranges.reshape(-1, 1).copy()))
+    if model_id is None:
+        model_id = stable_id(id_prefix, associated_id, *(m for _, m in params))
+    settings = {key: str(value) for key, value in vars(cfg).items()}
+    count, n_ant = targets.shape
+    pseudo = CsiMeasurements(np.arange(count), unit_norm(targets), np.full(count, math.inf))
+    return new_package(
+        kind, params, {**settings, **extra}, model_id, CSI_COMPRESS_TAG,
+        derive_input_descriptor(pseudo, dft_codebook(n_ant)), associated_id,
+    )
 
 
 def _quantize(x: np.ndarray, rng: np.ndarray, bits: int) -> np.ndarray:
@@ -566,11 +585,21 @@ def _quantize(x: np.ndarray, rng: np.ndarray, bits: int) -> np.ndarray:
     return np.clip(code, 0, levels - 1).astype(np.int64)
 
 
-def dequantize_codes(codes: np.ndarray, ranges: np.ndarray, bits: int) -> np.ndarray:
-    """Complex latents from quantized feedback: in the last axis, entry 2k
+def feedback_latents(feedback: np.ndarray, bits: int, ranges: np.ndarray | None) -> np.ndarray:
+    """Complex latents from feedback messages: the messages themselves when
+    ``bits`` is 0, else their codes dequantized over ``ranges``, one range
+    per latent dimension. In the last axis of quantized feedback, entry 2k
     holds the real code of latent dimension k and entry 2k + 1 its imaginary one."""
+    feedback = np.asarray(feedback)
+    if bits == 0:
+        return feedback.astype(np.complex128)
+    if ranges is None:
+        raise IntegrityError("quantized feedback comes without quantizer ranges")
+    ranges = ranges.ravel()
+    if feedback.shape[-1] != 2 * ranges.size:
+        raise ValueError("feedback length does not match the quantizer ranges")
     step = 2.0 * ranges / (1 << bits)
-    re, im = (-ranges + (codes[..., k::2].astype(np.float64) + 0.5) * step for k in (0, 1))
+    re, im = (-ranges + (feedback[..., k::2].astype(np.float64) + 0.5) * step for k in (0, 1))
     return re + 1j * im
 
 
@@ -605,13 +634,7 @@ def decode_feedback_latent(
     """Recover the complex latent vector from a feedback message, or the
     latent rows from a stack of messages."""
     bits = int(decoder.extra["bits_per_dim"])
-    feedback = np.asarray(feedback)
-    if bits == 0:
-        return feedback.astype(np.complex128)
-    ranges = decoder.param(ranges_name).ravel()
-    if feedback.shape[-1] != 2 * ranges.size:
-        raise ValueError("feedback length does not match the decoder")
-    return dequantize_codes(feedback, ranges, bits)
+    return feedback_latents(feedback, bits, decoder.param(ranges_name) if bits else None)
 
 
 def decode_csi(
@@ -627,17 +650,15 @@ def decode_csi(
     """
     if decoder.kind is not ModelKind.CSI_DECODER:
         raise ValueError(f"not a decoder: {decoder.kind}")
+    suffix = ""
     if decoder.extra.get("multivendor") == "1":
         if vendor_index is None:
             raise ValueError("multi-vendor decoder needs a vendor_index")
-        try:
-            basis = decoder.param(f"basis_v{vendor_index}")
-        except IntegrityError:
-            raise ValueError(f"unknown vendor index {vendor_index}") from None
-        z = decode_feedback_latent(decoder, feedback, f"quant_ranges_v{vendor_index}")
-    else:
-        basis = decoder.param("basis")
-        z = decode_feedback_latent(decoder, feedback)
+        suffix = f"_v{vendor_index}"
+        if not decoder.has_param(f"basis{suffix}"):
+            raise ValueError(f"unknown vendor index {vendor_index}")
+    basis = decoder.param(f"basis{suffix}")
+    z = decode_feedback_latent(decoder, feedback, f"quant_ranges{suffix}")
     if z.shape[-1] != basis.shape[1]:
         raise ValueError("latent length does not match the decoder")
     out = np.matmul(basis, z[..., np.newaxis])[..., 0]

@@ -397,6 +397,39 @@ class TestArtifactFailures:
         assert not (artifacts / "o").exists()
 
 
+class TestCommaListFlags:
+    """--latents, --bits, --subset and --vendor-indices are parsed by one
+    argparse type: a malformed list is a usage error (exit 1), found before
+    any file is read."""
+
+    CASES = {
+        "latents": (["intervendor", "derive-reference", "--latents", "a", "--bits", "0"],
+                    "--latents", "a"),
+        "bits": (["intervendor", "derive-reference", "--latents", "4", "--bits", "0,b"],
+                 "--bits", "0,b"),
+        "latents-dash": (["intervendor", "derive-reference", "--latents", "4,-",
+                          "--bits", "0,0"], "--latents", "4,-"),
+        "subset": (["eval", "beams", "--subset", "0,x"], "--subset", "0,x"),
+        "vendor-indices": (["intervendor", "crosspair", "--encoder", "missing.lcmp", "--decoder",
+                            "missing.lcmp", "--vendor-indices", "0,x"], "--vendor-indices", "0,x"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_malformed_list_exits_one(self, capsys, case):
+        argv, flag, value = self.CASES[case]
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("usage: ")
+        assert err.endswith(f"error: argument {flag}: invalid int_list value: {value!r}\n")
+
+    def test_dash_is_no_index_only_in_vendor_indices(self):
+        parse = cli.build_parser().parse_args
+        args = parse(["intervendor", "crosspair", "--encoder", "e", "--decoder", "d",
+                      "--decoder", "d", "--vendor-indices", "0,-"])
+        assert args.vendor_indices == [0, None]
+        assert parse(["eval", "beams"]).subset == [0, 4, 8, 12]
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
