@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelRegime, dft_codebook, generate_trace, measure_csi
+from .channel import ChannelRegime, check_schedule, dft_codebook, generate_trace, measure_csi
 from .config import load_scenario_config, parse_scenario_config
-from .errors import ConfigError, LcmSimError
+from .errors import ConfigError, LcmSimError, config_checked
 from .kpi import BeamKpiConfig, beam_topk_accuracy, nmse_rows, sgcs_rows
 from .models import (
     AutoencoderConfig,
@@ -74,8 +74,10 @@ def _regime(args) -> ChannelRegime:
 
 
 def _make_trace(args):
+    schedule = [(0, _regime(args))]
+    config_checked(check_schedule, schedule, args.slots, args.antennas)
     codebook = dft_codebook(args.antennas)
-    return generate_trace([(0, _regime(args))], args.slots, args.antennas, codebook, args.seed)
+    return generate_trace(schedule, args.slots, args.antennas, codebook, args.seed)
 
 
 def _measure_all(trace, seed: int):
@@ -184,10 +186,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_train_predictor(args) -> int:
+    cfg = PredictorConfig(**_given(args, PredictorConfig))
+    config_checked(cfg.validate)
+    if args.slots < cfg.min_history:
+        raise ConfigError(f"--slots must be at least {cfg.min_history} for this order and horizon")
     trace = _make_trace(args)
     package = train_predictor(
         _measure_all(trace, args.seed),
-        PredictorConfig(**_given(args, PredictorConfig)),
+        cfg,
         codebook=trace.beam_codebook,
         beam_powers=trace.per_beam_power,
     )
@@ -201,11 +207,9 @@ def _cmd_train_predictor(args) -> int:
 
 
 def _cmd_train_autoencoder(args) -> int:
-    trace = _make_trace(args)
-    targets = trace.true_precoders
-    encoder, decoder = train_autoencoder_joint(
-        targets, AutoencoderConfig(args.latent, args.bits, args.antennas)
-    )
+    cfg = AutoencoderConfig(args.latent, args.bits, args.antennas)
+    config_checked(cfg.validate)
+    encoder, decoder = train_autoencoder_joint(_make_trace(args).true_precoders, cfg)
     _write_bytes(args.out_encoder, encoder.to_bytes())
     _write_bytes(args.out_decoder, decoder.to_bytes())
     print(f"associated_id = {encoder.descriptor.associated_id}")
@@ -231,9 +235,10 @@ def _cmd_eval_sgcs(args) -> int:
 
 
 def _cmd_eval_beams(args) -> int:
-    trace = _make_trace(args)
-    rows = trace.per_beam_power
-    split = rows.shape[0] // 2
+    split = args.slots // 2
+    cfg = BeamKpiConfig(top_k=args.top_k, top_m=args.top_m, window_n=args.slots - split)
+    config_checked(cfg.validate, args.antennas)
+    rows = _make_trace(args).per_beam_power
     if args.model:
         package = _load_package(args.model, ModelKind.BEAM_PREDICTOR, "eval beams")
     else:
@@ -243,7 +248,6 @@ def _cmd_eval_beams(args) -> int:
         (predict_beams(package, rows[t][model_subset]), rows[t])
         for t in range(split, rows.shape[0])
     ]
-    cfg = BeamKpiConfig(top_k=args.top_k, top_m=args.top_m, window_n=len(history))
     accuracy = beam_topk_accuracy(history, cfg)
     print(f"intervals = {len(history)}")
     print(f"top{args.top_k}_accuracy = {accuracy:.6f}")
@@ -345,16 +349,18 @@ def _cmd_derive_reference(args) -> int:
     candidates = [AutoencoderConfig(l, b, args.antennas) for l, b in zip(args.latents, args.bits)]
     spec = iv.DerivationSpec(_regime(args), args.antennas, **_given(args, iv.DerivationSpec))
     criteria = iv.EvalCriteria(**_given(args, iv.EvalCriteria))
-    artifact, report = iv.derive_reference_model(candidates, spec, criteria, args.seed)
+    for cfg in (spec, criteria, *candidates):
+        config_checked(cfg.validate)
+    reference, report = iv.derive_reference_model(candidates, spec, criteria, args.seed)
     sys.stdout.write(report.to_text())
     if args.out_csv:
         _write_bytes(args.out_csv, report.to_csv().encode("utf-8"))
         print(f"scores_csv = {args.out_csv}")
     if args.out_model:
-        if artifact is None:
+        if reference is None:
             print("no model written (no reference selected)")
         else:
-            _write_bytes(args.out_model, artifact.payload.to_bytes())
+            _write_bytes(args.out_model, reference.to_bytes())
             print(f"reference_model = {args.out_model}")
     return 0
 

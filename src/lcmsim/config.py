@@ -17,7 +17,7 @@ from enum import Enum
 
 from .channel import ChannelRegime, check_schedule
 from .controller import DecisionPolicy
-from .errors import ConfigError
+from .errors import ConfigError, config_checked
 from .models import PredictorConfig
 from .monitoring import MonitoringConfig
 
@@ -58,10 +58,7 @@ class ScenarioConfig:
     events_path: str = "events.log"
 
     def validate(self) -> None:
-        try:
-            check_schedule(self.regime_schedule, self.num_slots, self.num_antennas)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        config_checked(check_schedule, self.regime_schedule, self.num_slots, self.num_antennas)
         if not self.pretrain:
             raise ConfigError("at least one pretrain.<i> block is required")
         for spec in self.pretrain:
@@ -81,12 +78,8 @@ class ScenarioConfig:
                 raise ConfigError(f"snr_override start_slot {start} outside the run")
         if any(b <= a for (a, _), (b, _) in zip(self.snr_overrides, self.snr_overrides[1:])):
             raise ConfigError("snr_override start slots must be strictly increasing")
-        try:
-            self.monitoring.validate()
-            self.policy.validate()
-            self.predictor.validate()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        for section in (self.monitoring, self.policy, self.predictor):
+            config_checked(section.validate)
 
 
 @dataclass

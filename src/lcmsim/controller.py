@@ -134,7 +134,6 @@ class DecisionInputs:
     current_descriptor: InputDescriptor
     divergence: float
     misalignment: float
-    mean_snr_db: float
     active_model_id: str
     active_model_version: int
     buffered_samples: int = 0
@@ -148,14 +147,15 @@ def decide(inputs: DecisionInputs, policy: DecisionPolicy, registry: ModelRegist
     Clause order: SNR attribution, registry switch, delta correction,
     rollback-or-retrain after a failed cheap remedy, legacy fallback.
     """
+    snr_db = inputs.current_descriptor.mean_snr_db
     base_rationale = {
         "divergence": repr(inputs.divergence),
         "misalignment": repr(inputs.misalignment),
-        "mean_snr_db": repr(inputs.mean_snr_db),
+        "mean_snr_db": repr(snr_db),
     }
 
     # (1) Degradation explained by SNR, not model misalignment.
-    if inputs.mean_snr_db < policy.snr_floor_db and inputs.misalignment < policy.delta_low:
+    if snr_db < policy.snr_floor_db and inputs.misalignment < policy.delta_low:
         return ControlAction(
             kind=ActionKind.KEEP,
             rationale=dict(base_rationale, clause="snr_attribution"),
@@ -257,15 +257,22 @@ class ExecutionContext:
 
     retrain builds a fresh package from the harness's sample buffer;
     fit_delta fits a correction to the given base model from the
-    recent (prediction, measurement) pairs.
+    recent (prediction, measurement) pairs, at the policy's rank.
     """
 
     registry: ModelRegistry
     agent: InferenceAgent
     functionality_tag: str
     retrain: Callable[[], ModelPackage] | None = None
-    fit_delta: Callable[[ModelPackage, int], DeltaPackage] | None = None
-    delta_rank: int = 8
+    fit_delta: Callable[[ModelPackage], DeltaPackage] | None = None
+
+
+def activate(ctx: ExecutionContext, package: ModelPackage) -> ControlEvent:
+    """Make a stored package the active model, in the registry and the agent."""
+    desc = package.descriptor
+    ctx.registry.activate(desc.model_id, desc.model_version)
+    ctx.agent.activate(package)
+    return ControlEvent(EventKind.MODEL_ACTIVATED, detail=f"{desc.model_id}:v{desc.model_version}")
 
 
 def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> ControlEvent | None:
@@ -293,7 +300,7 @@ def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> Co
                 base = ctx.agent.active_model
                 if base is None or ctx.fit_delta is None:
                     raise NotFoundError("no active model to adapt")
-                package = apply_delta(base, ctx.fit_delta(base, ctx.delta_rank))
+                package = apply_delta(base, ctx.fit_delta(base))
             elif action.kind is ActionKind.RETRAIN:
                 if ctx.retrain is None:
                     raise NotFoundError("no training capability attached")
@@ -301,14 +308,7 @@ def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> Co
             else:
                 raise ValueError(f"unhandled action kind {action.kind}")
             ctx.registry.store(package, stored_at_slot=slot_index)
-
-        desc = package.descriptor
-        ctx.registry.activate(desc.model_id, desc.model_version)
-        ctx.agent.activate(package)
-        return ControlEvent(
-            kind=EventKind.MODEL_ACTIVATED,
-            detail=f"{desc.model_id}:v{desc.model_version}",
-        )
+        return activate(ctx, package)
     except (IntegrityError, NotFoundError, ValueError) as exc:
         # isinstance, not a type() lookup: np.linalg.LinAlgError is a
         # ValueError and must map to "invalid".

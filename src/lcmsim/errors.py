@@ -34,3 +34,11 @@ class PairingError(LcmSimError):
 class DegenerateInputError(LcmSimError):
     """An operation received an input it cannot meaningfully process,
     such as an all-zero feedback vector."""
+
+
+def config_checked(check, *args) -> None:
+    """Run ``check(*args)``, a check of user-set values: its ValueError becomes a ConfigError."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc

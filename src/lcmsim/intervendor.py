@@ -282,13 +282,6 @@ class EvalCriteria:
 
 
 @dataclass(frozen=True)
-class ReferenceArtifact:
-    kind: str
-    associated_id: str
-    payload: ModelPackage | CsiDataset | None = None
-
-
-@dataclass(frozen=True)
 class DerivationSpec:
     """Step 1 setup: the scenario the reference must serve, plus split sizes."""
 
@@ -362,8 +355,9 @@ def derive_reference_model(
     spec: DerivationSpec,
     criteria: EvalCriteria,
     seed: int,
-) -> tuple[ReferenceArtifact | None, DerivationReport]:
-    """Steps 1-4 of reference derivation.
+) -> tuple[ModelPackage | None, DerivationReport]:
+    """Steps 1-4 of reference derivation; returns the selected decoder, or
+    None when no candidate is eligible, and the report.
 
     Step 1 generates train/eval data from the declared regime and seed;
     steps 2-3 are the candidate (latent_dim, bits) grid; step 4 scores
@@ -396,12 +390,12 @@ def derive_reference_model(
         perturbed_sets.append(_derivation_targets(spec, regime, seed))
 
     scores: list[CandidateScore] = []
-    packages: list[tuple[ModelPackage, ModelPackage]] = []
+    decoders: list[ModelPackage] = []
     for idx, cfg in enumerate(candidates):
         encoder, decoder = train_autoencoder_joint(
             train, cfg, model_id_prefix=f"ref-cand{idx}"
         )
-        packages.append((encoder, decoder))
+        decoders.append(decoder)
         own = cross_pairing_matrix([encoder], [decoder], evaluation)[0, 0]
         robust_entries = []
         for perturbed in perturbed_sets:
@@ -441,10 +435,4 @@ def derive_reference_model(
         return None, report
     best = max(eligible, key=lambda s: (s.mean_sgcs, -s.index))
     report = DerivationReport(scores=tuple(scores), selected_index=best.index)
-    _, decoder = packages[best.index]
-    artifact = ReferenceArtifact(
-        kind="reference_model",
-        associated_id=decoder.descriptor.associated_id or "",
-        payload=decoder,
-    )
-    return artifact, report
+    return decoders[best.index], report

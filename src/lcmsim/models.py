@@ -108,8 +108,7 @@ class ModelPackage:
         left, right, bias = (self.param(f"delta_{name}") for name in ("left", "right", "bias"))
         return DeltaPackage(
             d.model_id, d.model_version - 1, int(self.extra["delta_rank"]), left, right,
-            bias.ravel(), storage_for_parameters([("l", left), ("r", right), ("b", bias)]),
-            self.root,
+            bias.ravel(), self.root,
         ).to_bytes()
 
     @classmethod
@@ -138,8 +137,15 @@ class DeltaPackage:
     left: np.ndarray
     right: np.ndarray
     bias: np.ndarray
-    size_bytes: int = 0
     root: RootRef | None = None
+
+    @property
+    def _matrices(self) -> list[tuple[str, np.ndarray]]:
+        return [("left", self.left), ("right", self.right), ("bias", self.bias.reshape(-1, 1))]
+
+    @property
+    def size_bytes(self) -> int:
+        return storage_for_parameters(self._matrices)
 
     def to_bytes(self) -> bytes:
         header = {
@@ -154,12 +160,7 @@ class DeltaPackage:
             header["root_model_id"] = self.root.model_id
             header["root_model_version"] = str(self.root.version)
             header["root_checksum"] = self.root.checksum.hex()
-        matrices = [
-            ("left", self.left),
-            ("right", self.right),
-            ("bias", self.bias.reshape(-1, 1)),
-        ]
-        return container.write_container(header, matrices)
+        return container.write_container(header, self._matrices)
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "DeltaPackage":
@@ -179,7 +180,6 @@ class DeltaPackage:
                 left=by_name["left"],
                 right=by_name["right"],
                 bias=by_name["bias"].ravel(),
-                size_bytes=int(header["size_bytes"]),
                 root=root,
             )
         except (KeyError, ValueError) as exc:
@@ -735,9 +735,6 @@ def fit_adaptation_delta(
         left=left,
         right=right,
         bias=bias,
-    )
-    delta.size_bytes = storage_for_parameters(
-        [("l", left), ("r", right), ("b", bias.reshape(-1, 1))]
     )
     if delta.size_bytes >= base.descriptor.storage_bytes:
         raise ValueError(

@@ -12,7 +12,7 @@ to the next, with stacked kernels bit-identical to per-slot calls.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +28,7 @@ from .controller import (
     ExecutionContext,
     InferenceAgent,
     LoopState,
+    activate,
     decide,
     decide_reactivation,
     execute,
@@ -161,7 +162,6 @@ class _Loop:
         self.events: list[EventLogRecord] = []
         self.lines: list[str] = []
         self.achieved: list[float] = []
-        self.overhead_bits = 0
         # Adaptation deltas draw on the same recent-history budget as a
         # retrain; the short descriptor window excites too few directions
         # for a stable correction fit.
@@ -184,9 +184,7 @@ class _Loop:
         self.legacy_beam = np.full(span, -1)
         self.eval_counter = 0
         self.last_action_kind: ActionKind | None = None
-        self.last_action_eval: int | None = None
-        self.alarm_count = 0
-        self.action_counts: dict[str, int] = {}
+        self.last_action_eval = 0  # eval_counter at the last action, read once there is one
         self.eval_set = set(
             evaluation_slots(config.num_slots, config.monitoring, simulation_warmup(config))
         )
@@ -226,11 +224,11 @@ class _Loop:
     def _retrain(self, slot: int) -> ModelPackage:
         return self._train(max(0, slot + 1 - self.history_window), slot + 1)
 
-    def _fit_delta(self, slot: int, base: ModelPackage, rank: int):
+    def _fit_delta(self, slot: int, base: ModelPackage):
         applied = np.flatnonzero(self.from_model[self.pairs_from : slot + 1]) + self.pairs_from
         slots = applied[-self.history_window :]
         pairs = zip(self.predicted[slots % self.ring], self.measured[slots])
-        return fit_adaptation_delta(base, list(pairs), rank)
+        return fit_adaptation_delta(base, list(pairs), self.policy.delta_rank)
 
     def context(self, slot: int) -> ExecutionContext:
         return ExecutionContext(
@@ -238,8 +236,7 @@ class _Loop:
             agent=self.agent,
             functionality_tag=predictor_tag(self.config.predictor.horizon_slots),
             retrain=lambda: self._retrain(slot),
-            fit_delta=lambda base, rank: self._fit_delta(slot, base, rank),
-            delta_rank=self.policy.delta_rank,
+            fit_delta=lambda base: self._fit_delta(slot, base),
         )
 
     # -- per-block stages --------------------------------------------
@@ -317,27 +314,19 @@ class _Loop:
         self.session.acknowledge()
         self.last_action_kind = action.kind
         self.last_action_eval = self.eval_counter
-        name = action.kind.value
-        self.action_counts[name] = self.action_counts.get(name, 0) + 1
-        return name
+        return action.kind.value
 
     def run_decision(self, slot: int, divergence: float, descriptor) -> str:
         active = self.agent.active_model.descriptor
-        evals_since = (
-            self.eval_counter - self.last_action_eval
-            if self.last_action_eval is not None
-            else 10**9
-        )
         inputs = DecisionInputs(
             current_descriptor=descriptor,
             divergence=divergence,
             misalignment=misalignment_divergence(descriptor, active.input_descriptor),
-            mean_snr_db=descriptor.mean_snr_db,
             active_model_id=active.model_id,
             active_model_version=active.model_version,
             buffered_samples=slot + 1,
             last_action_kind=self.last_action_kind,
-            evals_since_last_action=evals_since,
+            evals_since_last_action=self.eval_counter - self.last_action_eval,
         )
         return self.issue(slot, decide(inputs, self.policy, self.registry))
 
@@ -361,7 +350,6 @@ class _Loop:
         )
         monitored["perf_bad"] = str(perf_bad)
         monitored["monitor_overhead_bits"] = str(report.overhead_bits)
-        self.overhead_bits += report.overhead_bits
         self.log(
             slot,
             "monitor",
@@ -383,7 +371,6 @@ class _Loop:
             self.session.acknowledge()
 
         if alarm is not None:
-            self.alarm_count += 1
             self.log(
                 slot,
                 "monitor",
@@ -414,14 +401,8 @@ class _Loop:
             )
             if first is None:
                 first = package
-        self.registry.activate(first.descriptor.model_id, first.descriptor.model_version)
-        self.agent.activate(first)
-        self.log(
-            0,
-            "controller",
-            "ModelActivated",
-            target=f"{first.descriptor.model_id}:v{first.descriptor.model_version}",
-        )
+        activated = activate(self.context(0), first)
+        self.log(0, "controller", "ModelActivated", target=activated.detail)
 
         num_slots = self.config.num_slots
         ends = self.eval_set.union(range(_BLOCK_SLOTS - 1, num_slots, _BLOCK_SLOTS))
@@ -437,13 +418,16 @@ class _Loop:
                 self.write_lines(unwritten, lo, columns)
                 unwritten, columns = lo, []
 
+        issued = Counter(dict(e.payload)["action"] for e in self.events if e.kind == "ActionIssued")
+        overhead = sum(int(dict(e.payload)["overhead_bits"])
+                       for e in self.events if e.kind == "MonitoringReport")
         summary = {
             "final_state": self.state.value,
             "slots": self.config.num_slots,
-            "alarms": self.alarm_count,
-            "actions": dict(sorted(self.action_counts.items())),
+            "alarms": sum(e.kind == "DriftAlarm" for e in self.events),
+            "actions": dict(sorted(issued.items())),
             "mean_sgcs": float(np.mean(self.achieved)) if self.achieved else float("nan"),
-            "monitor_overhead_bits": self.overhead_bits,
+            "monitor_overhead_bits": overhead,
             "evaluations": self.eval_counter,
         }
         return RunResult(lines=self.lines, events=self.events, summary=summary)

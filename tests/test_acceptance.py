@@ -501,7 +501,7 @@ class TestCriterion09:
             )
             assert report2.to_text() == report.to_text()
             assert report2.to_csv() == report.to_csv()
-            assert artifact2.payload.to_bytes() == artifact.payload.to_bytes()
+            assert artifact2.to_bytes() == artifact.to_bytes()
 
 
 def make_store_package(rng, model_id, version, kind, descriptor_override=None):

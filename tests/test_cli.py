@@ -64,6 +64,38 @@ class TestExitCodes:
         assert rc == 1
         assert "config error" in err
 
+    USAGE_ERRORS = {
+        "predictor-slots-0": ["train", "predictor", "--slots", "0", "--out", "p.lcmp"],
+        "predictor-order-0": ["train", "predictor", "--order", "0", "--out", "p.lcmp"],
+        "predictor-short-trace": ["train", "predictor", "--slots", "10", "--out", "p.lcmp"],
+        "beams-one-antenna": ["eval", "beams", "--antennas", "1"],
+        "beams-doppler": ["eval", "beams", "--doppler", "0.7"],
+        "beams-top-k": ["eval", "beams", "--top-k", "40"],
+        "autoencoder-latent-0": ["train", "autoencoder", "--latent", "0",
+                                 "--out-encoder", "e.lcmp", "--out-decoder", "d.lcmp"],
+        "autoencoder-bits": ["train", "autoencoder", "--bits", "-1",
+                             "--out-encoder", "e.lcmp", "--out-decoder", "d.lcmp"],
+        "derive-paths": ["intervendor", "derive-reference", "--latents", "4", "--bits", "0",
+                         "--antennas", "16", "--paths", "40", "--out-model", "m.lcmp"],
+        "derive-train-samples": ["intervendor", "derive-reference", "--latents", "4",
+                                 "--bits", "0", "--train-samples", "1"],
+    }
+
+    @pytest.mark.parametrize("case", sorted(USAGE_ERRORS))
+    def test_out_of_range_flag_exits_one_before_any_work(
+        self, capsys, tmp_path, monkeypatch, case
+    ):
+        def work(*args, **kwargs):
+            raise AssertionError("work began before the flags were checked")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "generate_trace", work)
+        monkeypatch.setattr(intervendor, "derive_reference_model", work)
+        rc, out, err = run_cli(capsys, self.USAGE_ERRORS[case])
+        assert rc == 1
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert out == "" and list(tmp_path.iterdir()) == []
+
     def test_missing_model_file_exit_two(self, capsys, tmp_path):
         rc, _, err = run_cli(
             capsys,

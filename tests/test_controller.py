@@ -143,7 +143,6 @@ def make_package(model_id="m-a", version=1, doppler=0.05, snr=20.0, tag="csi-pre
 def make_inputs(
     current=None,
     active=None,
-    snr=20.0,
     active_id="m-a",
     active_version=1,
     buffered=0,
@@ -156,7 +155,6 @@ def make_inputs(
         current_descriptor=current,
         divergence=descriptor_divergence(current, active),
         misalignment=misalignment_divergence(current, active),
-        mean_snr_db=snr,
         active_model_id=active_id,
         active_model_version=active_version,
         buffered_samples=buffered,
@@ -172,7 +170,6 @@ class TestDecide:
         inputs = make_inputs(
             current=make_descriptor(doppler=0.05, snr=0.0),
             active=make_descriptor(doppler=0.05, snr=20.0),
-            snr=0.0,
         )
         action = decide(inputs, DecisionPolicy(), reg)
         # SNR attribution outranks the registry match that also exists.
@@ -369,15 +366,15 @@ class TestExecute:
         base = trained_base()
         rng = np.random.default_rng(2)
 
-        def fit(pkg, rank):
+        def fit(pkg):
             pairs = []
-            for _ in range(rank + 8):
+            for _ in range(2 + 8):
                 p = rng.standard_normal(N_ANT) + 1j * rng.standard_normal(N_ANT)
                 p /= np.linalg.norm(p)
                 pairs.append((p, p))
-            return fit_adaptation_delta(pkg, pairs, rank=min(rank, 2))
+            return fit_adaptation_delta(pkg, pairs, rank=2)
 
-        ctx = self.make_ctx(tmp_path, fit_delta=fit, delta_rank=2)
+        ctx = self.make_ctx(tmp_path, fit_delta=fit)
         ctx.registry.store(base)
         ctx.registry.activate(base.descriptor.model_id, 1)
         ctx.agent.activate(base)
@@ -389,7 +386,7 @@ class TestExecute:
         assert ctx.agent.active_model.has_param("delta_left")
 
     def test_delta_update_without_active_model_fails(self, tmp_path):
-        ctx = self.make_ctx(tmp_path, fit_delta=lambda pkg, rank: None)
+        ctx = self.make_ctx(tmp_path, fit_delta=lambda pkg: None)
         action = ControlAction(kind=ActionKind.DELTA_UPDATE)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.ACTION_FAILED
@@ -406,7 +403,7 @@ class TestExecute:
         ],
     )
     def test_fit_delta_failure_reason(self, tmp_path, error, prefix):
-        def fit(pkg, rank):
+        def fit(pkg):
             raise error
 
         base = make_package(model_id="m-a")

@@ -363,8 +363,7 @@ class TestReferenceDerivation:
         )
         assert report.selected_index == 0
         assert artifact is not None
-        assert artifact.kind == "reference_model"
-        assert artifact.payload.kind is ModelKind.CSI_DECODER
+        assert artifact.kind is ModelKind.CSI_DECODER
 
     def test_budget_gate_beats_raw_performance(self):
         spec = small_spec(num_paths=8)
@@ -381,7 +380,7 @@ class TestReferenceDerivation:
         artifact, report = derive_reference_model(candidates, spec, tight, seed=51)
         assert report.selected_index == 0
         assert "flops_over_budget" in report.scores[1].reasons
-        assert artifact.payload.descriptor.model_id.startswith("ref-cand0")
+        assert artifact.descriptor.model_id.startswith("ref-cand0")
 
     def test_no_eligible_candidate_reports_honestly(self):
         artifact, report = derive_reference_model(
@@ -404,7 +403,7 @@ class TestReferenceDerivation:
         a2, r2 = derive_reference_model(candidates, small_spec(), criteria, seed=52)
         assert r1.to_text() == r2.to_text()
         assert r1.to_csv() == r2.to_csv()
-        assert a1.payload.to_bytes() == a2.payload.to_bytes()
+        assert a1.to_bytes() == a2.to_bytes()
 
     def test_selection_matches_independent_rescoring(self):
         spec = small_spec(num_paths=8)

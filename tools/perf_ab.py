@@ -1,14 +1,17 @@
-"""Alternate perfbench runs of two checkouts and write a BENCH_<n>.json file.
+"""Alternate perfbench runs of two commits and write a BENCH_<n>.json file.
 
-Usage, with this checkout as the change:
+Usage, with this repository's HEAD as the change:
 
-    python3 tools/perf_ab.py --parent PARENT_CHECKOUT --pairs 10 \
+    python3 tools/perf_ab.py --parent PARENT_COMMIT --pairs 10 \
         --workloads acceptance_mix --seed 42 --out BENCH_1.json
 
-For each workload and each pair, ``perfbench/run.py --workload W --seed S
+Both commits are cloned from this repository, the same way, into sibling
+directories of one fresh temporary directory, and run from there: a run in
+a working checkout beside one in a fresh clone measured the working checkout
+faster on a commit against itself. Only committed files are measured. For
+each workload and each pair, ``perfbench/run.py --workload W --seed S
 --trace 0``, for the run length that BENCHMARK.json sets, runs once in each
-checkout, and the side that runs first alternates from pair to pair. Both
-checkouts must be git checkouts, so that perfbench records their commits.
+clone, and the side that runs first alternates from pair to pair.
 
 The file holds, per workload and side, every run's end-to-end metrics,
 their medians and quartiles (numpy's linear percentiles), whether every
@@ -23,6 +26,7 @@ import argparse
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +53,14 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     }
 
 
+def clone(commit: str, checkout: Path) -> Path:
+    """A fresh clone of this repository at ``commit``."""
+    subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(ROOT), str(checkout)],
+                   check=True)
+    subprocess.run(["git", "-C", str(checkout), "checkout", "--quiet", commit], check=True)
+    return checkout
+
+
 def summarize(runs: list[dict]) -> dict:
     out = {"correct": all(r["correct"] for r in runs)}
     for name in HIGHER_IS_BETTER:
@@ -60,7 +72,7 @@ def summarize(runs: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--workloads", nargs="+",
                         default=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--seed", type=int, default=42)
@@ -68,28 +80,30 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
     report = json.loads(args.out.read_text()) if args.out.exists() else {"workloads": {}}
-    for workload in args.workloads:
-        runs = {"parent": [], "change": []}
-        for pair in range(args.pairs):
-            order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
-            for side in order:
-                runs[side].append(run_once(sides[side], workload, args.seed))
-                print(workload, pair, side, runs[side][-1]["metrics"]["slots_per_s"],
-                      file=sys.stderr)
-        entry = {"seed": args.seed, "pairs": args.pairs, "seconds": BENCHMARK["run_seconds"]}
-        for side in sides:
-            entry[side] = summarize(runs[side])
-            entry[side]["git_sha"] = runs[side][0]["environment"]["git_sha"]
-        entry["environment"] = {k: v for k, v in runs["change"][0]["environment"].items()
-                                if k != "git_sha"}
-        entry["change_wins"] = {}
-        for name, higher in HIGHER_IS_BETTER.items():
-            pairs = zip(entry["parent"][name]["runs"], entry["change"][name]["runs"])
-            entry["change_wins"][name] = sum((c > p) if higher else (c < p) for p, c in pairs)
-        report["workloads"][f"{workload}@seed{args.seed}"] = entry
-        args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory(prefix="perf_ab-") as tmp:
+        commits = {"parent": args.parent, "change": "HEAD"}
+        sides = {side: clone(commit, Path(tmp) / side) for side, commit in commits.items()}
+        for workload in args.workloads:
+            runs = {"parent": [], "change": []}
+            for pair in range(args.pairs):
+                order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+                for side in order:
+                    runs[side].append(run_once(sides[side], workload, args.seed))
+                    print(workload, pair, side, runs[side][-1]["metrics"]["slots_per_s"],
+                          file=sys.stderr)
+            entry = {"seed": args.seed, "pairs": args.pairs, "seconds": BENCHMARK["run_seconds"]}
+            for side in sides:
+                entry[side] = summarize(runs[side])
+                entry[side]["git_sha"] = runs[side][0]["environment"]["git_sha"]
+            entry["environment"] = {k: v for k, v in runs["change"][0]["environment"].items()
+                                    if k != "git_sha"}
+            entry["change_wins"] = {}
+            for name, higher in HIGHER_IS_BETTER.items():
+                pairs = zip(entry["parent"][name]["runs"], entry["change"][name]["runs"])
+                entry["change_wins"][name] = sum((c > p) if higher else (c < p) for p, c in pairs)
+            report["workloads"][f"{workload}@seed{args.seed}"] = entry
+            args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
 
 
