@@ -184,7 +184,7 @@ class _Loop:
         self.legacy_beam = np.full(span, -1)
         self.eval_counter = 0
         self.last_action_kind: ActionKind | None = None
-        self.last_action_eval = 0  # eval_counter at the last action, read once there is one
+        self.last_action_eval = 0  # eval_counter at the last action; unread until there is one
         self.eval_set = set(
             evaluation_slots(config.num_slots, config.monitoring, simulation_warmup(config))
         )
