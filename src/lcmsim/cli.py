@@ -235,6 +235,8 @@ def _cmd_eval_sgcs(args) -> int:
 
 
 def _cmd_eval_beams(args) -> int:
+    # The trace flags first: they set the beam count the KPI flags are checked against.
+    config_checked(check_schedule, [(0, _regime(args))], args.slots, args.antennas)
     split = args.slots // 2
     cfg = BeamKpiConfig(top_k=args.top_k, top_m=args.top_m, window_n=args.slots - split)
     config_checked(cfg.validate, args.antennas)

@@ -136,10 +136,11 @@ def derive_input_descriptor(
     arccos; this keeps the estimate about mobility rather than SNR.
     A single-sample window yields 0. A caller sliding a window over one
     run can pass the window's pairs' :func:`lag1_terms` as ``lag_terms``
-    instead of having them recomputed.
+    instead of having them recomputed, or take every window's descriptor
+    at once with :func:`window_descriptors`.
     """
-    vectors, snr_vals = measurements.precoders, measurements.snr_db.tolist()
-    if not snr_vals:
+    vectors, snr_db = measurements.precoders, measurements.snr_db
+    if not len(snr_db):
         raise ValueError("empty measurement window")
     cb = np.asarray(codebook)
     if beam_powers is None:
@@ -147,33 +148,72 @@ def derive_input_descriptor(
         beam_powers = np.abs(np.matmul(cb.conj().T, vectors[:, :, np.newaxis])[:, :, 0]) ** 2
     else:
         beam_powers = np.asarray(beam_powers, dtype=np.float64)
-        if beam_powers.shape[0] != len(snr_vals):
+        if beam_powers.shape[0] != len(snr_db):
             raise ValueError("beam_powers rows must match the window length")
+    if lag_terms is None:
+        lag_terms = lag1_terms(vectors, snr_db.tolist())
+    elif len(snr_db) > 1 and len(lag_terms) != len(snr_db) - 1:
+        raise ValueError("lag_terms must hold one term per consecutive pair")
+    return window_descriptors(beam_powers, snr_db, lag_terms, [0], [len(snr_db)])[0]
 
-    mean_power = beam_powers.mean(axis=0)
-    total = mean_power.sum()
-    if total <= 0:
-        raise ValueError("beam powers sum to zero")
-    mean_power = mean_power / total
 
-    if len(snr_vals) < 2:
-        doppler = 0.0
-    else:
-        if lag_terms is None:
-            lag_terms = lag1_terms(vectors, snr_vals)
-        elif len(lag_terms) != len(snr_vals) - 1:
-            raise ValueError("lag_terms must hold one term per consecutive pair")
+@dataclass(frozen=True)
+class DescriptorRows:
+    """Input descriptors as arrays, one row per descriptor."""
+
+    profiles: np.ndarray  # mean beam power, each row summing to 1
+    dopplers: np.ndarray
+    snrs: np.ndarray
+    window_lens: np.ndarray
+
+    def __getitem__(self, i: int) -> InputDescriptor:
+        fields = float(self.dopplers[i]), float(self.snrs[i]), int(self.window_lens[i])
+        return InputDescriptor(self.profiles[i].copy(), *fields)
+
+    @classmethod
+    def stack(cls, descriptors: Sequence[InputDescriptor]) -> "DescriptorRows":
+        """Rows of ``descriptors``; raises ValueError unless their profiles have one size."""
+        fields = [(d.doppler_estimate, d.mean_snr_db, d.window_len) for d in descriptors]
+        dopplers, snrs, lens = np.array(fields, dtype=np.float64).reshape(-1, 3).T
+        profiles = np.stack([np.asarray(d.mean_beam_power, dtype=np.float64) for d in descriptors])
+        return cls(profiles, dopplers, snrs, lens)
+
+    def divergences(self, other: InputDescriptor, rows: slice = slice(None)) -> tuple:
+        """:func:`misalignment_divergence` and :func:`descriptor_divergence` of
+        ``other`` and each selected row, as two arrays, in one pass."""
+        mis = _misalignments(other, self.profiles[rows], self.dopplers[rows])
+        a, b = other.mean_snr_db, self.snrs[rows]
+        with np.errstate(invalid="ignore"):  # inf - inf, where the term is 0
+            snr_terms = np.where(np.isinf(a) & np.isinf(b), 0.0, np.abs(a - b) / 30.0)
+        return mis, mis + snr_terms
+
+
+def window_descriptors(
+    beam_powers: np.ndarray, snr_db: np.ndarray, lag_terms: Sequence[float],
+    starts: Sequence[int], stops: Sequence[int],
+) -> DescriptorRows:
+    """Row i describes slots ``starts[i]..stops[i]-1`` of one run, bit for bit
+    :func:`derive_input_descriptor` of that window: ``beam_powers`` and
+    ``snr_db`` hold one row per slot, and ``lag_terms[t]`` pairs slots t and
+    t+1 (:func:`lag1_terms`). Each window is summed as a view of its rows, in
+    ``add.reduce(axis=0)`` order, so no stack of windows is ever gathered."""
+    sums = np.empty((len(starts), beam_powers.shape[1]))
+    snrs, dopplers = [], []
+    for row, lo, hi in zip(sums, starts, stops):
+        np.add.reduce(beam_powers[lo:hi], axis=0, out=row)
+        snrs.append(np.add.reduce(snr_db[lo:hi]) / (hi - lo))
         acc = 0.0
-        for term in lag_terms:  # in pair order: sum() compensates on Python 3.12+
+        for term in lag_terms[lo : hi - 1]:  # in pair order: sum() compensates on Python 3.12+
             acc += term
-        mean_inner = min(1.0, max(0.0, acc / (len(snr_vals) - 1)))
-        doppler = math.acos(mean_inner) / (2 * math.pi)
-
-    return InputDescriptor(
-        mean_beam_power=mean_power,
-        doppler_estimate=doppler,
-        mean_snr_db=float(np.mean(snr_vals)),
-        window_len=len(snr_vals),
+        mean_inner = min(1.0, max(0.0, acc / (hi - lo - 1))) if hi - lo > 1 else 1.0
+        dopplers.append(math.acos(mean_inner) / (2 * math.pi))  # acos(1) = 0: one sample
+    lengths = np.subtract(stops, starts)
+    mean_power = sums / lengths[:, np.newaxis]
+    total = mean_power.sum(axis=1)
+    if np.any(total <= 0):
+        raise ValueError("beam powers sum to zero")
+    return DescriptorRows(
+        mean_power / total[:, np.newaxis], np.array(dopplers), np.array(snrs), lengths
     )
 
 
@@ -184,20 +224,21 @@ def _noise_gain(snr_db: float) -> float:
 
 
 def _misalignments(
-    query: InputDescriptor, profiles: np.ndarray, dopplers: np.ndarray | float
+    one: InputDescriptor, profiles: np.ndarray, dopplers: np.ndarray
 ) -> np.ndarray:
-    """Jensen-Shannon divergence (natural log) of the query's beam distribution
-    against each row of ``profiles``, plus |doppler delta|. A zero share adds no
-    term: a row with one sums its other terms as one compacted vector, since
-    np.sum's pairwise grouping depends on the term count."""
-    q = np.asarray(query.mean_beam_power, dtype=np.float64)
+    """Jensen-Shannon divergence (natural log) of one descriptor's beam distribution
+    against each row of ``profiles``, plus |doppler delta|; each step is symmetric
+    in the pair, bit for bit. A zero share adds no term: a row with one sums its
+    other terms as one compacted vector, since np.sum's pairwise grouping depends
+    on the term count."""
+    q = np.asarray(one.mean_beam_power, dtype=np.float64)
     if profiles.shape[1] != q.size:
         raise ValueError("beam profiles have different codebook sizes")
     x = np.empty((2, *profiles.shape))  # KL(q || m) and KL(p || m) of every row at once
     np.divide(q, q.sum(), out=x[0])
     np.divide(profiles, profiles.sum(axis=1, keepdims=True), out=x[1])
     m = 0.5 * (x[0] + x[1])
-    if x.min() > 0:
+    if np.all(x > 0):  # False for a NaN share too; True for no rows
         kl = (x * np.log(x / m)).sum(axis=2)
     else:
         keep = x > 0
@@ -205,12 +246,7 @@ def _misalignments(
         flat = zip(terms.reshape(-1, q.size), keep.reshape(-1, q.size))
         kl = np.array([t[k].sum() for t, k in flat]).reshape(2, -1)
     js = np.fmax(0.0, 0.5 * kl[0] + 0.5 * kl[1])  # fmax: 0 for a NaN sum, as max(0.0, nan)
-    return js + np.abs(query.doppler_estimate - dopplers)
-
-
-def _snr_term(a: float, b: float) -> float:
-    """|snr delta| / 30, and 0 for two infinite SNRs."""
-    return 0.0 if math.isinf(a) and math.isinf(b) else abs(a - b) / 30.0
+    return js + np.abs(one.doppler_estimate - dopplers)
 
 
 def misalignment_divergence(a: InputDescriptor, b: InputDescriptor) -> float:
@@ -220,26 +256,13 @@ def misalignment_divergence(a: InputDescriptor, b: InputDescriptor) -> float:
     plus |doppler delta|. Used where SNR change is accounted for
     separately and only spatial or mobility drift should register.
     """
-    profile = np.asarray(b.mean_beam_power, dtype=np.float64)[np.newaxis]
-    return float(_misalignments(a, profile, b.doppler_estimate)[0])
+    return float(DescriptorRows.stack([b]).divergences(a)[0][0])
 
 
 def descriptor_divergence(a: InputDescriptor, b: InputDescriptor) -> float:
     """Distance between two descriptors.
 
-    The misalignment divergence plus |snr delta| / 30, all terms
-    weighted equally. Zero iff beam profile, Doppler and SNR coincide.
+    The misalignment divergence plus |snr delta| / 30 (0 for two infinite SNRs),
+    all terms weighted equally. Zero iff beam profile, Doppler and SNR coincide.
     """
-    return misalignment_divergence(a, b) + _snr_term(a.mean_snr_db, b.mean_snr_db)
-
-
-def descriptor_divergences(
-    query: InputDescriptor, stored: Sequence[InputDescriptor]
-) -> list[float]:
-    """``descriptor_divergence(query, d)`` for every d, in one pass."""
-    if not stored:
-        return []
-    profiles = np.stack([np.asarray(d.mean_beam_power, dtype=np.float64) for d in stored])
-    dopplers = np.array([d.doppler_estimate for d in stored], dtype=np.float64)
-    misaligned = zip(_misalignments(query, profiles, dopplers).tolist(), stored)
-    return [mis + _snr_term(query.mean_snr_db, d.mean_snr_db) for mis, d in misaligned]
+    return float(DescriptorRows.stack([b]).divergences(a)[1][0])

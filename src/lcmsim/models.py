@@ -84,6 +84,8 @@ class ModelPackage:
     parameters: list[tuple[str, np.ndarray]]
     extra: dict[str, str] = field(default_factory=dict)
     root: RootRef | None = None
+    # (parameters, container_bytes()) from finalize_package, until a store takes them.
+    _finalized: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def param(self, name: str) -> np.ndarray:
         for key, value in self.parameters:
@@ -110,6 +112,14 @@ class ModelPackage:
             d.model_id, d.model_version - 1, int(self.extra["delta_rank"]), left, right,
             bias.ravel(), self.root,
         ).to_bytes()
+
+    def take_container_bytes(self) -> bytes:
+        """:meth:`container_bytes`, as :func:`finalize_package` wrote them if the
+        parameter list holds what it serialized; the package keeps no copy."""
+        (serialized, data), self._finalized = self._finalized or ((), None), None
+        if data is None or [*map(id, serialized)] != [*map(id, self.parameters)]:
+            return self.container_bytes()
+        return data
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ModelPackage":
@@ -242,11 +252,13 @@ def finalize_package(pkg: ModelPackage) -> ModelPackage:
     """Fill size and cost fields, then freeze the payload checksum.
 
     The checksum is the SHA-256 trailer of :meth:`ModelPackage.container_bytes`,
-    taken from the bytes just written rather than hashed a second time.
+    taken from the bytes just written, which the package keeps for a store.
     """
     pkg.descriptor.flops_per_inference = flops_for_parameters(pkg.parameters)
     pkg.descriptor.storage_bytes = storage_for_parameters(pkg.parameters)
-    pkg.descriptor.payload_checksum = pkg.container_bytes()[-container.CHECKSUM_LEN:]
+    data = pkg.container_bytes()
+    pkg.descriptor.payload_checksum = data[-container.CHECKSUM_LEN:]
+    pkg._finalized = tuple(pkg.parameters), data
     return pkg
 
 

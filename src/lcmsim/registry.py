@@ -40,7 +40,7 @@ from pathlib import Path
 
 from .container import CHECKSUM_LEN
 from .errors import IntegrityError, NotFoundError, PairingError
-from .kpi import InputDescriptor, descriptor_divergences
+from .kpi import DescriptorRows, InputDescriptor
 from .kpi import descriptor_divergence  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
 from .models import DeltaPackage, ModelKind, ModelPackage, rebuild_delta_version, verify_package
 
@@ -140,6 +140,9 @@ class ModelRegistry:
         self._entries: dict[tuple[str, int], RegistryEntry] = {}
         self._journal = None  # the index opened for appending
         self._sealed = False  # the index ends in a commit marker
+        # By kind: closest_entry's candidates, as (-version, model_id) tie-break
+        # keys and descriptor rows; dropped whenever an entry changes.
+        self._ranking: dict[str, tuple[list, DescriptorRows | None]] = {}
         self._load_index()
 
     def close(self) -> None:
@@ -199,6 +202,7 @@ class ModelRegistry:
         self._sealed = True
         for entry in changed:
             self._entries[(entry.model_id, entry.version)] = entry
+        self._ranking.clear()
 
     def _compact(self) -> None:
         """Rewrite the journal as one group, the current line per entry."""
@@ -230,9 +234,9 @@ class ModelRegistry:
                     f"root {root_id} v{root_version} of {desc.model_id} v{desc.model_version} "
                     "is not a full package of the same model"
                 )
-        # Serialize once; the container trailer is the checksum that
-        # verify_package would recompute from these same bytes.
-        data = package.container_bytes()
+        # The container trailer is the checksum that verify_package would
+        # recompute from these same bytes.
+        data = package.take_container_bytes()
         if data[-CHECKSUM_LEN:] != desc.payload_checksum:
             raise IntegrityError(
                 f"checksum mismatch storing {desc.model_id} v{desc.model_version}"
@@ -321,17 +325,19 @@ class ModelRegistry:
         are ranked in one pass.
         """
         kind_value = kind.value if isinstance(kind, ModelKind) else str(kind)
-        candidates = [
-            self._entries[key] for key in sorted(self._entries)
-            if self._entries[key].kind == kind_value and self._entries[key].status != "retired"
-        ]
-        held = [self._descriptor(entry) for entry in candidates]
-        ranked = [
-            (div, -entry.version, entry.model_id)
-            for div, entry in zip(descriptor_divergences(query, held), candidates)
-        ]
-        best = min(ranked, default=None)
-        if best is None or best[0] > max_divergence:
+        if kind_value not in self._ranking:
+            candidates = [
+                self._entries[key] for key in sorted(self._entries)
+                if self._entries[key].kind == kind_value and self._entries[key].status != "retired"
+            ]
+            held = [self._descriptor(entry) for entry in candidates]
+            keys = [(-entry.version, entry.model_id) for entry in candidates]
+            self._ranking[kind_value] = keys, (DescriptorRows.stack(held) if held else None)
+        keys, rows = self._ranking[kind_value]
+        if not keys:
+            return None
+        best = min((div, *key) for div, key in zip(rows.divergences(query)[1].tolist(), keys))
+        if best[0] > max_divergence:
             return None
         return self._entries[(best[2], -best[1])], best[0]
 
@@ -421,6 +427,7 @@ class ModelRegistry:
         ])
         for key in removed:
             self._entries.pop(key, None)
+        self._ranking.clear()
         self._compact()  # before the deletions: a crash between leaves orphans
         for key in removed:
             path = self.package_path(*key)

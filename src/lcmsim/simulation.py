@@ -39,13 +39,13 @@ from .controller import (
 )
 from .errors import ConfigError
 from .kpi import (
-    derive_input_descriptor,
-    descriptor_divergence,
+    derive_input_descriptor,  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
+    descriptor_divergence,  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
     lag1_terms,
-    misalignment_divergence,
     nmse_rows,
     sgcs,  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
     sgcs_rows,
+    window_descriptors,
 )
 from .models import (
     ModelPackage,
@@ -153,8 +153,16 @@ class _Loop:
             trace.true_precoders, trace.snr_db, np.arange(config.num_slots), config.seed
         )
         self.measured = self.measurements.precoders
-        # lag_terms[t] pairs slots t and t+1; descriptor windows slice it.
-        self.lag_terms = lag1_terms(self.measured, trace.snr_db.tolist())
+        # So do the evaluation slots' input descriptors: row i is the window ending at the i-th.
+        evals = evaluation_slots(config.num_slots, config.monitoring, simulation_warmup(config))
+        self.eval_set, window = set(evals), config.policy.descriptor_window_slots
+        self.descriptors = window_descriptors(
+            trace.per_beam_power, self.measurements.snr_db,
+            lag1_terms(self.measured, trace.snr_db.tolist()),  # term t pairs slots t and t+1
+            [t + 1 - min(window, t + 1) for t in evals], [t + 1 for t in evals],
+        )
+        # (active model's descriptor, rows, misalignments, divergences) of the rows scored last
+        self.diverged = None, slice(0, 0), [], []
         self.agent = InferenceAgent()
         self.session = MonitoringSession(config.monitoring)
         self.policy = config.policy
@@ -185,9 +193,6 @@ class _Loop:
         self.eval_counter = 0
         self.last_action_kind: ActionKind | None = None
         self.last_action_eval = 0  # eval_counter at the last action; unread until there is one
-        self.eval_set = set(
-            evaluation_slots(config.num_slots, config.monitoring, simulation_warmup(config))
-        )
 
     # -- logging helpers --------------------------------------------
 
@@ -281,14 +286,16 @@ class _Loop:
         model = f"{desc.model_id},{desc.model_version}" if desc else ","
         return f"{self.state.value},{model},{monitored}"
 
-    def current_descriptor(self, slot: int):
-        start = slot + 1 - min(self.policy.descriptor_window_slots, slot + 1)
-        return derive_input_descriptor(
-            self.measurements.window(start, slot + 1),
-            self.codebook,
-            self.trace.per_beam_power[start : slot + 1],
-            self.lag_terms[start:slot],
-        )
+    def divergences(self, index: int) -> tuple[float, float]:
+        """Misalignment and divergence of the index-th evaluation's descriptor
+        from the active model's, scored a block of evaluations at a time."""
+        reference = self.agent.active_model.descriptor.input_descriptor
+        scored, rows, misaligned, diverged = self.diverged
+        if reference is not scored or not rows.start <= index < rows.stop:
+            rows = slice(index, index + _BLOCK_SLOTS)
+            misaligned, diverged = (a.tolist() for a in self.descriptors.divergences(reference, rows))
+            self.diverged = reference, rows, misaligned, diverged
+        return misaligned[index - rows.start], diverged[index - rows.start]
 
     def issue(self, slot: int, action: ControlAction) -> str:
         """Log, execute and acknowledge one action; returns its name."""
@@ -316,12 +323,13 @@ class _Loop:
         self.last_action_eval = self.eval_counter
         return action.kind.value
 
-    def run_decision(self, slot: int, divergence: float, descriptor) -> str:
+    def run_decision(self, slot: int, index: int) -> str:
         active = self.agent.active_model.descriptor
+        misalignment, divergence = self.divergences(index)
         inputs = DecisionInputs(
-            current_descriptor=descriptor,
+            current_descriptor=self.descriptors[index],
             divergence=divergence,
-            misalignment=misalignment_divergence(descriptor, active.input_descriptor),
+            misalignment=misalignment,
             active_model_id=active.model_id,
             active_model_version=active.model_version,
             buffered_samples=slot + 1,
@@ -332,12 +340,12 @@ class _Loop:
 
     def monitor(self, slot: int) -> dict[str, str]:
         """Run one evaluation; returns the metrics columns it fills, by name."""
-        descriptor = self.current_descriptor(slot)
+        index = self.eval_counter  # of the evaluation, and of its descriptor row
         self.eval_counter += 1
         monitored = dict.fromkeys(METRICS_HEADER.split(",")[-4:], "")
 
         if self.agent.fallback:
-            action = decide_reactivation(descriptor, self.policy, self.registry)
+            action = decide_reactivation(self.descriptors[index], self.policy, self.registry)
             if action is not None:
                 monitored["action"] = self.issue(slot, action)
             return monitored
@@ -360,9 +368,7 @@ class _Loop:
             overhead_bits=str(report.overhead_bits),
         )
 
-        active_desc = self.agent.active_model.descriptor.input_descriptor
-        divergence = descriptor_divergence(descriptor, active_desc)
-        monitored["descriptor_divergence"] = repr(divergence)
+        monitored["descriptor_divergence"] = repr(self.divergences(index)[1])
 
         streak = self.session.watch.clean
         if self.state is LoopState.RECOVERING and streak >= self.policy.n_recover:
@@ -380,7 +386,7 @@ class _Loop:
             )
             self.log_transition(slot, ControlEvent(EventKind.DRIFT_ALARM))
             if self.state is LoopState.DEGRADED:
-                monitored["action"] = self.run_decision(slot, divergence, descriptor)
+                monitored["action"] = self.run_decision(slot, index)
         return monitored
 
     def run(self) -> RunResult:

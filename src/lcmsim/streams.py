@@ -20,9 +20,8 @@ import numpy as np
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645  # 128-bit multiplier
 _MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
 
 
 def substream(master_seed: int, module: str, index: int = 0) -> np.random.Generator:
@@ -74,25 +73,36 @@ def _seed_words(pool: list[np.ndarray]) -> list[np.ndarray]:
     return [_hashmix(pool[i % 4], *step) for i, step in enumerate(_GEN_STEPS)]
 
 
-def _pcg64_states(master_seed: int, module: str, indices: Sequence[int]) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of ``substream(master_seed, module, i)`` for each i."""
-    entropy = b"".join(
-        hashlib.sha256(f"{master_seed}:{module}:{i}".encode()).digest()[:16] for i in indices
-    )
-    # The 128-bit little-endian entropy as four uint32 words, low first;
-    # SeedSequence pads missing high words with zeros, so four always fit.
-    pool = np.frombuffer(entropy, dtype="<u4").reshape(-1, 4).astype(np.uint32)
-    words = _seed_words([pool[:, i] for i in range(4)])
-    states = []
-    for w in zip(*(column.tolist() for column in words)):
-        # generate_state(4, uint64) pairs the words little-endian; PCG64
-        # seeds with (u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]).
-        seed = (w[0] | w[1] << 32) << 64 | (w[2] | w[3] << 32)
-        inc = (((w[4] | w[5] << 32) << 64 | (w[6] | w[7] << 32)) << 1 | 1) & _MASK128
-        # pcg64_srandom_r: state = inc, plus the seed, then one step.
-        state = (inc + seed) & _MASK128
-        states.append(((state * _PCG_MULT + inc) & _MASK128, inc))
-    return states
+def _mul64(a: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 128-bit product of uint64 ``a`` and a 64-bit constant, as (high, low) words."""
+    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    low, cross, high = a0 * b0, a1 * b0, a1 * b1
+    mid = (low >> 32) + (cross & _MASK32) + a0 * b1  # < 2^64: no carry is lost
+    return high + (cross >> 32) + (mid >> 32), a * b
+
+
+def _pcg64_states(master_seed: int, module: str, indices: Sequence[int]) -> list[np.ndarray]:
+    """PCG64 (state, inc) of ``substream(master_seed, module, i)`` for each i, as
+    the uint64 arrays [state high, state low, inc high, inc low]: the 128-bit
+    arithmetic in 64-bit words, which wrap as it does."""
+    prefix = f"{master_seed}:{module}:"
+    digests = b"".join([hashlib.sha256((prefix + str(i)).encode()).digest() for i in indices])
+    # The first 16 digest bytes are the 128-bit little-endian entropy: four
+    # uint32 words, low first; SeedSequence pads missing high words with zeros.
+    pool = np.frombuffer(digests, dtype="<u4").reshape(-1, 8)[:, :4].astype(np.uint32)
+    w = [word.astype(np.uint64) for word in _seed_words([pool[:, i] for i in range(4)])]
+    # generate_state(4, uint64) pairs the words little-endian; PCG64 seeds
+    # with (u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]), inc = that << 1 | 1.
+    seed_hi, seed_lo = w[0] | w[1] << 32, w[2] | w[3] << 32
+    inc_hi, inc_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
+    inc_hi, inc_lo = inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1
+    # pcg64_srandom_r: state = inc + seed, then one step, state * mult + inc.
+    lo = inc_lo + seed_lo
+    hi = inc_hi + seed_hi + (lo < inc_lo)
+    carry, product_lo = _mul64(lo, _PCG_MULT_LO)
+    hi = carry + lo * _PCG_MULT_HI + hi * _PCG_MULT_LO
+    lo = product_lo + inc_lo
+    return [hi + inc_hi + (lo < inc_lo), lo, inc_hi, inc_lo]
 
 
 def substream_normals(
@@ -107,14 +117,13 @@ def substream_normals(
     out = np.empty((len(indices), width), dtype=np.float64)
     bit_gen = np.random.PCG64(0)
     gen = np.random.Generator(bit_gen)
-    for row, (state, inc) in enumerate(_pcg64_states(master_seed, module, indices)):
-        bit_gen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=out[row])
+    state = bit_gen.state  # one dict, re-filled per row
+    pcg = state["state"]
+    words = zip(*(a.tolist() for a in _pcg64_states(master_seed, module, indices)))
+    for row, (state_hi, state_lo, inc_hi, inc_lo) in zip(out, words):
+        pcg["state"], pcg["inc"] = state_hi << 64 | state_lo, inc_hi << 64 | inc_lo
+        bit_gen.state = state
+        gen.standard_normal(out=row)
     return out
 
 

@@ -96,6 +96,13 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert out == "" and list(tmp_path.iterdir()) == []
 
+    def test_eval_beams_names_the_antenna_flag(self, capsys):
+        # The trace flags are checked before the beam-KPI flags, which are
+        # checked against the beam count the antennas set.
+        rc, _, err = run_cli(capsys, self.USAGE_ERRORS["beams-one-antenna"])
+        assert rc == 1
+        assert err == "config error: channel.num_antennas must be at least 2\n"
+
     def test_missing_model_file_exit_two(self, capsys, tmp_path):
         rc, _, err = run_cli(
             capsys,

@@ -7,17 +7,18 @@ from hypothesis import given, settings, strategies as st
 from lcmsim.channel import CsiMeasurements, dft_codebook, unit_norm
 from lcmsim.kpi import (
     BeamKpiConfig,
+    DescriptorRows,
     InputDescriptor,
     beam_topk_accuracy,
     derive_input_descriptor,
     descriptor_divergence,
-    descriptor_divergences,
     lag1_terms,
     misalignment_divergence,
     nmse,
     nmse_rows,
     sgcs,
     sgcs_rows,
+    window_descriptors,
 )
 
 
@@ -292,7 +293,7 @@ class TestDescriptorDivergences:
             query.mean_beam_power[int(rng.integers(beams))] = 0.0
         stored = [draw() for _ in range(rows)] + [query]
         want = [divergence_reference(query, d) for d in stored]
-        got = descriptor_divergences(query, stored)
+        got = DescriptorRows.stack(stored).divergences(query)[1].tolist()
         assert [x.hex() for x in got] == [x.hex() for x in want]
         got = [descriptor_divergence(query, d) for d in stored]
         assert [x.hex() for x in got] == [x.hex() for x in want]
@@ -305,14 +306,88 @@ class TestDescriptorDivergences:
         zero = make_desc([0.0, 0.0, 0.0], 0.3)
         with np.errstate(invalid="ignore"):  # the zero profile normalizes to NaN
             want = divergence_reference(query, zero)
-            got = descriptor_divergences(query, [zero])
+            got = DescriptorRows.stack([zero]).divergences(query)[1].tolist()
         assert [x.hex() for x in got] == [want.hex()]
 
     def test_empty_and_mismatched_profiles(self):
         query = make_desc([0.5, 0.5])
-        assert descriptor_divergences(query, []) == []
+        none = window_descriptors(np.ones((1, 2)), np.zeros(1), [], [], [])
+        assert [a.shape for a in none.divergences(query)] == [(0,), (0,)]
         with pytest.raises(ValueError):
-            descriptor_divergences(query, [make_desc([0.25, 0.25, 0.5])])
+            DescriptorRows.stack([make_desc([0.25, 0.25, 0.5])]).divergences(query)
+        with pytest.raises(ValueError):
+            DescriptorRows.stack([query, make_desc([0.25, 0.25, 0.5])])
+
+
+def descriptor_reference(beam_powers, snr_db, lag_terms):
+    """One window's descriptor fields as derive_input_descriptor computed
+    them one window at a time: the rows must equal them bit for bit."""
+    mean_power = beam_powers.mean(axis=0)
+    mean_power = mean_power / mean_power.sum()
+    acc = 0.0
+    for term in lag_terms:
+        acc += term
+    n = len(snr_db)
+    doppler = 0.0 if n < 2 else math.acos(min(1.0, max(0.0, acc / (n - 1)))) / (2 * math.pi)
+    return mean_power, doppler, float(np.mean(list(snr_db)))
+
+
+class TestWindowDescriptors:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        beams=st.sampled_from([8, 32, 64]),
+        slots=st.integers(1, 150),
+        window=st.integers(1, 60),
+        evals=st.sampled_from([0, 1, 2, 40]),
+        reference_zero=st.booleans(),
+    )
+    def test_rows_and_divergences_equal_the_per_window_forms(
+        self, seed, beams, slots, window, evals, reference_zero
+    ):
+        rng = np.random.default_rng(seed)
+        cb = dft_codebook(beams)
+        snr = rng.choice([math.inf, -3.0, 12.5, 30.0], size=slots)
+        meas = CsiMeasurements(range(slots), unit_norm(random_stack(rng, slots, beams)), snr)
+        powers = rng.random((slots, beams)) * rng.choice([1.0, 1e3])
+        powers[:, rng.random(beams) < 0.1] = 0.0  # a zero share in every window
+        powers[rng.random((slots, beams)) < 0.05] = 0.0
+        powers[:, 0] += 1e-3  # no window sums to zero
+        lags = lag1_terms(meas.precoders, snr.tolist())
+        stops = sorted(rng.choice(np.arange(1, slots + 1), min(evals, slots), replace=False))
+        starts = [stop - min(window, stop) for stop in stops]
+        rows = window_descriptors(powers, meas.snr_db, lags, starts, stops)
+        assert rows.profiles.shape == (len(stops), beams)
+        for i, (lo, hi) in enumerate(zip(starts, stops)):
+            want = descriptor_reference(powers[lo:hi], snr[lo:hi], lags[lo : hi - 1])
+            derived = derive_input_descriptor(meas.window(lo, hi), cb, powers[lo:hi], lags[lo : hi - 1])
+            for got in (rows[i], derived):
+                assert got.mean_beam_power.tobytes() == want[0].tobytes()
+                assert (got.doppler_estimate, got.mean_snr_db) == want[1:]
+                assert got.window_len == hi - lo
+
+        # Divergences from one descriptor, as the loop scores the active model's.
+        power = rng.dirichlet(np.ones(beams))
+        if reference_zero:
+            power[int(rng.integers(beams))] = 0.0
+        reference = make_desc(power, float(rng.uniform(0.0, 0.5)),
+                              float(rng.choice([math.inf, 8.0])))
+        misaligned, diverged = rows.divergences(reference)
+        want_mis = [misalignment_divergence(rows[i], reference) for i in range(len(stops))]
+        want_div = [descriptor_divergence(rows[i], reference) for i in range(len(stops))]
+        assert [x.hex() for x in misaligned.tolist()] == [x.hex() for x in want_mis]
+        assert [x.hex() for x in diverged.tolist()] == [x.hex() for x in want_div]
+        assert want_div == [divergence_reference(rows[i], reference) for i in range(len(stops))]
+        some = slice(1, 4)
+        assert rows.divergences(reference, some)[1].tobytes() == diverged[some].tobytes()
+
+    def test_stacked_descriptors_round_trip(self):
+        descs = [make_desc([0.5, 0.25, 0.25], 0.1, math.inf), make_desc([0.0, 0.5, 0.5], 0.2)]
+        rows = DescriptorRows.stack(descs)
+        for i, d in enumerate(descs):
+            assert rows[i].mean_beam_power.tobytes() == d.mean_beam_power.tobytes()
+            assert (rows[i].doppler_estimate, rows[i].mean_snr_db, rows[i].window_len) == (
+                d.doppler_estimate, d.mean_snr_db, d.window_len)
 
 
 # The per-slot arithmetic the stacked kernels replace, one numpy call per

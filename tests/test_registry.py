@@ -837,15 +837,20 @@ class RegistryMachine(RuleBasedStateMachine):
         assert reg.verify_all() == sorted(
             [(*key, "ok") for key in self.state]
             + [(*key, "orphan: no index entry") for key in orphans])
-        query = query_descriptor(doppler=0.2)
-        live = [(descriptor_divergence(query, self.packages[key].descriptor.input_descriptor),
-                 -key[1], key[0]) for key, (status, _) in self.state.items() if status != "retired"]
-        match = reg.closest_entry(query, ModelKind.CSI_PREDICTOR, math.inf)
-        if not live:
-            assert match is None
-        else:
-            div, negv, model_id = min(live)
-            assert (match[0].model_id, match[0].version, match[1]) == (model_id, -negv, div)
+        # Each lookup after the first ranks the rows the first one kept, until
+        # an operation changes an entry; each must equal a fresh ranking.
+        beam = np.linspace(1.0, 2.0, N_ANT)
+        for query in (query_descriptor(doppler=0.2), query_descriptor(0.4, math.inf, beam / beam.sum()),
+                      query_descriptor(doppler=0.2)):
+            live = [(descriptor_divergence(query, self.packages[key].descriptor.input_descriptor),
+                     -key[1], key[0])
+                    for key, (status, _) in self.state.items() if status != "retired"]
+            match = reg.closest_entry(query, ModelKind.CSI_PREDICTOR, math.inf)
+            if not live:
+                assert match is None
+            else:
+                div, negv, model_id = min(live)
+                assert (match[0].model_id, match[0].version, match[1]) == (model_id, -negv, div)
 
 
 TestRegistryMachine = RegistryMachine.TestCase

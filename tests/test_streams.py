@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lcmsim.streams import stable_id, substream, substream_normals
+from lcmsim.streams import _pcg64_states, stable_id, substream, substream_normals
 
 
 class TestSubstreamNormals:
@@ -39,6 +39,26 @@ class TestSubstreamNormals:
         rng = substream(5, "chan.gains", 3)
         halves = np.concatenate([rng.standard_normal(6), rng.standard_normal(6)])
         assert substream_normals(5, "chan.gains", [3], 12)[0].tobytes() == halves.tobytes()
+
+
+class TestPcg64States:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.one_of(
+            st.integers(min_value=-(2**70), max_value=2**70),
+            st.sampled_from([-1, 2**64 - 1, 2**64, 2**128 + 3]),
+        ),
+        module=st.text(max_size=12),
+        indices=st.lists(st.integers(min_value=-(2**40), max_value=2**40), max_size=8),
+    )
+    def test_states_equal_the_seeded_generators(self, seed, module, indices):
+        words = zip(*(a.tolist() for a in _pcg64_states(seed, module, indices)))
+        got = [(hi << 64 | lo, inc_hi << 64 | inc_lo) for hi, lo, inc_hi, inc_lo in words]
+        want = []
+        for index in indices:
+            state = substream(seed, module, index).bit_generator.state["state"]
+            want.append((state["state"], state["inc"]))
+        assert got == want
 
 
 class TestStableId:
