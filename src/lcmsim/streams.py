@@ -90,11 +90,10 @@ def _pcg64_states(master_seed: int, module: str, indices: Sequence[int]) -> list
     # The first 16 digest bytes are the 128-bit little-endian entropy: four
     # uint32 words, low first; SeedSequence pads missing high words with zeros.
     pool = np.frombuffer(digests, dtype="<u4").reshape(-1, 8)[:, :4].astype(np.uint32)
-    w = [word.astype(np.uint64) for word in _seed_words([pool[:, i] for i in range(4)])]
     # generate_state(4, uint64) pairs the words little-endian; PCG64 seeds
     # with (u64[0] << 64 | u64[1], u64[2] << 64 | u64[3]), inc = that << 1 | 1.
-    seed_hi, seed_lo = w[0] | w[1] << 32, w[2] | w[3] << 32
-    inc_hi, inc_lo = w[4] | w[5] << 32, w[6] | w[7] << 32
+    words = np.column_stack(_seed_words([pool[:, i] for i in range(4)]))
+    seed_hi, seed_lo, inc_hi, inc_lo = words.astype("<u4", copy=False).view("<u8").T
     inc_hi, inc_lo = inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1
     # pcg64_srandom_r: state = inc + seed, then one step, state * mult + inc.
     lo = inc_lo + seed_lo
