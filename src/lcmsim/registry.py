@@ -322,7 +322,7 @@ class ModelRegistry:
 
         Candidates are the available and active entries; ties go to the
         newest version, then the lexicographically lowest model id. All
-        are ranked in one pass.
+        are ranked in one pass, over rows kept until an entry changes.
         """
         kind_value = kind.value if isinstance(kind, ModelKind) else str(kind)
         if kind_value not in self._ranking:

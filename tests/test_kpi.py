@@ -347,7 +347,8 @@ class TestWindowDescriptors:
     ):
         rng = np.random.default_rng(seed)
         cb = dft_codebook(beams)
-        snr = rng.choice([math.inf, -3.0, 12.5, 30.0], size=slots)
+        snr = rng.uniform(-5.0, 35.0, slots)
+        snr[rng.random(slots) < rng.choice([0.0, 0.1])] = math.inf
         meas = CsiMeasurements(range(slots), unit_norm(random_stack(rng, slots, beams)), snr)
         powers = rng.random((slots, beams)) * rng.choice([1.0, 1e3])
         powers[:, rng.random(beams) < 0.1] = 0.0  # a zero share in every window
