@@ -51,10 +51,11 @@ class _Parser(argparse.ArgumentParser):
 # --------------------------------------------------------------------------
 # shared helpers
 
-def _add_trace_args(parser: argparse.ArgumentParser, slots_default: int) -> None:
+def _add_trace_args(parser: argparse.ArgumentParser, slots_default: int | None) -> None:
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--slots", type=int, default=slots_default,
-                        help="trace length (also the sample count)")
+    if slots_default is not None:
+        parser.add_argument("--slots", type=int, default=slots_default,
+                            help="trace length (also the sample count)")
     parser.add_argument("--antennas", type=int, default=32)
     parser.add_argument("--doppler", type=float, default=0.05)
     parser.add_argument("--paths", type=int, default=6)
@@ -459,7 +460,7 @@ def build_parser() -> _Parser:
     p.add_argument("--latents", type=_int_list(), required=True,
                    help="comma-separated latent dims")
     p.add_argument("--bits", type=_int_list(), required=True, help="comma-separated bit widths")
-    _add_trace_args(p, slots_default=0)
+    _add_trace_args(p, slots_default=None)  # the split sizes set the sample counts
     # Spec and criteria flags default to the fields of DerivationSpec and EvalCriteria.
     p.add_argument("--train-samples", dest="num_train", type=int, default=argparse.SUPPRESS)
     p.add_argument("--eval-samples", dest="num_eval", type=int, default=argparse.SUPPRESS)

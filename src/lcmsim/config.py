@@ -73,6 +73,8 @@ class ScenarioConfig:
                     f"short for order {self.predictor.order}, "
                     f"horizon {self.predictor.horizon_slots}"
                 )
+        if len(set(self.pretrain)) < len(self.pretrain):
+            raise ConfigError("pretrain windows must differ: equal windows train the same model")
         for start, _ in self.snr_overrides:
             if not 0 <= start < self.num_slots:
                 raise ConfigError(f"snr_override start_slot {start} outside the run")

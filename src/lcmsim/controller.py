@@ -262,7 +262,6 @@ class ExecutionContext:
 
     registry: ModelRegistry
     agent: InferenceAgent
-    functionality_tag: str
     retrain: Callable[[], ModelPackage] | None = None
     fit_delta: Callable[[ModelPackage], DeltaPackage] | None = None
 
@@ -287,9 +286,10 @@ def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> Co
             return None
 
         if action.kind is ActionKind.FALLBACK:
-            active = ctx.registry.active_entry(ctx.functionality_tag)
-            if active is not None:
-                ctx.registry.deactivate(active.model_id, active.version)
+            # activate() keeps the agent's model the registry's active entry.
+            if ctx.agent.active_model is not None:
+                desc = ctx.agent.active_model.descriptor
+                ctx.registry.deactivate(desc.model_id, desc.model_version)
             ctx.agent.enter_fallback()
             return None
 

@@ -121,7 +121,6 @@ def derive_input_descriptor(
     measurements: CsiMeasurements,
     codebook: np.ndarray,
     beam_powers: np.ndarray | None = None,
-    lag_terms: Sequence[float] | None = None,
 ) -> InputDescriptor:
     """Build an InputDescriptor from a window of measurements.
 
@@ -135,9 +134,8 @@ def derive_input_descriptor(
     rescaled by the noise powers implied by the reported SNRs before the
     arccos; this keeps the estimate about mobility rather than SNR.
     A single-sample window yields 0. A caller sliding a window over one
-    run can pass the window's pairs' :func:`lag1_terms` as ``lag_terms``
-    instead of having them recomputed, or take every window's descriptor
-    at once with :func:`window_descriptors`.
+    run can take every window's descriptor at once with
+    :func:`window_descriptors`.
     """
     vectors, snr_db = measurements.precoders, measurements.snr_db
     if not len(snr_db):
@@ -150,10 +148,7 @@ def derive_input_descriptor(
         beam_powers = np.asarray(beam_powers, dtype=np.float64)
         if beam_powers.shape[0] != len(snr_db):
             raise ValueError("beam_powers rows must match the window length")
-    if lag_terms is None:
-        lag_terms = lag1_terms(vectors, snr_db.tolist())
-    elif len(snr_db) > 1 and len(lag_terms) != len(snr_db) - 1:
-        raise ValueError("lag_terms must hold one term per consecutive pair")
+    lag_terms = lag1_terms(vectors, snr_db.tolist())
     return window_descriptors(beam_powers, snr_db, lag_terms, [0], [len(snr_db)])[0]
 
 

@@ -109,8 +109,7 @@ class ModelPackage:
         d = self.descriptor
         left, right, bias = (self.param(f"delta_{name}") for name in ("left", "right", "bias"))
         return DeltaPackage(
-            d.model_id, d.model_version - 1, int(self.extra["delta_rank"]), left, right,
-            bias.ravel(), self.root,
+            d.model_id, d.model_version - 1, left, right, bias.ravel(), self.root
         ).to_bytes()
 
     def take_container_bytes(self) -> bytes:
@@ -143,11 +142,14 @@ class DeltaPackage:
 
     base_model_id: str
     base_model_version: int
-    rank: int
     left: np.ndarray
     right: np.ndarray
     bias: np.ndarray
     root: RootRef | None = None
+
+    @property
+    def rank(self) -> int:
+        return self.left.shape[1]
 
     @property
     def _matrices(self) -> list[tuple[str, np.ndarray]]:
@@ -183,10 +185,12 @@ class DeltaPackage:
             if "root_model_id" in header:
                 root = RootRef(header["root_model_id"], int(header["root_model_version"]),
                                bytes.fromhex(header["root_checksum"]))
+            if int(header["rank"]) != by_name["left"].shape[1]:
+                raise ValueError(f"header rank {header['rank']}, left factor rank "
+                                 f"{by_name['left'].shape[1]}")
             return cls(
                 base_model_id=header["base_model_id"],
                 base_model_version=int(header["base_model_version"]),
-                rank=int(header["rank"]),
                 left=by_name["left"],
                 right=by_name["right"],
                 bias=by_name["bias"].ravel(),
@@ -743,7 +747,6 @@ def fit_adaptation_delta(
     delta = DeltaPackage(
         base_model_id=base.descriptor.model_id,
         base_model_version=base.descriptor.model_version,
-        rank=rank,
         left=left,
         right=right,
         bias=bias,
@@ -813,7 +816,7 @@ def _corrected(base: ModelPackage, delta: DeltaPackage, root: RootRef) -> ModelP
         descriptor=replace(base.descriptor, model_version=delta.base_model_version + 1),
         kind=base.kind,
         parameters=params,
-        extra=dict(base.extra, delta_rank=str(delta.rank)),
+        extra=dict(base.extra),
         root=root,
     )
 

@@ -199,7 +199,7 @@ class MonitoringSession:
         and the alarm raised on the rising edge of the run-length watch.
         """
         mode, bits = self.cfg.mode, self.cfg.quant_bits
-        value = sgcs(predicted, ground_truth)
+        value = min(sgcs(predicted, ground_truth), 1.0)  # an exact prediction may round past 1
         if mode is MonitoringMode.TYPE1 and not 0.0 <= value <= 1.0:
             raise ValueError(f"sgcs value {value!r} outside [0, 1]")
         fields: dict = {}

@@ -52,7 +52,6 @@ from .models import (
     fit_adaptation_delta,
     predict_csi,  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
     predict_csi_rows,
-    predictor_tag,
     train_predictor,
 )
 from .monitoring import MonitoringSession, evaluation_slots
@@ -77,6 +76,8 @@ METRICS_HEADER = (
 # many slots, which bounds the stacked kernels' temporaries; what was
 # applied is scored a chunk of this many slots at a time.
 _BLOCK_SLOTS = 128
+# What a slot applies: nothing, the active model's prediction, or a legacy beam.
+_NONE, _MODEL, _LEGACY = 0, 1, 2
 
 @dataclass(frozen=True)
 class EventLogRecord:
@@ -180,16 +181,14 @@ class _Loop:
         # since the last activation, pairing prediction and measurement; only
         # fallback stops predictions and it ends in an activation, so they run on.
         self.pairs_from = 0
-        # By target slot t: from_model[t] marks a model prediction, pending until
-        # t is applied, in predicted[t % ring], a ring that outlasts every read (a
-        # chunk, monitoring lag or pairs behind the newest write, a horizon ahead).
-        # legacy_beam[t] is the beam reported in fallback, or -1.
-        span = config.num_slots + config.predictor.horizon_slots
+        # By target slot t: route[t] says what t applies (_NONE, _MODEL or
+        # _LEGACY), pending until t is applied, in applied[t % ring], a ring that
+        # outlasts every read (a chunk, monitoring lag or pairs behind the newest
+        # write, a horizon ahead).
         lag = max(_BLOCK_SLOTS, config.monitoring.gt_slot_offset + 1, self.history_window)
         self.ring = lag + config.predictor.horizon_slots
-        self.predicted = np.empty((self.ring, config.num_antennas), dtype=np.complex128)
-        self.from_model = np.zeros(span, dtype=bool)
-        self.legacy_beam = np.full(span, -1)
+        self.applied = np.empty((self.ring, config.num_antennas), dtype=np.complex128)
+        self.route = np.zeros(config.num_slots + config.predictor.horizon_slots, dtype=np.int8)
         self.eval_counter = 0
         self.last_action_kind: ActionKind | None = None
         self.last_action_eval = 0  # eval_counter at the last action; unread until there is one
@@ -230,16 +229,15 @@ class _Loop:
         return self._train(max(0, slot + 1 - self.history_window), slot + 1)
 
     def _fit_delta(self, slot: int, base: ModelPackage):
-        applied = np.flatnonzero(self.from_model[self.pairs_from : slot + 1]) + self.pairs_from
+        applied = np.flatnonzero(self.route[self.pairs_from : slot + 1] == _MODEL) + self.pairs_from
         slots = applied[-self.history_window :]
-        pairs = zip(self.predicted[slots % self.ring], self.measured[slots])
+        pairs = zip(self.applied[slots % self.ring], self.measured[slots])
         return fit_adaptation_delta(base, list(pairs), self.policy.delta_rank)
 
     def context(self, slot: int) -> ExecutionContext:
         return ExecutionContext(
             registry=self.registry,
             agent=self.agent,
-            functionality_tag=predictor_tag(self.config.predictor.horizon_slots),
             retrain=lambda: self._retrain(slot),
             fit_delta=lambda base: self._fit_delta(slot, base),
         )
@@ -250,28 +248,25 @@ class _Loop:
         """Report slots lo..stop-1 by the block's route: legacy beams in
         fallback, else the active predictor once its window is full."""
         horizon = self.config.predictor.horizon_slots
-        if self.agent.fallback:
-            beams = legacy_csi_reports(self.measured[lo:stop], self.beams)
-            self.legacy_beam[lo + horizon : stop + horizon] = beams
-        elif self.agent.predictor is not None:
-            first = max(lo, self.config.predictor.order - 1)
-            if first < stop:
-                targets = np.arange(first + horizon, stop + horizon)
-                self.predicted[targets % self.ring] = predict_csi_rows(
-                    self.agent.predictor, self.measured, targets - horizon
-                )
-                self.from_model[first + horizon : stop + horizon] = True
+        first = lo if self.agent.fallback else max(lo, self.config.predictor.order - 1)
+        if first >= stop:
+            return
+        targets = np.arange(first + horizon, stop + horizon)
+        if self.agent.fallback:  # a legacy report applies its beam's row
+            route = _LEGACY
+            vectors = self.beams[legacy_csi_reports(self.measured[first:stop], self.beams)]
+        else:
+            route = _MODEL
+            vectors = predict_csi_rows(self.agent.predictor, self.measured, targets - horizon)
+        self.applied[targets % self.ring] = vectors
+        self.route[first + horizon : stop + horizon] = route
 
     def write_lines(self, lo: int, stop: int, columns: list[str]) -> None:
         """Score what was applied at slots lo..stop-1 and add their metrics
         lines; ``columns`` holds each slot's columns after sgcs and nmse."""
-        from_model = self.from_model[lo:stop]
-        beams = self.legacy_beam[lo:stop]
-        hit = np.flatnonzero(from_model | (beams >= 0))
+        hit = np.flatnonzero(self.route[lo:stop])
         slots = lo + hit
-        vectors = np.where(
-            from_model[hit, np.newaxis], self.predicted[slots % self.ring], self.beams[beams[hit]]
-        )
+        vectors = self.applied[slots % self.ring]
         truth = self.trace.true_precoders[slots]
         achieved = sgcs_rows(vectors, truth).tolist()
         self.achieved += achieved
@@ -304,7 +299,7 @@ class _Loop:
         self.log_transition(slot, ControlEvent(EventKind.ACTION_ISSUED, action_kind=action.kind))
         follow = execute(action, self.context(slot), slot)
         if action.kind is ActionKind.FALLBACK:
-            self.from_model[slot + 1 :] = False  # drop pending predictions
+            self.route[slot + 1 :] = _NONE  # drop pending predictions
         if follow is not None:
             if follow.kind is EventKind.MODEL_ACTIVATED:
                 self.log(slot, "controller", "ModelActivated", target=follow.detail)
@@ -351,10 +346,10 @@ class _Loop:
             return monitored
 
         target = slot - self.config.monitoring.gt_slot_offset
-        if target < 0 or not self.from_model[target]:
+        if target < 0 or self.route[target] != _MODEL:
             return monitored
         report, gnb_value, perf_bad, alarm = self.session.evaluate(
-            slot, self.predicted[target % self.ring], self.measured[target]
+            slot, self.applied[target % self.ring], self.measured[target]
         )
         monitored["perf_bad"] = str(perf_bad)
         monitored["monitor_overhead_bits"] = str(report.overhead_bits)

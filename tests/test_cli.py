@@ -570,3 +570,12 @@ class TestFlagDefaults:
         assert criteria == EvalCriteria()
         assert spec2 == DerivationSpec(spec.regime, 16, num_train=10, num_eval=5)
         assert criteria2 == EvalCriteria(0.5, 7, 8, 0.25)
+
+    def test_derive_reference_has_no_slots_flag(self, capsys, monkeypatch):
+        """The split sizes set its sample counts, so --slots is a usage error."""
+        monkeypatch.setattr(intervendor, "derive_reference_model", lambda *a: pytest.fail("ran"))
+        argv = ["intervendor", "derive-reference", "--latents", "4", "--bits", "0", "--slots", "9"]
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out) == (1, "")
+        assert err.startswith("usage: ")
+        assert err.endswith("error: unrecognized arguments: --slots 9\n")

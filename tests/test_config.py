@@ -288,6 +288,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="too.*short"):
             parse_scenario_config(text)
 
+    def test_equal_pretrain_windows_rejected(self):
+        """Equal windows would train one model twice, and its second store
+        would fail mid-run."""
+        text = MINIMAL + with_lines("pretrain.1.start_slot = 0", "pretrain.1.end_slot = 64")
+        with pytest.raises(ConfigError, match="pretrain windows must differ"):
+            parse_scenario_config(text)
+
     def test_snr_override_inside_run(self):
         text = MINIMAL + with_lines(
             "channel.snr_override.0.start_slot = 900",

@@ -306,7 +306,7 @@ class TestExecute:
     def make_ctx(self, tmp_path, **kwargs):
         reg = ModelRegistry(tmp_path)
         agent = InferenceAgent()
-        return ExecutionContext(registry=reg, agent=agent, functionality_tag="csi-pred-h4", **kwargs)
+        return ExecutionContext(registry=reg, agent=agent, **kwargs)
 
     def test_switch_activates_target(self, tmp_path):
         ctx = self.make_ctx(tmp_path)

@@ -15,7 +15,8 @@ from lcmsim.channel import (
     ula_steering,
     unit_norm,
 )
-from lcmsim.errors import DegenerateInputError
+from lcmsim import container
+from lcmsim.errors import DegenerateInputError, IntegrityError
 from lcmsim.kpi import derive_input_descriptor, sgcs
 from lcmsim.models import (
     RIDGE_SCALE,
@@ -467,7 +468,6 @@ class TestDelta:
         delta = DeltaPackage(
             base.descriptor.model_id,
             base.descriptor.model_version,
-            rank=1,
             left=np.zeros((n, 1), complex),
             right=np.zeros((n, 1), complex),
             bias=np.zeros(n, complex),
@@ -501,6 +501,15 @@ class TestDelta:
         assert np.array_equal(clone.left, delta.left)
         assert np.array_equal(clone.bias, delta.bias)
         assert clone.size_bytes == delta.size_bytes
+
+    def test_header_rank_must_match_the_left_factor(self):
+        rng = np.random.default_rng(17)
+        delta = fit_adaptation_delta(self.train_base(), self.pairs_from(rng, 60, 16), rank=2)
+        header, matrices, _ = container.read_container(delta.to_bytes())
+        assert header["rank"] == "2"
+        data = container.write_container(dict(header, rank="3"), matrices)
+        with pytest.raises(IntegrityError, match="header rank 3, left factor rank 2"):
+            DeltaPackage.from_bytes(data)
 
 
 def reference_prediction(model, recent):

@@ -168,17 +168,23 @@ class TestOneEvaluatePath:
         session = MonitoringSession(
             MonitoringConfig(mode=mode, threshold_gamma=GAMMA, n_consec=1, quant_bits=bits)
         )
-        s = sgcs(p, t)
-        if mode is not MonitoringMode.TYPE2 and not 0.0 <= s <= 1.0:
-            with pytest.raises(ValueError):
-                session.evaluate(0, p, t)
-            return
+        s = min(sgcs(p, t), 1.0)
         report, value, perf_bad, alarm = session.evaluate(0, p, t)
         if mode is MonitoringMode.TYPE3:
             s = dequantize_metric(quantize_metric(s, bits), bits)
         assert value.hex() == s.hex()
         assert report.overhead_bits == report_overhead_bits(mode, len(p), bits)
         assert perf_bad == int(value < GAMMA) == int(alarm is not None)
+
+
+    @pytest.mark.parametrize("mode", list(MonitoringMode))
+    def test_sgcs_rounded_past_one_is_seen_as_one(self, mode):
+        p = np.arange(1, 9) + 1j * np.arange(8, 0, -1)
+        t = p * (0.3 + 0.7j)
+        assert sgcs(p, t) > 1.0  # the rounding a near-exact prediction meets
+        session = MonitoringSession(MonitoringConfig(mode=mode, threshold_gamma=GAMMA))
+        report, value, perf_bad, alarm = session.evaluate(0, p, t)
+        assert (value, perf_bad, alarm) == (1.0, 0, None)
 
 
 class TestCleanStreak:

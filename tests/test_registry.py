@@ -469,7 +469,7 @@ def make_delta(base, seed=0, rank=1):
     rng = np.random.default_rng(seed)
     cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     desc = base.descriptor
-    return DeltaPackage(desc.model_id, desc.model_version, rank,
+    return DeltaPackage(desc.model_id, desc.model_version,
                         cplx(N_ANT, rank), cplx(N_ANT, rank), cplx(N_ANT))
 
 
