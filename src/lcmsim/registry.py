@@ -396,12 +396,6 @@ class ModelRegistry:
         ]
         return max(versions) if versions else None
 
-    def active_entry(self, functionality_tag: str) -> RegistryEntry | None:
-        for entry in self._entries.values():
-            if entry.status == "active" and entry.functionality_tag == functionality_tag:
-                return entry
-        return None
-
     def entries(self) -> list[RegistryEntry]:
         return [self._entries[key] for key in sorted(self._entries)]
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import blas
 from .channel import dft_codebook, generate_trace, measure_csi
 from .config import ScenarioConfig
 from .controller import (
@@ -130,12 +131,15 @@ def simulation_warmup(config: ScenarioConfig) -> int:
 class _Loop:
     """Mutable state of one scenario run."""
 
-    def __init__(self, config: ScenarioConfig, registry_root: str):
+    def __init__(self, config: ScenarioConfig, registry_root: str, fit_threads: int | None = None):
         config.validate()
         self.registry = ModelRegistry(registry_root)
         if self.registry.entries():  # pretraining would store over them
             raise ConfigError(f"registry {registry_root} already holds models; use a fresh one")
         self.config = config
+        # The BLAS thread count of the ridge and delta fits, whose bits depend
+        # on it (None: whatever the count is); run_scenario runs the rest at one.
+        self.fit_threads = fit_threads
         self.codebook = dft_codebook(config.num_antennas)
         self.beams = legacy_beams(self.codebook)
         trace = generate_trace(
@@ -226,13 +230,15 @@ class _Loop:
         )
 
     def _retrain(self, slot: int) -> ModelPackage:
-        return self._train(max(0, slot + 1 - self.history_window), slot + 1)
+        with blas.limit(self.fit_threads):
+            return self._train(max(0, slot + 1 - self.history_window), slot + 1)
 
     def _fit_delta(self, slot: int, base: ModelPackage):
         applied = np.flatnonzero(self.route[self.pairs_from : slot + 1] == _MODEL) + self.pairs_from
         slots = applied[-self.history_window :]
         pairs = zip(self.applied[slots % self.ring], self.measured[slots])
-        return fit_adaptation_delta(base, list(pairs), self.policy.delta_rank)
+        with blas.limit(self.fit_threads):
+            return fit_adaptation_delta(base, list(pairs), self.policy.delta_rank)
 
     def context(self, slot: int) -> ExecutionContext:
         return ExecutionContext(
@@ -386,22 +392,23 @@ class _Loop:
 
     def run(self) -> RunResult:
         # Store each package as it is fitted: only the first, to activate,
-        # stays in memory.
+        # stays in memory. One pool start serves all the fits.
         first = None
-        for spec in self.config.pretrain:
-            package = self._train(spec.start_slot, spec.end_slot)
-            self.registry.store(package, stored_at_slot=0)
-            desc = package.descriptor
-            self.log(
-                0,
-                "registry",
-                "ModelStored",
-                model_id=desc.model_id,
-                version=str(desc.model_version),
-                tag=desc.functionality_tag,
-            )
-            if first is None:
-                first = package
+        with blas.limit(self.fit_threads):
+            for spec in self.config.pretrain:
+                package = self._train(spec.start_slot, spec.end_slot)
+                self.registry.store(package, stored_at_slot=0)
+                desc = package.descriptor
+                self.log(
+                    0,
+                    "registry",
+                    "ModelStored",
+                    model_id=desc.model_id,
+                    version=str(desc.model_version),
+                    tag=desc.functionality_tag,
+                )
+                if first is None:
+                    first = package
         activated = activate(self.context(0), first)
         self.log(0, "controller", "ModelActivated", target=activated.detail)
 
@@ -435,10 +442,15 @@ class _Loop:
 
 
 def run_scenario(config: ScenarioConfig, registry_root: str) -> RunResult:
-    """Execute one scenario; a registry that already holds models is refused."""
-    loop = _Loop(config, registry_root)
-    with loop.registry:
-        return loop.run()
+    """Execute one scenario; a registry that already holds models is refused.
+
+    The run uses one BLAS thread outside the ridge and delta fits, which keep
+    the caller's count and so their bits, and leaves the thread pool parked.
+    """
+    with blas.limit(1) as caller:
+        loop = _Loop(config, registry_root, fit_threads=caller)
+        with loop.registry:
+            return loop.run()
 
 
 def write_metrics(result: RunResult, path: str) -> None:

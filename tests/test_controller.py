@@ -140,6 +140,14 @@ def make_package(model_id="m-a", version=1, doppler=0.05, snr=20.0, tag="csi-pre
     )
 
 
+def active_entry(registry, functionality_tag):
+    """The one active entry of ``functionality_tag`` in ``registry``, or None."""
+    active = [e for e in registry.entries()
+              if e.status == "active" and e.functionality_tag == functionality_tag]
+    assert len(active) <= 1, active
+    return active[0] if active else None
+
+
 def make_inputs(
     current=None,
     active=None,
@@ -316,7 +324,7 @@ class TestExecute:
         event = execute(action, ctx, slot_index=10)
         assert event is not None and event.kind is EventKind.MODEL_ACTIVATED
         assert ctx.agent.active_model.descriptor.model_id == "m-b"
-        assert ctx.registry.active_entry("csi-pred-h4").model_id == "m-b"
+        assert active_entry(ctx.registry, "csi-pred-h4").model_id == "m-b"
 
     def test_switch_to_missing_model_fails(self, tmp_path):
         ctx = self.make_ctx(tmp_path)
@@ -346,7 +354,7 @@ class TestExecute:
         action = ControlAction(kind=ActionKind.ROLLBACK, target_model_id="m-a", target_version=1)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.MODEL_ACTIVATED
-        active = ctx.registry.active_entry("csi-pred-h4")
+        active = active_entry(ctx.registry, "csi-pred-h4")
         assert (active.model_id, active.version) == ("m-a", 1)
 
     def test_fallback_routes_to_legacy(self, tmp_path):
@@ -360,7 +368,7 @@ class TestExecute:
         assert event is None
         assert ctx.agent.fallback is True
         assert ctx.agent.active_model is None
-        assert ctx.registry.active_entry("csi-pred-h4") is None
+        assert active_entry(ctx.registry, "csi-pred-h4") is None
 
     def test_delta_update_stores_and_activates_next_version(self, tmp_path):
         base = trained_base()
@@ -381,7 +389,7 @@ class TestExecute:
         action = ControlAction(kind=ActionKind.DELTA_UPDATE)
         event = execute(action, ctx, slot_index=3)
         assert event.kind is EventKind.MODEL_ACTIVATED
-        active = ctx.registry.active_entry("csi-pred-h4")
+        active = active_entry(ctx.registry, "csi-pred-h4")
         assert (active.model_id, active.version) == (base.descriptor.model_id, 2)
         assert ctx.agent.active_model.has_param("delta_left")
 
@@ -417,7 +425,7 @@ class TestExecute:
         assert event.action_kind is ActionKind.DELTA_UPDATE
         assert event.detail == prefix + str(error)
         assert ctx.agent.active_model is base
-        assert ctx.registry.active_entry("csi-pred-h4").version == 1
+        assert active_entry(ctx.registry, "csi-pred-h4").version == 1
 
     def test_retrain_stores_new_package(self, tmp_path):
         fresh = make_package(model_id="m-new")
@@ -425,7 +433,7 @@ class TestExecute:
         action = ControlAction(kind=ActionKind.RETRAIN)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.MODEL_ACTIVATED
-        assert ctx.registry.active_entry("csi-pred-h4").model_id == "m-new"
+        assert active_entry(ctx.registry, "csi-pred-h4").model_id == "m-new"
 
     def test_keep_is_a_no_op(self, tmp_path):
         ctx = self.make_ctx(tmp_path)

@@ -77,6 +77,14 @@ def make_package(
     return finalize_package(pkg)
 
 
+def active_entry(registry, functionality_tag):
+    """The one active entry of ``functionality_tag`` in ``registry``, or None."""
+    active = [e for e in registry.entries()
+              if e.status == "active" and e.functionality_tag == functionality_tag]
+    assert len(active) <= 1, active
+    return active[0] if active else None
+
+
 def query_descriptor(doppler=0.05, snr=20.0, beam=None):
     if beam is None:
         beam = np.full(N_ANT, 1.0 / N_ANT)
@@ -375,7 +383,7 @@ class TestActivation:
         reg.activate("m-b", 1)
         statuses = {e.model_id: e.status for e in reg.entries()}
         assert statuses == {"m-a": "available", "m-b": "active"}
-        active = reg.active_entry("csi-pred-h4")
+        active = active_entry(reg, "csi-pred-h4")
         assert active is not None and active.model_id == "m-b"
 
     def test_activate_retired_rejected(self, tmp_path):
@@ -617,7 +625,7 @@ class TestJournal:
         assert [status for *_, status in reg.verify_all()] == ["ok"] * 3
         reg.activate("m-a", 1)
         reopened = open_registry(tmp_path)
-        assert reopened.active_entry("csi-pred-h4").version == 1
+        assert active_entry(reopened, "csi-pred-h4").version == 1
         assert self.index(tmp_path).startswith(PARENT_INDEX + "commit\n")
 
     def test_each_operation_appends_its_changed_lines_and_a_marker(self, tmp_path):

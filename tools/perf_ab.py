@@ -15,9 +15,18 @@ clone, and the side that runs first alternates from pair to pair.
 
 The file holds, per workload and side, every run's end-to-end metrics,
 their medians and quartiles (numpy's linear percentiles), whether every
-run was correct, and how many pairs the change won on each metric. An
-existing output file is extended: a workload and seed run again replaces
-its earlier entry.
+run was correct, how many pairs the change won on each metric, and a
+verdict per metric:
+
+- ``gain``: the change won at least nine tenths of the pairs (ties count
+  for neither side) and its median is better than the parent's by more
+  than the distance between the parent's quartiles;
+- ``within_bound``: otherwise, the change's median is no worse than the
+  parent's by more than the metric's BENCHMARK.json bound (relative);
+- ``worse``: otherwise.
+
+An existing output file is extended: a workload and seed run again
+replaces its earlier entry.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 HIGHER_IS_BETTER = {m["name"]: m["better"] == "higher" for m in BENCHMARK["end_to_end"]}
+BOUND = {m["name"]: m["bound"] for m in BENCHMARK["end_to_end"]}
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -70,13 +80,22 @@ def summarize(runs: list[dict]) -> dict:
     return out
 
 
+def verdict(name: str, parent: dict, change: dict, wins: int, pairs: int) -> str:
+    """``gain``, ``within_bound`` or ``worse`` for one metric (see the module doc)."""
+    sign = 1 if HIGHER_IS_BETTER[name] else -1
+    better_by = sign * (change["median"] - parent["median"])
+    if 10 * wins >= 9 * pairs and better_by > parent["q3"] - parent["q1"]:
+        return "gain"
+    return "within_bound" if better_by >= -BOUND[name] * parent["median"] else "worse"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--workloads", nargs="+",
                         default=[w["name"] for w in BENCHMARK["workloads"]])
     parser.add_argument("--seed", type=int, default=42)
-    parser.add_argument("--pairs", type=int, default=5)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
 
@@ -90,7 +109,9 @@ def main(argv=None) -> int:
                 order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
                 for side in order:
                     runs[side].append(run_once(sides[side], workload, args.seed))
-                    print(workload, pair, side, runs[side][-1]["metrics"]["slots_per_s"],
+                    metrics = runs[side][-1]["metrics"]
+                    print(workload, pair, side,
+                          *(f"{name}={metrics[name]:.4g}" for name in HIGHER_IS_BETTER),
                           file=sys.stderr)
             entry = {"seed": args.seed, "pairs": args.pairs, "seconds": BENCHMARK["run_seconds"]}
             for side in sides:
@@ -98,10 +119,13 @@ def main(argv=None) -> int:
                 entry[side]["git_sha"] = runs[side][0]["environment"]["git_sha"]
             entry["environment"] = {k: v for k, v in runs["change"][0]["environment"].items()
                                     if k != "git_sha"}
-            entry["change_wins"] = {}
+            entry["change_wins"], entry["verdict"] = {}, {}
             for name, higher in HIGHER_IS_BETTER.items():
-                pairs = zip(entry["parent"][name]["runs"], entry["change"][name]["runs"])
-                entry["change_wins"][name] = sum((c > p) if higher else (c < p) for p, c in pairs)
+                parent, change = entry["parent"][name], entry["change"][name]
+                wins = sum((c > p) if higher else (c < p)
+                           for p, c in zip(parent["runs"], change["runs"]))
+                entry["change_wins"][name] = wins
+                entry["verdict"][name] = verdict(name, parent, change, wins, args.pairs)
             report["workloads"][f"{workload}@seed{args.seed}"] = entry
             args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     return 0
