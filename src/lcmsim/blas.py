@@ -1,10 +1,11 @@
 """The BLAS thread count of the OpenBLAS that numpy loaded, standard library only.
 
-OpenBLAS workers busy-wait for about 0.1 s after every threaded call, so a
-region that drops the count also parks the pool (``blas_thread_shutdown_``)
-right after each change of count: a count set after a shutdown would
-otherwise start a worker that spins. With no OpenBLAS loaded, or a symbol
-missing, :func:`threads` is None and :func:`limit` does nothing.
+OpenBLAS workers busy-wait for about 0.1 s after every threaded call, and
+setting the count after a shutdown starts a pool that does the same. So
+:func:`limit` parks the pool (``blas_thread_shutdown_``) right after every
+set, except the one that raises the count for the block to use. With no
+OpenBLAS loaded, or a symbol missing, :func:`threads` is None and
+:func:`limit` does nothing.
 """
 
 from __future__ import annotations
@@ -49,10 +50,11 @@ def threads() -> int | None:
     return lib[0]() if lib else None
 
 
-def _set(count: int) -> None:
+def _set(count: int, park: bool) -> None:
     _, set_, shutdown = _bind()
     set_(count)
-    shutdown()  # park the pool that the new count would otherwise spin up
+    if park:
+        shutdown()
 
 
 @contextmanager
@@ -60,14 +62,16 @@ def limit(count: int | None):
     """Run the block at ``count`` BLAS threads; yields the caller's count.
 
     At the current count, or for None, it does nothing, so nested regions
-    cost nothing; otherwise it parks the pool on entry and on exit.
+    cost nothing. Otherwise it parks the pool on exit, and on entry unless
+    the count rises: then the block runs on the pool the set starts, which
+    saves a second pool start per region.
     """
     caller = threads()
     if caller is None or count is None or count == caller:
         yield caller
         return
-    _set(count)
+    _set(count, park=count < caller)
     try:
         yield caller
     finally:
-        _set(caller)
+        _set(caller, park=True)
