@@ -16,7 +16,7 @@ reproduce byte-identical traces regardless of call order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def ula_steering(num_antennas: int, angle_rad: float) -> np.ndarray:
 
 
 def dft_codebook(num_antennas: int) -> np.ndarray:
-    """Default beam codebook: the unitary DFT, one column per beam."""
+    """The beam codebook: the unitary DFT, one column per beam."""
     n = np.arange(num_antennas)
     grid = np.exp(-2j * np.pi * np.outer(n, n) / num_antennas)
     return grid / math.sqrt(num_antennas)
@@ -143,29 +143,24 @@ def check_schedule(schedule: RegimeSchedule, num_slots: int, num_antennas: int) 
 @dataclass
 class CsiMeasurements:
     """Noisy CSI estimates at the UE, one row per slot, oldest first:
-    ``precoders[i]`` was measured at slot ``slots[i]`` with SNR
-    ``snr_db[i]``. Fields are coerced to arrays."""
+    ``precoders[i]`` was measured with SNR ``snr_db[i]``. Fields are
+    coerced to arrays."""
 
-    slots: np.ndarray
     precoders: np.ndarray
     snr_db: np.ndarray
 
     def __post_init__(self) -> None:
-        self.slots = np.asarray(self.slots)
         self.precoders = np.asarray(self.precoders)
         self.snr_db = np.asarray(self.snr_db, dtype=np.float64)
-        rows = len(self.precoders)
-        if self.precoders.ndim != 2 or len(self.slots) != rows or len(self.snr_db) != rows:
-            raise ValueError("need a 2-D precoder stack with one slot and one SNR per row")
+        if self.precoders.ndim != 2 or len(self.snr_db) != len(self.precoders):
+            raise ValueError("need a 2-D precoder stack with one SNR per row")
 
     def __len__(self) -> int:
         return len(self.precoders)
 
     def window(self, start: int, stop: int) -> CsiMeasurements:
         """Rows ``start`` to ``stop - 1``, as views."""
-        return CsiMeasurements(
-            self.slots[start:stop], self.precoders[start:stop], self.snr_db[start:stop]
-        )
+        return CsiMeasurements(self.precoders[start:stop], self.snr_db[start:stop])
 
 
 @dataclass
@@ -174,13 +169,13 @@ class ChannelTrace:
 
     ``true_precoders[s]`` is the unit-norm ideal precoder of slot ``s``;
     ``per_beam_power[s, i]`` is |b_i^H h_s|^2 against the (unnormalized)
-    channel, i.e. what a beam sweep would measure.
+    channel, b_i the i-th :func:`dft_codebook` beam, i.e. what a beam sweep
+    would measure.
     """
 
     true_precoders: np.ndarray
     per_beam_power: np.ndarray
     snr_db: np.ndarray
-    beam_codebook: np.ndarray = field(repr=False, default=None)
 
     @property
     def num_slots(self) -> int:
@@ -197,7 +192,6 @@ def generate_trace(
     regime_schedule: RegimeSchedule,
     num_slots: int,
     num_tx_antennas: int,
-    beam_codebook: np.ndarray,
     seed: int,
 ) -> ChannelTrace:
     """Generate a deterministic channel trace.
@@ -210,16 +204,14 @@ def generate_trace(
                  + sqrt(1 - rho^2) * innovation,
 
     with ``rho = cos(2*pi * AGING_FACTOR * doppler_norm)``. Zero Doppler
-    therefore freezes the channel exactly.
+    therefore freezes the channel exactly. Beam powers are taken against
+    :func:`dft_codebook` of the antenna count.
     """
     check_schedule(regime_schedule, num_slots, num_tx_antennas)
-    codebook = np.asarray(beam_codebook)
-    if codebook.ndim != 2 or codebook.shape[0] != num_tx_antennas:
-        raise ValueError("beam_codebook must have one row per antenna")
-    codebook_h = codebook.conj().T
+    codebook_h = dft_codebook(num_tx_antennas).conj().T
 
     channels = np.empty((num_slots, num_tx_antennas), dtype=np.complex128)
-    beam_power = np.empty((num_slots, codebook.shape[1]), dtype=np.float64)
+    beam_power = np.empty((num_slots, num_tx_antennas), dtype=np.float64)
     snr = np.empty(num_slots, dtype=np.float64)
 
     for seg_start, seg_end, regime in _segment_bounds(regime_schedule, num_slots):
@@ -253,12 +245,7 @@ def generate_trace(
     true_precoders = _normalize_rows(channels)
     beam_power **= 2
 
-    return ChannelTrace(
-        true_precoders=true_precoders,
-        per_beam_power=beam_power,
-        snr_db=snr,
-        beam_codebook=codebook,
-    )
+    return ChannelTrace(true_precoders=true_precoders, per_beam_power=beam_power, snr_db=snr)
 
 
 def measure_csi(
@@ -296,4 +283,4 @@ def measure_csi(
         sums *= np.array(scale)[:, np.newaxis]
         sums += w[rows]
         measured[rows] = _normalize_rows(sums)
-    return CsiMeasurements(slots, measured, snrs)
+    return CsiMeasurements(measured, snrs)

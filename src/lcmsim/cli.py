@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelRegime, check_schedule, dft_codebook, generate_trace, measure_csi
+from .channel import ChannelRegime, check_schedule, generate_trace, measure_csi
 from .config import load_scenario_config, parse_scenario_config
 from .errors import ConfigError, LcmSimError, config_checked
 from .kpi import BeamKpiConfig, beam_topk_accuracy, nmse_rows, sgcs_rows
@@ -77,8 +77,7 @@ def _regime(args) -> ChannelRegime:
 def _make_trace(args):
     schedule = [(0, _regime(args))]
     config_checked(check_schedule, schedule, args.slots, args.antennas)
-    codebook = dft_codebook(args.antennas)
-    return generate_trace(schedule, args.slots, args.antennas, codebook, args.seed)
+    return generate_trace(schedule, args.slots, args.antennas, args.seed)
 
 
 def _measure_all(trace, seed: int):
@@ -192,12 +191,7 @@ def _cmd_train_predictor(args) -> int:
     if args.slots < cfg.min_history:
         raise ConfigError(f"--slots must be at least {cfg.min_history} for this order and horizon")
     trace = _make_trace(args)
-    package = train_predictor(
-        _measure_all(trace, args.seed),
-        cfg,
-        codebook=trace.beam_codebook,
-        beam_powers=trace.per_beam_power,
-    )
+    package = train_predictor(_measure_all(trace, args.seed), cfg, beam_powers=trace.per_beam_power)
     _write_bytes(args.out, package.to_bytes())
     d = package.descriptor
     print(f"model_id = {d.model_id}")

@@ -48,14 +48,10 @@ class ActionKind(str, Enum):
     FALLBACK = "Fallback"
     REACTIVATE_AI = "ReactivateAI"
 
-    @property
-    def enters_recovery(self) -> bool:
-        return self in (
-            ActionKind.SWITCH,
-            ActionKind.DELTA_UPDATE,
-            ActionKind.RETRAIN,
-            ActionKind.ROLLBACK,
-        )
+
+# The actions that take a degraded loop into recovery.
+_RECOVERY_ACTIONS = (ActionKind.SWITCH, ActionKind.DELTA_UPDATE, ActionKind.RETRAIN,
+                     ActionKind.ROLLBACK)
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,7 @@ def transition(state: LoopState, event: ControlEvent) -> LoopState:
             return LoopState.FALLBACK
     elif state is LoopState.DEGRADED:
         if kind is EventKind.ACTION_ISSUED and event.action_kind is not None:
-            if event.action_kind.enters_recovery:
+            if event.action_kind in _RECOVERY_ACTIONS:
                 return LoopState.RECOVERING
             if event.action_kind is ActionKind.FALLBACK:
                 return LoopState.FALLBACK

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import container
-from .channel import ChannelRegime, dft_codebook, generate_trace
+from .channel import ChannelRegime, generate_trace
 from .errors import IntegrityError, PairingError
 from .kpi import sgcs_rows
 from .models import (
@@ -344,7 +344,6 @@ def _derivation_targets(spec: DerivationSpec, regime: ChannelRegime, seed: int) 
         regime_schedule=[(0, regime)],
         num_slots=spec.num_train + spec.num_eval,
         num_tx_antennas=spec.num_antennas,
-        beam_codebook=dft_codebook(spec.num_antennas),
         seed=seed,
     )
     return trace.true_precoders

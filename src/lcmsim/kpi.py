@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channel import CsiMeasurements
+from .channel import CsiMeasurements, dft_codebook
 
 
 def sgcs_rows(predicted: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -118,15 +118,13 @@ def lag1_terms(vectors: Sequence[np.ndarray], snr_db: Sequence[float]) -> list[f
 
 
 def derive_input_descriptor(
-    measurements: CsiMeasurements,
-    codebook: np.ndarray,
-    beam_powers: np.ndarray | None = None,
+    measurements: CsiMeasurements, beam_powers: np.ndarray | None = None
 ) -> InputDescriptor:
     """Build an InputDescriptor from a window of measurements.
 
     ``beam_powers`` (one row per measurement) should be passed when beam
     sweep measurements exist; otherwise beam powers are taken from the
-    measured precoders against ``codebook``.
+    measured precoders against :func:`dft_codebook` of their length.
 
     The Doppler estimate inverts the lag-1 precoder autocorrelation,
     arccos(mean |<m_t, m_{t+1}>|) / 2*pi. Additive measurement noise
@@ -140,10 +138,10 @@ def derive_input_descriptor(
     vectors, snr_db = measurements.precoders, measurements.snr_db
     if not len(snr_db):
         raise ValueError("empty measurement window")
-    cb = np.asarray(codebook)
     if beam_powers is None:
         # np.matmul on a stack of vectors makes the per-vector gemv: bit for bit the loop.
-        beam_powers = np.abs(np.matmul(cb.conj().T, vectors[:, :, np.newaxis])[:, :, 0]) ** 2
+        cb_h = dft_codebook(vectors.shape[1]).conj().T
+        beam_powers = np.abs(np.matmul(cb_h, vectors[:, :, np.newaxis])[:, :, 0]) ** 2
     else:
         beam_powers = np.asarray(beam_powers, dtype=np.float64)
         if beam_powers.shape[0] != len(snr_db):
@@ -173,11 +171,11 @@ class DescriptorRows:
         profiles = np.stack([np.asarray(d.mean_beam_power, dtype=np.float64) for d in descriptors])
         return cls(profiles, dopplers, snrs, lens)
 
-    def divergences(self, other: InputDescriptor, rows: slice = slice(None)) -> tuple:
+    def divergences(self, other: InputDescriptor) -> tuple:
         """:func:`misalignment_divergence` and :func:`descriptor_divergence` of
-        ``other`` and each selected row, as two arrays, in one pass."""
-        mis = _misalignments(other, self.profiles[rows], self.dopplers[rows])
-        a, b = other.mean_snr_db, self.snrs[rows]
+        ``other`` and each row, as two arrays, in one pass."""
+        mis = _misalignments(other, self.profiles, self.dopplers)
+        a, b = other.mean_snr_db, self.snrs
         with np.errstate(invalid="ignore"):  # inf - inf, where the term is 0
             snr_terms = np.where(np.isinf(a) & np.isinf(b), 0.0, np.abs(a - b) / 30.0)
         return mis, mis + snr_terms

@@ -17,7 +17,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import container
-from .channel import CsiMeasurements, dft_codebook, row_norms, unit_norm
+from .channel import CsiMeasurements, row_norms, unit_norm
 from .errors import DegenerateInputError, IntegrityError
 from .kpi import InputDescriptor, derive_input_descriptor
 from .streams import stable_id
@@ -396,7 +396,6 @@ def stack_windows(rows: np.ndarray, order: int, newest) -> np.ndarray:
 def train_predictor(
     history: CsiMeasurements,
     cfg: PredictorConfig,
-    codebook: np.ndarray | None = None,
     beam_powers: np.ndarray | None = None,
 ) -> ModelPackage:
     """Fit the linear CSI predictor.
@@ -426,9 +425,7 @@ def train_predictor(
     del gram, rhs
     taps = coeff.T.copy()  # (n, order*n), prediction = taps @ stacked
 
-    if codebook is None:
-        codebook = dft_codebook(n_ant)
-    descriptor_stats = derive_input_descriptor(history, codebook, beam_powers)
+    descriptor_stats = derive_input_descriptor(history, beam_powers)
     extra = {
         "order": str(cfg.order),
         "horizon_slots": str(cfg.horizon_slots),
@@ -586,11 +583,10 @@ def codec_package(
     if model_id is None:
         model_id = stable_id(id_prefix, associated_id, *(m for _, m in params))
     settings = {key: str(value) for key, value in vars(cfg).items()}
-    count, n_ant = targets.shape
-    pseudo = CsiMeasurements(np.arange(count), unit_norm(targets), np.full(count, math.inf))
+    pseudo = CsiMeasurements(unit_norm(targets), np.full(len(targets), math.inf))
     return new_package(
         kind, params, {**settings, **extra}, model_id, CSI_COMPRESS_TAG,
-        derive_input_descriptor(pseudo, dft_codebook(n_ant)), associated_id,
+        derive_input_descriptor(pseudo), associated_id,
     )
 
 
@@ -644,15 +640,6 @@ def encode_csi(encoder: ModelPackage, target: np.ndarray) -> np.ndarray:
     return codes
 
 
-def decode_feedback_latent(
-    decoder: ModelPackage, feedback: np.ndarray, ranges_name: str = "quant_ranges"
-) -> np.ndarray:
-    """Recover the complex latent vector from a feedback message, or the
-    latent rows from a stack of messages."""
-    bits = int(decoder.extra["bits_per_dim"])
-    return feedback_latents(feedback, bits, decoder.param(ranges_name) if bits else None)
-
-
 def decode_csi(
     decoder: ModelPackage,
     feedback: np.ndarray,
@@ -674,7 +661,8 @@ def decode_csi(
         if not decoder.has_param(f"basis{suffix}"):
             raise ValueError(f"unknown vendor index {vendor_index}")
     basis = decoder.param(f"basis{suffix}")
-    z = decode_feedback_latent(decoder, feedback, f"quant_ranges{suffix}")
+    bits = int(decoder.extra["bits_per_dim"])
+    z = feedback_latents(feedback, bits, decoder.param(f"quant_ranges{suffix}") if bits else None)
     if z.shape[-1] != basis.shape[1]:
         raise ValueError("latent length does not match the decoder")
     out = np.matmul(basis, z[..., np.newaxis])[..., 0]

@@ -100,13 +100,6 @@ _MODE_FIELDS = {
 }
 
 
-@dataclass(frozen=True)
-class DriftAlarm:
-    slot_index: int
-    source: str
-    value: float
-
-
 def precoder_report_bits(num_antennas: int) -> int:
     """Cost of one unquantized precoder: two 64-bit reals per entry."""
     return num_antennas * 2 * BITS_PER_REAL
@@ -187,7 +180,7 @@ class MonitoringSession:
 
     def evaluate(
         self, slot_index: int, predicted: np.ndarray, ground_truth: np.ndarray
-    ) -> tuple[MonitoringReport, float, int, DriftAlarm | None]:
+    ) -> tuple[MonitoringReport, float, int, bool]:
         """Monitor one pair of a predicted and a ground-truth precoder.
 
         The sgcs of the pair is computed once; the mode decides only what
@@ -196,7 +189,7 @@ class MonitoringSession:
         Type3 sends the quantized metric and the gNB sees it dequantized.
         Returns the report, the gNB-visible value, perf_bad (Type1: the
         reported flag; Type2/3: 1 if the seen value breaches the threshold)
-        and the alarm raised on the rising edge of the run-length watch.
+        and whether the run-length watch raises its alarm, on its rising edge.
         """
         mode, bits = self.cfg.mode, self.cfg.quant_bits
         value = min(sgcs(predicted, ground_truth), 1.0)  # an exact prediction may round past 1
@@ -220,8 +213,7 @@ class MonitoringSession:
             slot_index, mode, report_overhead_bits(mode, len(predicted), bits), **fields
         )
         report.validate(bits)
-        alarm = DriftAlarm(slot_index, "kpi_threshold", value) if rising else None
-        return report, value, perf_bad, alarm
+        return report, value, perf_bad, rising
 
 
 def evaluation_slots(num_slots: int, cfg: MonitoringConfig, warmup_slots: int = 0) -> list[int]:

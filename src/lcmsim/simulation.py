@@ -140,14 +140,9 @@ class _Loop:
         # The BLAS thread count of the ridge and delta fits, whose bits depend
         # on it (None: whatever the count is); run_scenario runs the rest at one.
         self.fit_threads = fit_threads
-        self.codebook = dft_codebook(config.num_antennas)
-        self.beams = legacy_beams(self.codebook)
+        self.beams = legacy_beams(dft_codebook(config.num_antennas))
         trace = generate_trace(
-            config.regime_schedule,
-            config.num_slots,
-            config.num_antennas,
-            self.codebook,
-            config.seed,
+            config.regime_schedule, config.num_slots, config.num_antennas, config.seed
         )
         for start, snr_db in config.snr_overrides:
             trace.snr_db[start:] = snr_db
@@ -166,8 +161,8 @@ class _Loop:
             lag1_terms(self.measured, trace.snr_db.tolist()),  # term t pairs slots t and t+1
             [t + 1 - min(window, t + 1) for t in evals], [t + 1 for t in evals],
         )
-        # (active model's descriptor, rows, misalignments, divergences) of the rows scored last
-        self.diverged = None, slice(0, 0), [], []
+        # (active model's descriptor, misalignments, divergences) of every evaluation
+        self.diverged = None, [], []
         self.agent = InferenceAgent()
         self.session = MonitoringSession(config.monitoring)
         self.policy = config.policy
@@ -225,7 +220,6 @@ class _Loop:
         return train_predictor(
             self.measurements.window(start, stop),
             self.config.predictor,
-            codebook=self.codebook,
             beam_powers=self.trace.per_beam_power[start:stop],
         )
 
@@ -289,14 +283,13 @@ class _Loop:
 
     def divergences(self, index: int) -> tuple[float, float]:
         """Misalignment and divergence of the index-th evaluation's descriptor
-        from the active model's, scored a block of evaluations at a time."""
+        from the active model's; every evaluation is scored once per active
+        descriptor, which a DeltaUpdate keeps."""
         reference = self.agent.active_model.descriptor.input_descriptor
-        scored, rows, misaligned, diverged = self.diverged
-        if reference is not scored or not rows.start <= index < rows.stop:
-            rows = slice(index, index + _BLOCK_SLOTS)
-            misaligned, diverged = (a.tolist() for a in self.descriptors.divergences(reference, rows))
-            self.diverged = reference, rows, misaligned, diverged
-        return misaligned[index - rows.start], diverged[index - rows.start]
+        if reference is not self.diverged[0]:
+            scored = self.descriptors.divergences(reference)
+            self.diverged = reference, *(a.tolist() for a in scored)
+        return self.diverged[1][index], self.diverged[2][index]
 
     def issue(self, slot: int, action: ControlAction) -> str:
         """Log, execute and acknowledge one action; returns its name."""
@@ -354,7 +347,7 @@ class _Loop:
         target = slot - self.config.monitoring.gt_slot_offset
         if target < 0 or self.route[target] != _MODEL:
             return monitored
-        report, gnb_value, perf_bad, alarm = self.session.evaluate(
+        report, gnb_value, perf_bad, rising = self.session.evaluate(
             slot, self.applied[target % self.ring], self.measured[target]
         )
         monitored["perf_bad"] = str(perf_bad)
@@ -377,14 +370,8 @@ class _Loop:
             self.log_transition(slot, ControlEvent(EventKind.KPI_RECOVERED))
             self.session.acknowledge()
 
-        if alarm is not None:
-            self.log(
-                slot,
-                "monitor",
-                "DriftAlarm",
-                detector=alarm.source,
-                value=repr(alarm.value),
-            )
+        if rising:
+            self.log(slot, "monitor", "DriftAlarm", detector="kpi_threshold", value=repr(gnb_value))
             self.log_transition(slot, ControlEvent(EventKind.DRIFT_ALARM))
             if self.state is LoopState.DEGRADED:
                 monitored["action"] = self.run_decision(slot, index)
@@ -392,13 +379,17 @@ class _Loop:
 
     def run(self) -> RunResult:
         # Store each package as it is fitted: only the first, to activate,
-        # stays in memory. One pool start serves all the fits.
-        first = None
+        # stays in memory. One pool start serves all the fits. Windows with
+        # identical measurements fit one model, stored once.
+        first, stored = None, set()
         with blas.limit(self.fit_threads):
             for spec in self.config.pretrain:
                 package = self._train(spec.start_slot, spec.end_slot)
-                self.registry.store(package, stored_at_slot=0)
                 desc = package.descriptor
+                if (desc.model_id, desc.model_version) in stored:
+                    continue
+                stored.add((desc.model_id, desc.model_version))
+                self.registry.store(package, stored_at_slot=0)
                 self.log(
                     0,
                     "registry",

@@ -55,8 +55,7 @@ class _ReferenceLoop:
         self.config, self.policy = config, config.policy
         self.codebook = dft_codebook(config.num_antennas)
         self.trace = generate_trace(
-            config.regime_schedule, config.num_slots, config.num_antennas, self.codebook,
-            config.seed,
+            config.regime_schedule, config.num_slots, config.num_antennas, config.seed
         )
         for start, snr_db in config.snr_overrides:
             self.trace.snr_db[start:] = snr_db
@@ -95,7 +94,7 @@ class _ReferenceLoop:
     def train(self, start, stop):
         return train_predictor(
             self.measurements.window(start, stop), self.config.predictor,
-            codebook=self.codebook, beam_powers=self.trace.per_beam_power[start:stop],
+            beam_powers=self.trace.per_beam_power[start:stop],
         )
 
     def context(self, slot):
@@ -155,8 +154,7 @@ class _ReferenceLoop:
         window = self.policy.descriptor_window_slots
         start = slot + 1 - min(window, slot + 1)
         descriptor = derive_input_descriptor(
-            self.measurements.window(start, slot + 1), self.codebook,
-            self.trace.per_beam_power[start : slot + 1],
+            self.measurements.window(start, slot + 1), self.trace.per_beam_power[start : slot + 1],
         )
         self.eval_counter += 1
         cells = {"perf_bad": "", "action": "", "divergence": "", "overhead": ""}
@@ -169,7 +167,7 @@ class _ReferenceLoop:
         target = slot - self.config.monitoring.gt_slot_offset
         if target not in self.applied:
             return cells
-        report, value, perf_bad, alarm = self.session.evaluate(
+        report, value, perf_bad, rising = self.session.evaluate(
             slot, self.applied[target], self.measured[target]
         )
         cells["perf_bad"], cells["overhead"] = str(perf_bad), str(report.overhead_bits)
@@ -186,8 +184,8 @@ class _ReferenceLoop:
             self.log(slot, "monitor", "KpiRecovered", streak=str(streak))
             self.log_transition(slot, ControlEvent(EventKind.KPI_RECOVERED))
             self.session.acknowledge()
-        if alarm is not None:
-            self.log(slot, "monitor", "DriftAlarm", detector=alarm.source, value=repr(alarm.value))
+        if rising:
+            self.log(slot, "monitor", "DriftAlarm", detector="kpi_threshold", value=repr(value))
             self.log_transition(slot, ControlEvent(EventKind.DRIFT_ALARM))
             if self.state is LoopState.DEGRADED:
                 inputs = DecisionInputs(
@@ -204,15 +202,17 @@ class _ReferenceLoop:
         return cells
 
     def run(self):
-        packages = []
+        packages = {}  # (model id, version) -> package, in pretraining order
         for spec in self.config.pretrain:
             package = self.train(spec.start_slot, spec.end_slot)
-            self.registry.store(package, stored_at_slot=0)
             desc = package.descriptor
+            if (desc.model_id, desc.model_version) in packages:
+                continue
+            packages[desc.model_id, desc.model_version] = package
+            self.registry.store(package, stored_at_slot=0)
             self.log(0, "registry", "ModelStored", model_id=desc.model_id,
                      version=str(desc.model_version), tag=desc.functionality_tag)
-            packages.append(package)
-        activated = activate(self.context(0), packages[0])
+        activated = activate(self.context(0), next(iter(packages.values())))
         self.log(0, "controller", "ModelActivated", target=activated.detail)
 
         for slot in range(self.config.num_slots):

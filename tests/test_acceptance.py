@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lcmsim.channel import ChannelRegime, dft_codebook, generate_trace
+from lcmsim.channel import ChannelRegime, generate_trace
 from lcmsim.config import parse_scenario_config
 from lcmsim.controller import (
     ActionKind,
@@ -338,7 +338,7 @@ class TestCriterion07:
                 mean_snr_db=math.inf,
             )
             targets = generate_trace(
-                [(0, regime)], 5120, 32, dft_codebook(32), 314
+                [(0, regime)], 5120, 32, 314
             ).true_precoders
             train, held = targets[:4096], targets[4096:]
 
@@ -385,7 +385,7 @@ class TestCriterion08:
                 ),
             ]
             traces = [
-                generate_trace([(0, r)], 1024, 32, dft_codebook(32), 500 + i).true_precoders
+                generate_trace([(0, r)], 1024, 32, 500 + i).true_precoders
                 for i, r in enumerate(regimes)
             ]
             train = [t[:768] for t in traces]
@@ -447,7 +447,7 @@ class TestCriterion09:
             assert report.scores[2].reasons == ("flops_over_budget",)
 
             data = generate_trace(
-                [(0, self.REGIME)], 640, 16, dft_codebook(16), self.SEED
+                [(0, self.REGIME)], 640, 16, self.SEED
             ).true_precoders
             train, evaluation = data[:512], data[512:]
             oracle_rows = []
@@ -462,7 +462,7 @@ class TestCriterion09:
                         doppler_norm=min(self.REGIME.doppler_norm * factor, 0.5),
                     )
                     perturbed = generate_trace(
-                        [(0, perturbed_regime)], 640, 16, dft_codebook(16), self.SEED
+                        [(0, perturbed_regime)], 640, 16, self.SEED
                     ).true_precoders
                     stressed = train_encoder_against_reference(decoder, perturbed[:512])
                     robustness.append(

@@ -24,7 +24,7 @@ def regime(rid="urban", paths=4, doppler=0.05, spread=1.0, snr=20.0):
 
 
 def make_trace(schedule, slots=200, n_ant=8, seed=7):
-    return generate_trace(schedule, slots, n_ant, dft_codebook(n_ant), seed)
+    return generate_trace(schedule, slots, n_ant, seed)
 
 
 def measure_one(w, snr_db, slot, seed):
@@ -209,9 +209,12 @@ class TestStackedMeasurement:
         with pytest.raises(ValueError):
             measure_csi(w, [20.0] * 2, [0, 1, 2], 1)
         with pytest.raises(ValueError):
-            CsiMeasurements([0, 1], w, [20.0] * 3)
-        window = measure_csi(w, [20.0] * 3, [4, 5, 6], 1).window(1, 3)
-        assert len(window) == 2 and window.slots.tolist() == [5, 6]
+            CsiMeasurements(w, [20.0] * 2)
+        measured = measure_csi(w, [20.0] * 3, [4, 5, 6], 1)
+        window = measured.window(1, 3)
+        assert len(window) == 2
+        for got, whole in ((window.precoders, measured.precoders), (window.snr_db, measured.snr_db)):
+            assert np.shares_memory(got, whole) and got.tobytes() == whole[1:3].tobytes()
 
 
 class TestUnitNorm:
@@ -278,7 +281,7 @@ class TestStackedKernels:
         schedule = [(0, regime("a", paths, doppler))]
         if slots > 1:
             schedule.append((slots // 2, regime("b", 2, 0.3)))
-        trace = generate_trace(schedule, slots, n, dft_codebook(n), seed)
+        trace = generate_trace(schedule, slots, n, seed)
         precoders, power = reference_trace(schedule, slots, n, dft_codebook(n), seed)
         assert trace.true_precoders.tobytes() == precoders.tobytes()
         assert trace.per_beam_power.tobytes() == power.tobytes()

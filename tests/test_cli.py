@@ -370,7 +370,7 @@ class TestArtifactFailures:
         root = tmp_path_factory.mktemp("artifacts")
         rng = np.random.default_rng(5)
         targets = unit_norm(rng.standard_normal((64, 8)) + 1j * rng.standard_normal((64, 8)))
-        history = CsiMeasurements(range(64), targets, [20.0] * 64)
+        history = CsiMeasurements(targets, [20.0] * 64)
         enc, dec = train_autoencoder_joint(targets, AutoencoderConfig(4, 0, 8))
         blobs = {
             "pred": train_predictor(history, PredictorConfig(2, 2)).to_bytes(),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcmsim.channel import ChannelRegime, dft_codebook, generate_trace
+from lcmsim.channel import ChannelRegime, generate_trace
 from lcmsim.config import PretrainSpec, load_scenario_config, parse_scenario_config
 from lcmsim.controller import DecisionPolicy
 from lcmsim.errors import ConfigError
@@ -342,7 +342,7 @@ class TestValidation:
                       f"channel.regime.{i}.num_paths = {regime.num_paths}",
                       f"channel.regime.{i}.doppler_norm = {regime.doppler_norm}"]
         with pytest.raises(ValueError) as trace_error:
-            generate_trace(regimes, num_slots, num_antennas, dft_codebook(max(num_antennas, 1)), 1)
+            generate_trace(regimes, num_slots, num_antennas, 1)
         with pytest.raises(ConfigError) as config_error:
             parse_scenario_config(with_lines(*lines))
         assert str(config_error.value) == str(trace_error.value)

@@ -306,7 +306,7 @@ def trained_base(order=4, horizon=4, n_ant=N_ANT, seed=0):
     for t in range(64):
         v = rng.standard_normal(n_ant) + 1j * rng.standard_normal(n_ant)
         vectors.append(v / np.linalg.norm(v))
-    history = CsiMeasurements(range(64), vectors, [20.0] * 64)
+    history = CsiMeasurements(vectors, [20.0] * 64)
     return train_predictor(history, PredictorConfig(order, horizon))
 
 

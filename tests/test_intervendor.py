@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lcmsim import container
-from lcmsim.channel import ChannelRegime, dft_codebook, generate_trace
+from lcmsim.channel import ChannelRegime, generate_trace
 from lcmsim.errors import IntegrityError, PairingError
 from lcmsim.intervendor import (
     CsiDataset,
@@ -23,8 +23,8 @@ from lcmsim.models import (
     AutoencoderConfig,
     ModelKind,
     decode_csi,
-    decode_feedback_latent,
     encode_csi,
+    feedback_latents,
     train_autoencoder_joint,
 )
 from lcmsim.registry import verify_pairing
@@ -32,7 +32,7 @@ from lcmsim.registry import verify_pairing
 
 def regime_targets(regime_id, doppler, n_ant, n_samples, seed, num_paths=4, spread=0.9):
     regime = ChannelRegime(regime_id, num_paths, doppler, spread, float("inf"))
-    trace = generate_trace([(0, regime)], n_samples, n_ant, dft_codebook(n_ant), seed)
+    trace = generate_trace([(0, regime)], n_samples, n_ant, seed)
     return trace.true_precoders
 
 
@@ -130,8 +130,9 @@ class TestCodecRows:
         per_row = [encode_csi(enc, t) for t in targets]
         assert feedbacks.tobytes() == np.stack(per_row).tobytes()
         assert feedbacks.dtype == per_row[0].dtype and per_row[0].ndim == 1
-        latents = decode_feedback_latent(dec, feedbacks, ranges)
-        per_row_latents = [decode_feedback_latent(dec, fb, ranges) for fb in per_row]
+        quant = dec.param(ranges) if bits else None
+        latents = feedback_latents(feedbacks, bits, quant)
+        per_row_latents = [feedback_latents(fb, bits, quant) for fb in per_row]
         assert latents.tobytes() == np.stack(per_row_latents).tobytes()
         decoded = decode_csi(dec, feedbacks, vendor_index=vendor)
         per_row_decoded = [decode_csi(dec, fb, vendor_index=vendor) for fb in per_row]
@@ -420,7 +421,7 @@ class TestReferenceDerivation:
 
         def targets_for(regime):
             trace = generate_trace([(0, regime)], spec.num_train + spec.num_eval,
-                                   spec.num_antennas, dft_codebook(spec.num_antennas), 53)
+                                   spec.num_antennas, 53)
             return trace.true_precoders
 
         data = targets_for(spec.regime)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from lcmsim.channel import (
     ChannelRegime,
     CsiMeasurements,
-    dft_codebook,
     generate_trace,
     measure_csi,
     ula_steering,
@@ -30,6 +29,7 @@ from lcmsim.models import (
     apply_delta,
     decode_csi,
     encode_csi,
+    feedback_latents,
     finalize_package,
     fit_adaptation_delta,
     flops_for_parameters,
@@ -55,18 +55,12 @@ def random_unit(rng, n):
 
 
 def static_history(w, count, snr=math.inf):
-    return CsiMeasurements(range(count), [w] * count, [snr] * count)
+    return CsiMeasurements([w] * count, [snr] * count)
 
 
 def trace_history(doppler=0.05, slots=400, n_ant=16, seed=3):
-    trace = generate_trace(
-        [(0, ChannelRegime("r", 6, doppler, 1.2, math.inf))],
-        slots,
-        n_ant,
-        dft_codebook(n_ant),
-        seed,
-    )
-    return CsiMeasurements(range(slots), trace.true_precoders, np.full(slots, math.inf))
+    trace = generate_trace([(0, ChannelRegime("r", 6, doppler, 1.2, math.inf))], slots, n_ant, seed)
+    return CsiMeasurements(trace.true_precoders, np.full(slots, math.inf))
 
 
 class TestPredictor:
@@ -91,9 +85,7 @@ class TestPredictor:
             g = rho * g + math.sqrt(1 - rho * rho) * (
                 rng.standard_normal() + 1j * rng.standard_normal()
             ) / math.sqrt(2)
-        history = CsiMeasurements(
-            range(slots), [unit_norm(g * steer) for g in gains], np.full(slots, math.inf)
-        )
+        history = CsiMeasurements([unit_norm(g * steer) for g in gains], np.full(slots, math.inf))
         model = train_predictor(history, PredictorConfig(1, 1))
         taps = model.param("taps")
         learned = complex(steer.conj() @ taps @ steer)
@@ -202,7 +194,7 @@ class TestRidgeSolve:
         assert negative_zeros
 
 
-def predictor_reference(history, cfg, codebook, beam_powers=None):
+def predictor_reference(history, cfg, beam_powers=None):
     """train_predictor as a formula: the stack and index-array targets
     kept together through the ridge, the stack hashed as ``.tobytes()``."""
     vectors = history.precoders
@@ -217,7 +209,7 @@ def predictor_reference(history, cfg, codebook, beam_powers=None):
     return new_package(
         ModelKind.CSI_PREDICTOR, [("taps", taps)], extra,
         stable_id("pred", features.tobytes(), repr(cfg)), predictor_tag(cfg.horizon_slots),
-        derive_input_descriptor(history, codebook, beam_powers),
+        derive_input_descriptor(history, beam_powers),
     )
 
 
@@ -230,19 +222,14 @@ class TestPredictorBytes:
         # A window of the run's measurements, as the loop trains on, and
         # the same rows in Fortran order (targets that are no C-order view).
         slots, start, stop = 360, 40, 340
-        codebook = dft_codebook(n_ant)
-        trace = generate_trace(
-            [(0, ChannelRegime("r", 6, 0.05, 1.2, 12.0))], slots, n_ant, codebook, 17
-        )
+        trace = generate_trace([(0, ChannelRegime("r", 6, 0.05, 1.2, 12.0))], slots, n_ant, 17)
         run = measure_csi(trace.true_precoders, trace.snr_db, np.arange(slots), 17)
         window = run.window(start, stop)
-        fortran = CsiMeasurements(
-            window.slots, np.asfortranarray(window.precoders), window.snr_db
-        )
+        fortran = CsiMeasurements(np.asfortranarray(window.precoders), window.snr_db)
         beam_powers = trace.per_beam_power[start:stop] if with_beam_powers else None
         for history in (window, fortran):
-            got = train_predictor(history, cfg, codebook=codebook, beam_powers=beam_powers)
-            want = predictor_reference(history, cfg, codebook, beam_powers)
+            got = train_predictor(history, cfg, beam_powers=beam_powers)
+            want = predictor_reference(history, cfg, beam_powers)
             assert got.descriptor.model_id == want.descriptor.model_id
             assert got.param("taps").tobytes() == want.param("taps").tobytes()
             assert got.to_bytes() == want.to_bytes()
@@ -253,11 +240,10 @@ class TestTrainingMemory:
         # 64 antennas, order 8: a 512-wide ridge, as the 64-antenna loop fits.
         cfg, n_ant, slots = PredictorConfig(), 64, 400
         history = trace_history(slots=slots, n_ant=n_ant)
-        codebook = dft_codebook(n_ant)
-        train_predictor(history, cfg, codebook=codebook)
+        train_predictor(history, cfg)
         tracemalloc.start()
         try:
-            train_predictor(history, cfg, codebook=codebook)
+            train_predictor(history, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -273,7 +259,6 @@ class TestTrainingMemory:
         # whether the 3 MiB window stack is still alive beside it.
         cfg, n_ant, slots = PredictorConfig(), 64, 400
         history = trace_history(slots=slots, n_ant=n_ant)
-        codebook = dft_codebook(n_ant)
         solve, held = np.linalg.solve, []
 
         def recording_solve(a, b):
@@ -284,7 +269,7 @@ class TestTrainingMemory:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            train_predictor(history, cfg, codebook=codebook)
+            train_predictor(history, cfg)
         finally:
             tracemalloc.stop()
         rows = slots - cfg.order - cfg.horizon_slots + 1
@@ -312,8 +297,7 @@ class TestTrainingMemory:
             return solve(a, b).view(Coefficients)
 
         monkeypatch.setattr(np.linalg, "solve", recording_solve)
-        train_predictor(trace_history(slots=120, n_ant=32), PredictorConfig(),
-                        codebook=dft_codebook(32))
+        train_predictor(trace_history(slots=120, n_ant=32), PredictorConfig())
         assert held == [[False, False]]  # neither the Gram nor the right-hand side
 
 
@@ -379,9 +363,7 @@ class TestAutoencoder:
         for w in targets[:50]:
             z = basis.conj().T @ w
             codes = encode_csi(enc, w)
-            from lcmsim.models import decode_feedback_latent
-
-            z_hat = decode_feedback_latent(dec, codes)
+            z_hat = feedback_latents(codes, bits, dec.param("quant_ranges"))
             assert np.all(np.abs(z_hat.real - z.real) <= step / 2 + 1e-12)
             assert np.all(np.abs(z_hat.imag - z.imag) <= step / 2 + 1e-12)
 

@@ -9,7 +9,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lcmsim.kpi import sgcs
 from lcmsim.monitoring import (
-    DriftAlarm,
     MonitoringConfig,
     MonitoringMode,
     MonitoringReport,
@@ -63,7 +62,7 @@ def run_mode(values, mode=MonitoringMode.TYPE1, gamma=GAMMA, n=3):
     for slot, value in enumerate(values):
         _, _, perf_bad, alarm = session.evaluate(slot, *pair_of(value))
         flags.append(perf_bad)
-        alarms.append(alarm is not None)
+        alarms.append(alarm)
     return flags, alarms
 
 
@@ -111,12 +110,12 @@ class TestType1:
         session = MonitoringSession(cfg)
         *_, first = session.evaluate(0, *pair_of(BELOW))
         *_, second = session.evaluate(1, *pair_of(BELOW))
-        assert first is None and second is not None
+        assert first is False and second is True
         session.acknowledge()
         *_, third = session.evaluate(2, *pair_of(BELOW))
-        assert third is None
+        assert third is False
         *_, fourth = session.evaluate(3, *pair_of(BELOW))
-        assert fourth is not None
+        assert fourth is True
 
     def test_reset_between_consecutive_alarms(self):
         rng = np.random.default_rng(11)
@@ -128,7 +127,7 @@ class TestType1:
             *_, alarm = session.evaluate(slot, *pair_of(value))
             if value >= GAMMA:
                 reset_slots.append(slot)
-            if alarm is not None:
+            if alarm:
                 alarm_slots.append(slot)
         assert len(alarm_slots) >= 2
         for earlier, later in zip(alarm_slots, alarm_slots[1:]):
@@ -144,11 +143,11 @@ class TestType1:
         with pytest.raises(ValueError):
             session.evaluate(0, np.array([np.nan, 1.0]), np.ones(2))
 
-    def test_alarm_carries_slot_source_and_value(self):
+    def test_alarm_comes_with_the_seen_value(self):
         flags, _ = run_mode([BELOW, BELOW, BELOW], n=3)
         session = MonitoringSession(MonitoringConfig(n_consec=1))
-        *_, alarm = session.evaluate(7, *pair_of(0.25))
-        assert alarm == DriftAlarm(slot_index=7, source="kpi_threshold", value=0.25)
+        _, value, _, alarm = session.evaluate(7, *pair_of(0.25))
+        assert (value, alarm) == (0.25, True) and alarm is True
         assert flags[-1] == 1
 
 
@@ -174,7 +173,7 @@ class TestOneEvaluatePath:
             s = dequantize_metric(quantize_metric(s, bits), bits)
         assert value.hex() == s.hex()
         assert report.overhead_bits == report_overhead_bits(mode, len(p), bits)
-        assert perf_bad == int(value < GAMMA) == int(alarm is not None)
+        assert perf_bad == int(value < GAMMA) == int(alarm)
 
 
     @pytest.mark.parametrize("mode", list(MonitoringMode))
@@ -184,7 +183,7 @@ class TestOneEvaluatePath:
         assert sgcs(p, t) > 1.0  # the rounding a near-exact prediction meets
         session = MonitoringSession(MonitoringConfig(mode=mode, threshold_gamma=GAMMA))
         report, value, perf_bad, alarm = session.evaluate(0, p, t)
-        assert (value, perf_bad, alarm) == (1.0, 0, None)
+        assert (value, perf_bad, alarm) == (1.0, 0, False) and alarm is False
 
 
 class TestCleanStreak:
@@ -223,7 +222,7 @@ class TestType2:
         w = np.array([1, 1j, -1, -1j]) / 2.0
         report, value, _, alarm = session.evaluate(0, w, w)
         assert value == pytest.approx(1.0, abs=1e-12)
-        assert alarm is None
+        assert alarm is False
         assert np.array_equal(report.predicted, w)
         assert np.array_equal(report.ground_truth, w)
 
@@ -248,7 +247,7 @@ class TestType2:
         orthogonal = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
         _, value, _, alarm = session.evaluate(4, w, orthogonal)
         assert value == pytest.approx(0.0, abs=1e-12)
-        assert alarm is not None and alarm.slot_index == 4
+        assert alarm is True
 
 
 class TestType3:
@@ -300,7 +299,7 @@ class TestType3:
             below3 = dequantize_metric(quantize_metric(value, bits), bits) < GAMMA
             if below1 != below3:
                 assert abs(value - GAMMA) <= step
-            if (alarm1 is None) != (alarm3 is None):
+            if alarm1 != alarm3:
                 # A divergent alarm needs at least one near-threshold value.
                 assert any(abs(float(v) - GAMMA) <= step for v in values[: slot + 1])
 

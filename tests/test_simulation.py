@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from lcmsim import channel, controller, monitoring, simulation
+from lcmsim import channel, controller, kpi, monitoring, simulation
 from lcmsim.config import parse_scenario_config
 from lcmsim.errors import ConfigError
 from lcmsim.models import train_predictor
@@ -19,7 +19,8 @@ from lcmsim.simulation import (
     write_events,
     write_metrics,
 )
-from scenario_configs import CANONICAL_DRIFT, FALLBACK_DRIFT, QUIET_SMALL
+from reference_loop import reference_run
+from scenario_configs import CANONICAL_DRIFT, FALLBACK_DRIFT, MILD_DRIFT, QUIET_SMALL
 
 EVENT_LINE = re.compile(r"^slot=\d+ source=\w+ kind=\w+( \S+=\S+)*$")
 
@@ -214,7 +215,6 @@ class TestMeasureOnce:
         slots = range(spec.start_slot, spec.end_slot)
         trace = loop.trace
         history = channel.CsiMeasurements(
-            slots,
             [
                 channel.measure_csi(trace.true_precoders[t : t + 1], trace.snr_db[t : t + 1], [t], cfg.seed).precoders[0]
                 for t in slots
@@ -224,7 +224,6 @@ class TestMeasureOnce:
         reference = train_predictor(
             history,
             cfg.predictor,
-            codebook=loop.codebook,
             beam_powers=loop.trace.per_beam_power[spec.start_slot : spec.end_slot],
         )
         assert package.descriptor.model_id == reference.descriptor.model_id
@@ -251,7 +250,7 @@ class TestMeasureOnce:
         for (history, pcfg, kwargs), (lo, hi) in zip(calls, windows):
             assert history.precoders.tobytes() == loop.measured[lo:hi].tobytes()
             assert pcfg is cfg.predictor
-            assert kwargs["codebook"] is loop.codebook is loop.trace.beam_codebook
+            assert set(kwargs) == {"beam_powers"}
             assert kwargs["beam_powers"].tobytes() == loop.trace.per_beam_power[lo:hi].tobytes()
 
 
@@ -279,6 +278,65 @@ class TestPretraining:
         # Store k sees the first package and no other earlier one alive.
         for k, alive in enumerate(alive_at_store[: len(cfg.pretrain)]):
             assert alive == [True] * min(k, 1) + [False] * max(k - 1, 0)
+
+    def test_windows_with_identical_measurements_store_one_model(self, tmp_path):
+        # A frozen channel (zero Doppler, one path, no noise) measures one
+        # precoder in every slot, so two different windows fit one model id.
+        cfg = parse_scenario_config(FROZEN_TWO_WINDOWS)
+        result = run_scenario(cfg, str(tmp_path / "registry"))
+        stored = [e for e in result.events if e.kind == "ModelStored"]
+        assert len(stored) == 1 and result.summary["final_state"] == "Stable"
+        want = reference_run(cfg, str(tmp_path / "reference"))
+        assert result.events_text() == want.events_text()
+        assert result.metrics_text() == want.metrics_text()
+
+
+FROZEN_TWO_WINDOWS = """
+seed = 0
+num_slots = 200
+channel.num_antennas = 12
+channel.regime.0.start_slot = 0
+channel.regime.0.regime_id = frozen
+channel.regime.0.num_paths = 1
+channel.regime.0.doppler_norm = 0.0
+pretrain.0.start_slot = 3
+pretrain.0.end_slot = 18
+pretrain.1.start_slot = 0
+pretrain.1.end_slot = 15
+predictor.order = 2
+predictor.horizon_slots = 1
+"""
+
+
+class TestDivergenceScoring:
+    @pytest.mark.parametrize("text, calls", [(MILD_DRIFT, 1), (CANONICAL_DRIFT, 2)],
+                             ids=["MILD_DRIFT", "CANONICAL_DRIFT"])
+    def test_every_evaluation_is_scored_once_per_active_descriptor(
+        self, tmp_path, monkeypatch, text, calls
+    ):
+        # MILD_DRIFT's DeltaUpdate keeps the descriptor, CANONICAL_DRIFT's Switch does not.
+        loop = simulation._Loop(parse_scenario_config(text), str(tmp_path / "registry"))
+        scored, active = [], []
+        original, divergences = kpi.DescriptorRows.divergences, loop.divergences
+
+        def spy(rows, other):
+            result = original(rows, other)
+            if rows is loop.descriptors:
+                scored.append((other, [len(a) for a in result]))
+            return result
+
+        def loop_spy(index):
+            active.append(loop.agent.active_model.descriptor.input_descriptor)
+            return divergences(index)
+
+        monkeypatch.setattr(kpi.DescriptorRows, "divergences", spy)
+        monkeypatch.setattr(loop, "divergences", loop_spy)
+        with loop.registry:
+            result = loop.run()
+        distinct = list(dict.fromkeys(id(d) for d in active))  # active holds them all
+        assert len(distinct) == calls
+        assert [id(other) for other, _ in scored] == distinct
+        assert all(sizes == [result.summary["evaluations"]] * 2 for _, sizes in scored)
 
 
 class TestQuietLoop:

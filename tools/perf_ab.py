@@ -21,8 +21,12 @@ verdict per metric:
 - ``gain``: the change won at least nine tenths of the pairs (ties count
   for neither side) and its median is better than the parent's by more
   than the distance between the parent's quartiles;
+- ``unresolved``: otherwise, the parent's quartiles lie further apart
+  than the metric's BENCHMARK.json bound (relative to its median), so
+  the runs cannot tell a move within the bound from none, unless every
+  run of the change is better than every run of the parent;
 - ``within_bound``: otherwise, the change's median is no worse than the
-  parent's by more than the metric's BENCHMARK.json bound (relative);
+  parent's by more than the bound;
 - ``worse``: otherwise.
 
 An existing output file is extended: a workload and seed run again
@@ -81,11 +85,16 @@ def summarize(runs: list[dict]) -> dict:
 
 
 def verdict(name: str, parent: dict, change: dict, wins: int, pairs: int) -> str:
-    """``gain``, ``within_bound`` or ``worse`` for one metric (see the module doc)."""
+    """``gain``, ``unresolved``, ``within_bound`` or ``worse`` for one metric
+    (see the module doc)."""
     sign = 1 if HIGHER_IS_BETTER[name] else -1
     better_by = sign * (change["median"] - parent["median"])
-    if 10 * wins >= 9 * pairs and better_by > parent["q3"] - parent["q1"]:
+    spread = parent["q3"] - parent["q1"]
+    if 10 * wins >= 9 * pairs and better_by > spread:
         return "gain"
+    all_better = min(sign * c for c in change["runs"]) > max(sign * p for p in parent["runs"])
+    if spread > BOUND[name] * parent["median"] and not all_better:
+        return "unresolved"
     return "within_bound" if better_by >= -BOUND[name] * parent["median"] else "worse"
 
 
