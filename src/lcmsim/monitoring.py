@@ -58,48 +58,6 @@ class MonitoringConfig:
             raise ValueError("eval_period_slots must be a positive integer or inf")
 
 
-@dataclass(frozen=True)
-class MonitoringReport:
-    """One over-the-air monitoring record.
-
-    Exactly the fields of the active mode are populated; validate()
-    enforces that schema and the overhead accounting.
-    """
-
-    slot_index: int
-    mode: MonitoringMode
-    overhead_bits: int
-    perf_bad: int | None = None
-    predicted: np.ndarray | None = None
-    ground_truth: np.ndarray | None = None
-    quantized_sgcs_code: int | None = None
-
-    def validate(self, quant_bits: int) -> None:
-        """Raises ValueError unless the fields are the mode's, ``overhead_bits``
-        is :func:`report_overhead_bits` at the session's ``quant_bits`` and a
-        Type3 code fits in those bits."""
-        fields = (self.perf_bad, self.predicted, self.ground_truth, self.quantized_sgcs_code)
-        sent = tuple(value is not None for value in fields)
-        n = 0 if self.predicted is None else len(self.predicted)
-        if (
-            sent != _MODE_FIELDS[self.mode]
-            or self.perf_bad not in (None, 0, 1)
-            or (self.ground_truth is not None and len(self.ground_truth) != n)
-            or self.overhead_bits != report_overhead_bits(self.mode, n, quant_bits)
-        ):
-            raise ValueError(f"report fields inconsistent with mode {self.mode.value}")
-        if self.quantized_sgcs_code is not None:
-            dequantize_metric(self.quantized_sgcs_code, quant_bits)  # the code fits the bits
-
-
-# Which of (perf_bad, predicted, ground_truth, quantized_sgcs_code) each mode sends.
-_MODE_FIELDS = {
-    MonitoringMode.TYPE1: (True, False, False, False),
-    MonitoringMode.TYPE2: (False, True, True, False),
-    MonitoringMode.TYPE3: (False, False, False, True),
-}
-
-
 def precoder_report_bits(num_antennas: int) -> int:
     """Cost of one unquantized precoder: two 64-bit reals per entry."""
     return num_antennas * 2 * BITS_PER_REAL
@@ -179,41 +137,28 @@ class MonitoringSession:
         self.watch.acknowledge()
 
     def evaluate(
-        self, slot_index: int, predicted: np.ndarray, ground_truth: np.ndarray
-    ) -> tuple[MonitoringReport, float, int, bool]:
+        self, predicted: np.ndarray, ground_truth: np.ndarray
+    ) -> tuple[int, float, int, bool]:
         """Monitor one pair of a predicted and a ground-truth precoder.
 
         The sgcs of the pair is computed once; the mode decides only what
         crosses the air and so which value the gNB sees. Type1 compares at
         the UE and sends the 1-bit level flag, Type2 sends both precoders,
         Type3 sends the quantized metric and the gNB sees it dequantized.
-        Returns the report, the gNB-visible value, perf_bad (Type1: the
-        reported flag; Type2/3: 1 if the seen value breaches the threshold)
-        and whether the run-length watch raises its alarm, on its rising edge.
+        Returns the report's overhead bits, the gNB-visible value, perf_bad
+        (Type1: the reported flag; Type2/3: 1 if the seen value breaches the
+        threshold) and whether the run-length watch raises its alarm, on its
+        rising edge.
         """
         mode, bits = self.cfg.mode, self.cfg.quant_bits
         value = min(sgcs(predicted, ground_truth), 1.0)  # an exact prediction may round past 1
         if mode is MonitoringMode.TYPE1 and not 0.0 <= value <= 1.0:
             raise ValueError(f"sgcs value {value!r} outside [0, 1]")
-        fields: dict = {}
-        if mode is MonitoringMode.TYPE2:
-            fields = dict(
-                predicted=np.array(predicted, dtype=np.complex128),
-                ground_truth=np.array(ground_truth, dtype=np.complex128),
-            )
-        elif mode is MonitoringMode.TYPE3:
-            fields = dict(quantized_sgcs_code=quantize_metric(value, bits))
-            value = dequantize_metric(fields["quantized_sgcs_code"], bits)
+        if mode is MonitoringMode.TYPE3:
+            value = dequantize_metric(quantize_metric(value, bits), bits)
         flag, rising = self.watch.observe(value)
-        if mode is MonitoringMode.TYPE1:
-            perf_bad = fields["perf_bad"] = int(flag)
-        else:
-            perf_bad = int(self.watch.count > 0)  # the seen value breached
-        report = MonitoringReport(
-            slot_index, mode, report_overhead_bits(mode, len(predicted), bits), **fields
-        )
-        report.validate(bits)
-        return report, value, perf_bad, rising
+        perf_bad = int(flag if mode is MonitoringMode.TYPE1 else self.watch.count > 0)
+        return report_overhead_bits(mode, len(predicted), bits), value, perf_bad, rising
 
 
 def evaluation_slots(num_slots: int, cfg: MonitoringConfig, warmup_slots: int = 0) -> list[int]:

@@ -183,9 +183,10 @@ class _Loop:
         # By target slot t: route[t] says what t applies (_NONE, _MODEL or
         # _LEGACY), pending until t is applied, in applied[t % ring], a ring that
         # outlasts every read (a chunk, monitoring lag or pairs behind the newest
-        # write, a horizon ahead).
+        # write, a horizon ahead; no read reaches back past slot 0, so no further
+        # than the run's length).
         lag = max(_BLOCK_SLOTS, config.monitoring.gt_slot_offset + 1, self.history_window)
-        self.ring = lag + config.predictor.horizon_slots
+        self.ring = min(lag, config.num_slots) + config.predictor.horizon_slots
         self.applied = np.empty((self.ring, config.num_antennas), dtype=np.complex128)
         self.route = np.zeros(config.num_slots + config.predictor.horizon_slots, dtype=np.int8)
         self.eval_counter = 0
@@ -347,19 +348,19 @@ class _Loop:
         target = slot - self.config.monitoring.gt_slot_offset
         if target < 0 or self.route[target] != _MODEL:
             return monitored
-        report, gnb_value, perf_bad, rising = self.session.evaluate(
-            slot, self.applied[target % self.ring], self.measured[target]
+        bits, gnb_value, perf_bad, rising = self.session.evaluate(
+            self.applied[target % self.ring], self.measured[target]
         )
         monitored["perf_bad"] = str(perf_bad)
-        monitored["monitor_overhead_bits"] = str(report.overhead_bits)
+        monitored["monitor_overhead_bits"] = str(bits)
         self.log(
             slot,
             "monitor",
             "MonitoringReport",
-            mode=report.mode.value,
+            mode=self.config.monitoring.mode.value,
             value=repr(float(gnb_value)),
             perf_bad=str(perf_bad),
-            overhead_bits=str(report.overhead_bits),
+            overhead_bits=str(bits),
         )
 
         monitored["descriptor_divergence"] = repr(self.divergences(index)[1])

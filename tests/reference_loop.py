@@ -167,13 +167,13 @@ class _ReferenceLoop:
         target = slot - self.config.monitoring.gt_slot_offset
         if target not in self.applied:
             return cells
-        report, value, perf_bad, rising = self.session.evaluate(
-            slot, self.applied[target], self.measured[target]
+        bits, value, perf_bad, rising = self.session.evaluate(
+            self.applied[target], self.measured[target]
         )
-        cells["perf_bad"], cells["overhead"] = str(perf_bad), str(report.overhead_bits)
-        self.log(slot, "monitor", "MonitoringReport", mode=report.mode.value,
+        cells["perf_bad"], cells["overhead"] = str(perf_bad), str(bits)
+        self.log(slot, "monitor", "MonitoringReport", mode=self.config.monitoring.mode.value,
                  value=repr(float(value)), perf_bad=str(perf_bad),
-                 overhead_bits=str(report.overhead_bits))
+                 overhead_bits=str(bits))
         active = self.agent.active_model.descriptor
         divergence = descriptor_divergence(descriptor, active.input_descriptor)
         misalignment = misalignment_divergence(descriptor, active.input_descriptor)

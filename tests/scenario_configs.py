@@ -2,6 +2,8 @@
 
 Each constant is a complete config file body; tests parse them with
 ``parse_scenario_config`` and run them against a fresh registry root.
+``SCENARIOS`` names, in order, the ones that both the reference-loop test
+and the digest gate (``tools/output_digests.py``) run.
 """
 
 # Abrupt Doppler shift with a second pretrained model covering the new
@@ -116,3 +118,5 @@ monitoring.threshold_gamma = 0.8
 monitoring.n_consec = 3
 monitoring.eval_period_slots = 20
 """
+
+SCENARIOS = ("CANONICAL_DRIFT", "SNR_DROP", "MILD_DRIFT", "FALLBACK_DRIFT", "QUIET_SMALL")

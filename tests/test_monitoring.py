@@ -1,7 +1,6 @@
 """Monitoring modes, run-length alarm semantics, and overhead accounting."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from lcmsim.kpi import sgcs
 from lcmsim.monitoring import (
     MonitoringConfig,
     MonitoringMode,
-    MonitoringReport,
     MonitoringSession,
     ThresholdWatch,
     dequantize_metric,
@@ -59,8 +57,8 @@ def run_mode(values, mode=MonitoringMode.TYPE1, gamma=GAMMA, n=3):
     cfg = MonitoringConfig(mode=mode, threshold_gamma=gamma, n_consec=n)
     session = MonitoringSession(cfg)
     flags, alarms = [], []
-    for slot, value in enumerate(values):
-        _, _, perf_bad, alarm = session.evaluate(slot, *pair_of(value))
+    for value in values:
+        _, _, perf_bad, alarm = session.evaluate(*pair_of(value))
         flags.append(perf_bad)
         alarms.append(alarm)
     return flags, alarms
@@ -108,13 +106,13 @@ class TestType1:
     def test_acknowledge_restarts_episode(self):
         cfg = MonitoringConfig(mode=MonitoringMode.TYPE1, threshold_gamma=GAMMA, n_consec=2)
         session = MonitoringSession(cfg)
-        *_, first = session.evaluate(0, *pair_of(BELOW))
-        *_, second = session.evaluate(1, *pair_of(BELOW))
+        *_, first = session.evaluate(*pair_of(BELOW))
+        *_, second = session.evaluate(*pair_of(BELOW))
         assert first is False and second is True
         session.acknowledge()
-        *_, third = session.evaluate(2, *pair_of(BELOW))
+        *_, third = session.evaluate(*pair_of(BELOW))
         assert third is False
-        *_, fourth = session.evaluate(3, *pair_of(BELOW))
+        *_, fourth = session.evaluate(*pair_of(BELOW))
         assert fourth is True
 
     def test_reset_between_consecutive_alarms(self):
@@ -124,7 +122,7 @@ class TestType1:
         alarm_slots, reset_slots = [], []
         for slot in range(400):
             value = round(float(rng.uniform(0.0, 1.0)) * 100) / 100
-            *_, alarm = session.evaluate(slot, *pair_of(value))
+            *_, alarm = session.evaluate(*pair_of(value))
             if value >= GAMMA:
                 reset_slots.append(slot)
             if alarm:
@@ -141,12 +139,12 @@ class TestType1:
         # The UE compares a value it must hold in [0, 1]; a NaN entry gives a NaN sgcs.
         session = MonitoringSession(MonitoringConfig())
         with pytest.raises(ValueError):
-            session.evaluate(0, np.array([np.nan, 1.0]), np.ones(2))
+            session.evaluate(np.array([np.nan, 1.0]), np.ones(2))
 
     def test_alarm_comes_with_the_seen_value(self):
         flags, _ = run_mode([BELOW, BELOW, BELOW], n=3)
         session = MonitoringSession(MonitoringConfig(n_consec=1))
-        _, value, _, alarm = session.evaluate(7, *pair_of(0.25))
+        _, value, _, alarm = session.evaluate(*pair_of(0.25))
         assert (value, alarm) == (0.25, True) and alarm is True
         assert flags[-1] == 1
 
@@ -168,11 +166,11 @@ class TestOneEvaluatePath:
             MonitoringConfig(mode=mode, threshold_gamma=GAMMA, n_consec=1, quant_bits=bits)
         )
         s = min(sgcs(p, t), 1.0)
-        report, value, perf_bad, alarm = session.evaluate(0, p, t)
+        bits_sent, value, perf_bad, alarm = session.evaluate(p, t)
         if mode is MonitoringMode.TYPE3:
             s = dequantize_metric(quantize_metric(s, bits), bits)
         assert value.hex() == s.hex()
-        assert report.overhead_bits == report_overhead_bits(mode, len(p), bits)
+        assert bits_sent == report_overhead_bits(mode, len(p), bits)
         assert perf_bad == int(value < GAMMA) == int(alarm)
 
 
@@ -182,7 +180,7 @@ class TestOneEvaluatePath:
         t = p * (0.3 + 0.7j)
         assert sgcs(p, t) > 1.0  # the rounding a near-exact prediction meets
         session = MonitoringSession(MonitoringConfig(mode=mode, threshold_gamma=GAMMA))
-        report, value, perf_bad, alarm = session.evaluate(0, p, t)
+        _, value, perf_bad, alarm = session.evaluate(p, t)
         assert (value, perf_bad, alarm) == (1.0, 0, False) and alarm is False
 
 
@@ -201,14 +199,14 @@ class TestCleanStreak:
     @pytest.mark.parametrize("mode", list(MonitoringMode))
     def test_acknowledge_resets_the_clean_streak(self, mode):
         session = MonitoringSession(MonitoringConfig(mode=mode, threshold_gamma=GAMMA))
-        for slot in range(3):
-            session.evaluate(slot, *pair_of(ABOVE))
+        for _ in range(3):
+            session.evaluate(*pair_of(ABOVE))
         assert session.watch.clean == 3
         session.acknowledge()
         assert session.watch.clean == 0
-        session.evaluate(3, *pair_of(ABOVE))
+        session.evaluate(*pair_of(ABOVE))
         assert session.watch.clean == 1
-        session.evaluate(4, *pair_of(BELOW))
+        session.evaluate(*pair_of(BELOW))
         assert session.watch.clean == 0
 
 
@@ -220,32 +218,30 @@ class TestType2:
     def test_identical_precoders_metric_one_no_alarm(self):
         session = MonitoringSession(MonitoringConfig(mode=MonitoringMode.TYPE2))
         w = np.array([1, 1j, -1, -1j]) / 2.0
-        report, value, _, alarm = session.evaluate(0, w, w)
+        _, value, _, alarm = session.evaluate(w, w)
         assert value == pytest.approx(1.0, abs=1e-12)
         assert alarm is False
-        assert np.array_equal(report.predicted, w)
-        assert np.array_equal(report.ground_truth, w)
 
     def test_gnb_metric_matches_direct_recomputation(self):
         rng = np.random.default_rng(3)
         session = MonitoringSession(MonitoringConfig(mode=MonitoringMode.TYPE2))
-        for slot in range(50):
+        for _ in range(50):
             a = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
             a, b = a / np.linalg.norm(a), b / np.linalg.norm(b)
-            _, value, _, _ = session.evaluate(slot, a, b)
+            _, value, _, _ = session.evaluate(a, b)
             assert value == pytest.approx(sgcs(a, b), abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         session = MonitoringSession(MonitoringConfig(mode=MonitoringMode.TYPE2))
         with pytest.raises(ValueError):
-            session.evaluate(0, np.ones(4) / 2.0, np.ones(8) / np.sqrt(8))
+            session.evaluate(np.ones(4) / 2.0, np.ones(8) / np.sqrt(8))
 
     def test_alarm_rule_applies_to_gnb_side_value(self):
         session = MonitoringSession(MonitoringConfig(mode=MonitoringMode.TYPE2, n_consec=1))
         w = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
         orthogonal = np.array([0.0, 1.0, 0.0, 0.0], dtype=complex)
-        _, value, _, alarm = session.evaluate(4, w, orthogonal)
+        _, value, _, alarm = session.evaluate(w, orthogonal)
         assert value == pytest.approx(0.0, abs=1e-12)
         assert alarm is True
 
@@ -258,6 +254,9 @@ class TestType3:
     def test_boundary_codes(self):
         assert quantize_metric(1.0, 8) == 255
         assert quantize_metric(0.0, 8) == 0
+        for code in (-1, 256):
+            with pytest.raises(ValueError, match=f"code {code} outside"):
+                dequantize_metric(code, 8)
 
     def test_dequantization_error_bound(self):
         rng = np.random.default_rng(5)
@@ -268,10 +267,9 @@ class TestType3:
 
     def test_round_trip_report_fields(self):
         session = MonitoringSession(MonitoringConfig(mode=MonitoringMode.TYPE3, quant_bits=8))
-        report, dequantized, _, _ = session.evaluate(2, *pair_of(0.5))
-        assert report.quantized_sgcs_code == quantize_metric(0.5, 8)
-        assert dequantized == pytest.approx(report.quantized_sgcs_code / 255)
-        assert report.overhead_bits == 8
+        bits_sent, dequantized, _, _ = session.evaluate(*pair_of(0.5))
+        assert dequantized == quantize_metric(0.5, 8) / 255
+        assert bits_sent == 8
 
     def test_value_outside_unit_interval_rejected(self):
         with pytest.raises(ValueError):
@@ -280,7 +278,7 @@ class TestType3:
             quantize_metric(1.01, 8)
         session = MonitoringSession(MonitoringConfig(mode=MonitoringMode.TYPE3))
         with pytest.raises(ValueError):
-            session.evaluate(0, np.array([np.nan, 1.0]), np.ones(2))
+            session.evaluate(np.array([np.nan, 1.0]), np.ones(2))
 
     def test_agrees_with_type1_away_from_threshold(self):
         """Quantization can only change decisions within a step of gamma."""
@@ -293,8 +291,8 @@ class TestType3:
         s1, s3 = MonitoringSession(cfg1), MonitoringSession(cfg3)
         for slot, value in enumerate(values):
             value = float(value)
-            *_, alarm1 = s1.evaluate(slot, *pair_of(value))
-            *_, alarm3 = s3.evaluate(slot, *pair_of(value))
+            *_, alarm1 = s1.evaluate(*pair_of(value))
+            *_, alarm3 = s3.evaluate(*pair_of(value))
             below1 = value < GAMMA
             below3 = dequantize_metric(quantize_metric(value, bits), bits) < GAMMA
             if below1 != below3:
@@ -325,6 +323,7 @@ class TestOverhead:
 
     def test_precoder_report_bits(self):
         assert precoder_report_bits(32) == 32 * 2 * 64
+        assert report_overhead_bits(MonitoringMode.TYPE2, 4) == 2 * precoder_report_bits(4)
 
     def test_monitoring_off_sentinel(self):
         cfg = MonitoringConfig(eval_period_slots=math.inf)
@@ -368,43 +367,7 @@ class TestConfigAndSchema:
         with pytest.raises(ValueError):
             MonitoringConfig(quant_bits=17).validate()
 
-    def test_report_schema_mismatch_detected(self):
-        bad = MonitoringReport(slot_index=0, mode=MonitoringMode.TYPE1, overhead_bits=1)
-        with pytest.raises(ValueError):
-            bad.validate(8)
-        overhead_wrong = MonitoringReport(
-            slot_index=0, mode=MonitoringMode.TYPE1, overhead_bits=2, perf_bad=0
-        )
-        with pytest.raises(ValueError):
-            overhead_wrong.validate(8)
-
-    def test_type3_report_costs_the_session_quant_bits(self):
-        report = MonitoringReport(
-            slot_index=0, mode=MonitoringMode.TYPE3, overhead_bits=4, quantized_sgcs_code=3
-        )
-        report.validate(quant_bits=4)
-        with pytest.raises(ValueError):
-            report.validate(quant_bits=8)
-        with pytest.raises(ValueError):
-            replace(report, overhead_bits=8).validate(quant_bits=4)
-
-    def test_type3_code_must_fit_the_quant_bits(self):
-        report = MonitoringReport(0, MonitoringMode.TYPE3, 8, quantized_sgcs_code=255)
-        report.validate(8)
-        replace(report, quantized_sgcs_code=0).validate(8)
-        for code in (-1, 256, 300):
-            with pytest.raises(ValueError, match=f"code {code} outside"):
-                replace(report, quantized_sgcs_code=code).validate(8)
-
     @pytest.mark.parametrize("period", [-math.inf, math.nan, 0, 2.5])
     def test_eval_period_is_a_positive_integer_or_plus_inf(self, period):
         with pytest.raises(ValueError, match="eval_period_slots"):
             MonitoringConfig(eval_period_slots=period).validate()
-
-    def test_type2_report_costs_both_precoders(self):
-        p = np.ones(4, dtype=np.complex128)
-        report = MonitoringReport(slot_index=0, mode=MonitoringMode.TYPE2,
-                                  overhead_bits=2 * 4 * 2 * 64, predicted=p, ground_truth=p)
-        report.validate(quant_bits=8)
-        with pytest.raises(ValueError):
-            replace(report, ground_truth=np.ones(5, dtype=np.complex128)).validate(quant_bits=8)

@@ -80,8 +80,13 @@ class TestMetricsFormat:
             assert row.descriptor_divergence == ""
             assert row.monitor_overhead_bits == ""
 
-    def test_overhead_sum_matches_closed_form(self, quiet_run):
-        cfg, result = quiet_run
+    @pytest.mark.parametrize("mode", ["Type1", "Type2", "Type3"])
+    def test_overhead_sum_matches_closed_form(self, mode, tmp_path):
+        cfg = parse_scenario_config(
+            QUIET_SMALL.replace("monitoring.mode = Type1", f"monitoring.mode = {mode}")
+        )
+        assert cfg.monitoring.mode.value == mode
+        result = run_scenario(cfg, str(tmp_path / "registry"))
         mon = cfg.monitoring
         total = report_overhead_bits(mon.mode, cfg.num_antennas, mon.quant_bits) * len(
             evaluation_slots(cfg.num_slots, mon, simulation_warmup(cfg))

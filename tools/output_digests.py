@@ -4,8 +4,8 @@ Usage, from any git checkout of this repository:
 
     python3 tools/output_digests.py --seed 42
 
-Runs the five scenarios of ``tests/scenario_configs.py`` with their ``seed``
-line set to ``--seed``, and every instance of the three perfbench workloads
+Runs the scenarios that ``SCENARIOS`` of ``tests/scenario_configs.py`` names,
+in that order, with their ``seed`` line set to ``--seed``, and every instance of the three perfbench workloads
 at that seed (``perfbench/workloads.py``, read and not edited), each with a
 fresh registry in a temporary directory. Prints one line per run:
 ``label metrics-sha256 events-sha256 registry-sha256``: the digests of
@@ -46,8 +46,6 @@ import numpy as np  # noqa: E402
 from lcmsim import cli  # noqa: E402
 from lcmsim.config import parse_scenario_config  # noqa: E402
 from lcmsim.simulation import run_scenario  # noqa: E402
-
-SCENARIOS = ("CANONICAL_DRIFT", "SNR_DROP", "MILD_DRIFT", "FALLBACK_DRIFT", "QUIET_SMALL")
 
 # (label, lcmsim arguments), run in this order from one working directory
 # that holds drift.cfg (CANONICAL_DRIFT, the README's Quick start config).
@@ -136,7 +134,7 @@ def scenario_texts(seed: int) -> list[tuple[str, str]]:
     configs = _load(ROOT / "tests" / "scenario_configs.py")
     out = [
         (name.lower(), re.sub(r"(?m)^seed = \d+$", f"seed = {seed}", getattr(configs, name)))
-        for name in SCENARIOS
+        for name in configs.SCENARIOS
     ]
     workloads = _load(ROOT / "perfbench" / "workloads.py")
     for workload in workloads.WORKLOADS:
