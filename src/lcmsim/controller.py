@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrityError, NotFoundError
+from .errors import DegenerateInputError, IntegrityError, NotFoundError
 from .kpi import InputDescriptor, sgcs_rows
 from .kpi import sgcs  # noqa: F401 -- kept as a traced site (perfbench/layers.py)
 from .models import CsiPredictor, DeltaPackage, ModelKind, ModelPackage, apply_delta
@@ -251,15 +251,16 @@ class InferenceAgent:
 class ExecutionContext:
     """Capabilities execute() may need, provided by the harness.
 
-    retrain builds a fresh package from the harness's sample buffer;
-    fit_delta fits a correction to the given base model from the
-    recent (prediction, measurement) pairs, at the policy's rank.
+    Each takes the slot it acts at: retrain(slot) builds a fresh package
+    from the harness's samples up to that slot; fit_delta(base, slot) fits
+    a correction to the given base model from the (prediction,
+    measurement) pairs applied up to that slot, at the policy's rank.
     """
 
     registry: ModelRegistry
     agent: InferenceAgent
-    retrain: Callable[[], ModelPackage] | None = None
-    fit_delta: Callable[[ModelPackage], DeltaPackage] | None = None
+    retrain: Callable[[int], ModelPackage] | None = None
+    fit_delta: Callable[[ModelPackage, int], DeltaPackage] | None = None
 
 
 def activate(ctx: ExecutionContext, package: ModelPackage) -> ControlEvent:
@@ -275,7 +276,9 @@ def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> Co
 
     Switch, Rollback and ReactivateAI read their target here, once; the
     read re-verifies package integrity, so a tampered store surfaces as
-    ActionFailed(integrity) rather than a bad activation.
+    ActionFailed(integrity) rather than a bad activation. A fit the run's
+    data cannot support (DegenerateInputError, LinAlgError) surfaces as
+    ActionFailed(invalid); any other error is a fault and propagates.
     """
     try:
         if action.kind is ActionKind.KEEP:
@@ -296,18 +299,16 @@ def execute(action: ControlAction, ctx: ExecutionContext, slot_index: int) -> Co
                 base = ctx.agent.active_model
                 if base is None or ctx.fit_delta is None:
                     raise NotFoundError("no active model to adapt")
-                package = apply_delta(base, ctx.fit_delta(base))
+                package = apply_delta(base, ctx.fit_delta(base, slot_index))
             elif action.kind is ActionKind.RETRAIN:
                 if ctx.retrain is None:
                     raise NotFoundError("no training capability attached")
-                package = ctx.retrain()
+                package = ctx.retrain(slot_index)
             else:
                 raise ValueError(f"unhandled action kind {action.kind}")
             ctx.registry.store(package, stored_at_slot=slot_index)
         return activate(ctx, package)
-    except (IntegrityError, NotFoundError, ValueError) as exc:
-        # isinstance, not a type() lookup: np.linalg.LinAlgError is a
-        # ValueError and must map to "invalid".
+    except (IntegrityError, NotFoundError, DegenerateInputError, np.linalg.LinAlgError) as exc:
         if isinstance(exc, IntegrityError):
             reason = "integrity"
         elif isinstance(exc, NotFoundError):

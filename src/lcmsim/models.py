@@ -370,7 +370,7 @@ def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     dim = gram.shape[0]
     tr = float(np.trace(gram).real)
     if tr <= 0:
-        raise ValueError("degenerate training data (zero energy)")
+        raise DegenerateInputError("degenerate training data (zero energy)")
     # gram + lam * I, in place: adding 0.0 first turns each -0.0 into
     # +0.0, as adding the identity's zeros does.
     gram += 0.0
@@ -407,7 +407,7 @@ def train_predictor(
     cfg.validate()
     vectors = history.precoders
     if len(vectors) < cfg.min_history:
-        raise ValueError(
+        raise DegenerateInputError(
             f"history of {len(vectors)} too short for order {cfg.order} "
             f"and horizon {cfg.horizon_slots}"
         )
@@ -676,12 +676,10 @@ def decode_csi(
 # adaptation deltas
 
 def fit_adaptation_delta(
-    base: ModelPackage,
-    monitoring_pairs: Sequence[tuple[np.ndarray, np.ndarray]],
-    rank: int,
+    base: ModelPackage, predicted: np.ndarray, truth: np.ndarray, rank: int
 ) -> DeltaPackage:
-    """Fit a rank-limited affine correction from recent (predicted,
-    ground-truth) pairs.
+    """Fit a rank-limited affine correction from recent pairs: row i of the
+    (pairs, n) arrays ``predicted`` and ``truth`` is one pair.
 
     Solves the least-squares map predicted -> truth restricted to the
     directions the pairs actually excite (singular values below
@@ -698,24 +696,22 @@ def fit_adaptation_delta(
         raise ValueError("deltas apply to CSI predictors")
     if rank < 1:
         raise ValueError("rank must be >= 1")
-    if len(monitoring_pairs) < rank + 5:
-        raise ValueError(
-            f"need at least rank + 5 = {rank + 5} pairs, got {len(monitoring_pairs)}"
+    if len(predicted) < rank + 5:
+        raise DegenerateInputError(
+            f"need at least rank + 5 = {rank + 5} pairs, got {len(predicted)}"
         )
-    pred = np.stack([np.asarray(p).ravel() for p, _ in monitoring_pairs])
-    truth = np.stack([np.asarray(g).ravel() for _, g in monitoring_pairs])
-    dim = pred.shape[1]
+    dim = predicted.shape[1]
     if rank > dim:
-        raise ValueError(f"rank {rank} exceeds output dimension {dim}")
+        raise DegenerateInputError(f"rank {rank} exceeds output dimension {dim}")
     if dim != base.param("taps").shape[0]:
         raise ValueError(
             f"pairs have dimension {dim}, model outputs {base.param('taps').shape[0]}"
         )
 
-    p_mean = pred.mean(axis=0)
+    p_mean = predicted.mean(axis=0)
     g_mean = truth.mean(axis=0)
-    residual = (truth - g_mean) - (pred - p_mean)
-    coeff, _, _, _ = np.linalg.lstsq(pred - p_mean, residual, rcond=DELTA_RCOND)
+    centered = predicted - p_mean
+    coeff, _, _, _ = np.linalg.lstsq(centered, (truth - g_mean) - centered, rcond=DELTA_RCOND)
     new_corr = coeff.T
     new_map = np.eye(dim) + new_corr
     new_bias = g_mean - new_map @ p_mean
@@ -740,7 +736,7 @@ def fit_adaptation_delta(
         bias=bias,
     )
     if delta.size_bytes >= base.descriptor.storage_bytes:
-        raise ValueError(
+        raise DegenerateInputError(
             "delta would not be smaller than the base package; lower the rank"
         )
     return delta

@@ -228,20 +228,17 @@ class _Loop:
         with blas.limit(self.fit_threads):
             return self._train(max(0, slot + 1 - self.history_window), slot + 1)
 
-    def _fit_delta(self, slot: int, base: ModelPackage):
+    def _fit_delta(self, base: ModelPackage, slot: int):
         applied = np.flatnonzero(self.route[self.pairs_from : slot + 1] == _MODEL) + self.pairs_from
         slots = applied[-self.history_window :]
-        pairs = zip(self.applied[slots % self.ring], self.measured[slots])
         with blas.limit(self.fit_threads):
-            return fit_adaptation_delta(base, list(pairs), self.policy.delta_rank)
+            return fit_adaptation_delta(base, self.applied[slots % self.ring], self.measured[slots],
+                                        self.policy.delta_rank)
 
-    def context(self, slot: int) -> ExecutionContext:
-        return ExecutionContext(
-            registry=self.registry,
-            agent=self.agent,
-            retrain=lambda: self._retrain(slot),
-            fit_delta=lambda base: self._fit_delta(slot, base),
-        )
+    def context(self) -> ExecutionContext:
+        """Built for each use: stored, its bound methods would tie the loop
+        into a reference cycle that outlives the run."""
+        return ExecutionContext(self.registry, self.agent, self._retrain, self._fit_delta)
 
     # -- per-block stages --------------------------------------------
 
@@ -297,7 +294,7 @@ class _Loop:
         self.log(slot, "controller", "ActionIssued", action=action.kind.value,
                  **{k: str(v) for k, v in sorted(action.rationale.items())})
         self.log_transition(slot, ControlEvent(EventKind.ACTION_ISSUED, action_kind=action.kind))
-        follow = execute(action, self.context(slot), slot)
+        follow = execute(action, self.context(), slot)
         if action.kind is ActionKind.FALLBACK:
             self.route[slot + 1 :] = _NONE  # drop pending predictions
         if follow is not None:
@@ -401,7 +398,7 @@ class _Loop:
                 )
                 if first is None:
                     first = package
-        activated = activate(self.context(0), first)
+        activated = activate(self.context(), first)
         self.log(0, "controller", "ModelActivated", target=activated.detail)
 
         num_slots = self.config.num_slots

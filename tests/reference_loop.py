@@ -16,7 +16,7 @@ metrics.csv or events.log differs from the reference's, byte for byte, has
 a fault in the loop's block bookkeeping.
 """
 
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from lcmsim.kpi import (
 from lcmsim.models import fit_adaptation_delta, predict_csi, train_predictor
 from lcmsim.monitoring import MonitoringSession, evaluation_slots
 from lcmsim.registry import ModelRegistry
-from lcmsim.simulation import EventLogRecord, RunResult, simulation_warmup
+from lcmsim.simulation import METRICS_HEADER, EventLogRecord, RunResult, simulation_warmup
 
 
 class _ReferenceLoop:
@@ -97,15 +97,16 @@ class _ReferenceLoop:
             beam_powers=self.trace.per_beam_power[start:stop],
         )
 
-    def context(self, slot):
-        return ExecutionContext(
-            registry=self.registry,
-            agent=self.agent,
-            retrain=lambda: self.train(max(0, slot + 1 - self.history_window), slot + 1),
-            fit_delta=lambda base: fit_adaptation_delta(
-                base, list(self.pairs), self.policy.delta_rank
-            ),
-        )
+    def retrain(self, slot):
+        return self.train(max(0, slot + 1 - self.history_window), slot + 1)
+
+    def fit_delta(self, base, slot):
+        predicted = np.array([p for p, _ in self.pairs])
+        truth = np.array([g for _, g in self.pairs])
+        return fit_adaptation_delta(base, predicted, truth, self.policy.delta_rank)
+
+    def context(self):
+        return ExecutionContext(self.registry, self.agent, self.retrain, self.fit_delta)
 
     def report(self, slot):
         order = self.config.predictor.order
@@ -133,7 +134,7 @@ class _ReferenceLoop:
         self.log(slot, "controller", "ActionIssued", action=action.kind.value,
                  **{k: str(v) for k, v in sorted(action.rationale.items())})
         self.log_transition(slot, ControlEvent(EventKind.ACTION_ISSUED, action_kind=action.kind))
-        follow = execute(action, self.context(slot), slot)
+        follow = execute(action, self.context(), slot)
         if action.kind is ActionKind.FALLBACK:
             self.pending.clear()
         if follow is not None:
@@ -212,7 +213,7 @@ class _ReferenceLoop:
             self.registry.store(package, stored_at_slot=0)
             self.log(0, "registry", "ModelStored", model_id=desc.model_id,
                      version=str(desc.model_version), tag=desc.functionality_tag)
-        activated = activate(self.context(0), next(iter(packages.values())))
+        activated = activate(self.context(), next(iter(packages.values())))
         self.log(0, "controller", "ModelActivated", target=activated.detail)
 
         for slot in range(self.config.num_slots):
@@ -224,12 +225,28 @@ class _ReferenceLoop:
             model = self.agent.active_model
             ids = f"{model.descriptor.model_id},{model.descriptor.model_version}" if model else ","
             self.lines.append(f"{slot},{scored},{self.state.value},{ids},{monitored}")
-        return RunResult(lines=self.lines, events=self.events, summary={})
+        return RunResult(lines=self.lines, events=self.events, summary=self.summary())
+
+    def summary(self):
+        """The run summary, from this loop's own state, events and metrics lines."""
+        cells = zip(*(line.split(",") for line in self.lines))
+        column = dict(zip(METRICS_HEADER.split(","), cells))
+        achieved = [float(value) for value in column["sgcs"] if value]
+        return {
+            "final_state": self.state.value,
+            "slots": len(self.lines),
+            "alarms": sum(event.kind == "DriftAlarm" for event in self.events),
+            "actions": dict(sorted(Counter(kind for kind in column["action"] if kind).items())),
+            "mean_sgcs": float(np.mean(achieved)) if achieved else float("nan"),
+            "monitor_overhead_bits": sum(int(b) for b in column["monitor_overhead_bits"] if b),
+            "evaluations": self.eval_counter,
+        }
 
 
 def reference_run(config, registry_root) -> RunResult:
     """The run of ``config`` stepped slot by slot, against a fresh registry;
-    its ``metrics_text()`` and ``events_text()`` are the loop's, byte for byte."""
+    its ``metrics_text()`` and ``events_text()`` are the loop's, byte for byte,
+    and its summary, counted from those lines and events, is the loop's."""
     loop = _ReferenceLoop(config, registry_root)
     with loop.registry:
         return loop.run()

@@ -67,5 +67,49 @@ class TestFormat:
             write_container({}, [("v", np.ones(3))])
 
     def test_header_value_newline_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="invalid header value"):
             write_container({"k": "a\nb"}, [])
+
+
+def sealed(body: bytes) -> bytes:
+    """A container of ``body`` (all after the magic) with a valid trailer,
+    so that a structural check, not the checksum, must refuse it."""
+    return MAGIC + body + hashlib.sha256(body).digest()
+
+
+def headed(header: bytes, version: int = FORMAT_VERSION) -> bytes:
+    return struct.pack("<HI", version, len(header)) + header
+
+
+def block_head(name: bytes, rows: int, cols: int, is_complex: int = 0) -> bytes:
+    return struct.pack("<H", len(name)) + name + struct.pack("<IIB", rows, cols, is_complex)
+
+
+class TestStructuralChecks:
+    @pytest.mark.parametrize("key", ["a=b", "a\nb"], ids=["equals", "newline"])
+    def test_header_key_refused_at_write(self, key):
+        with pytest.raises(ValueError, match="invalid header key"):
+            write_container({key: "v"}, [])
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            pytest.param(headed(b"k=\xff\n"), "header is not valid UTF-8", id="header_not_utf8"),
+            pytest.param(headed(b"k=v\nnoequals\n"), "malformed header line", id="line_without_eq"),
+            pytest.param(headed(b"k=v\n", version=FORMAT_VERSION + 1),
+                         f"unsupported format version {FORMAT_VERSION + 1}", id="format_version"),
+            pytest.param(headed(b"k=v\n") + block_head(b"m", 2, 2) + struct.pack("<3d", 1, 2, 3),
+                         "container truncated", id="truncated_payload"),
+            pytest.param(headed(b"k=v\n") + struct.pack("<H", 5) + b"ab",
+                         "container truncated", id="truncated_name"),
+            pytest.param(headed(b"k=v\n") + block_head(b"\xff", 1, 1) + struct.pack("<d", 1.0),
+                         "matrix name is not valid UTF-8", id="name_not_utf8"),
+        ],
+    )
+    def test_damaged_structure_under_a_valid_trailer(self, body, message):
+        with pytest.raises(IntegrityError, match=message):
+            read_container(sealed(body))
+
+    def test_payload_checksum_of_a_short_blob(self):
+        with pytest.raises(IntegrityError, match="container too short"):
+            payload_checksum(MAGIC + bytes(31))

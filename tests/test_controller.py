@@ -23,7 +23,7 @@ from lcmsim.controller import (
     legacy_csi_reports,
     transition,
 )
-from lcmsim.errors import IntegrityError, NotFoundError
+from lcmsim.errors import DegenerateInputError, IntegrityError, NotFoundError
 from lcmsim.kpi import (
     InputDescriptor,
     descriptor_divergence,
@@ -374,13 +374,13 @@ class TestExecute:
         base = trained_base()
         rng = np.random.default_rng(2)
 
-        def fit(pkg):
-            pairs = []
-            for _ in range(2 + 8):
-                p = rng.standard_normal(N_ANT) + 1j * rng.standard_normal(N_ANT)
-                p /= np.linalg.norm(p)
-                pairs.append((p, p))
-            return fit_adaptation_delta(pkg, pairs, rank=2)
+        def fit(pkg, slot):
+            seen.append(slot)
+            p = rng.standard_normal((2 + 8, N_ANT)) + 1j * rng.standard_normal((2 + 8, N_ANT))
+            p /= np.linalg.norm(p, axis=1, keepdims=True)
+            return fit_adaptation_delta(pkg, p, p, rank=2)
+
+        seen = []
 
         ctx = self.make_ctx(tmp_path, fit_delta=fit)
         ctx.registry.store(base)
@@ -388,13 +388,14 @@ class TestExecute:
         ctx.agent.activate(base)
         action = ControlAction(kind=ActionKind.DELTA_UPDATE)
         event = execute(action, ctx, slot_index=3)
+        assert seen == [3]  # the capability fits at the slot execute acts at
         assert event.kind is EventKind.MODEL_ACTIVATED
         active = active_entry(ctx.registry, "csi-pred-h4")
         assert (active.model_id, active.version) == (base.descriptor.model_id, 2)
         assert ctx.agent.active_model.has_param("delta_left")
 
     def test_delta_update_without_active_model_fails(self, tmp_path):
-        ctx = self.make_ctx(tmp_path, fit_delta=lambda pkg: None)
+        ctx = self.make_ctx(tmp_path, fit_delta=lambda pkg, slot: None)
         action = ControlAction(kind=ActionKind.DELTA_UPDATE)
         event = execute(action, ctx, slot_index=0)
         assert event.kind is EventKind.ACTION_FAILED
@@ -405,13 +406,12 @@ class TestExecute:
         [
             pytest.param(IntegrityError("bad"), "integrity: ", id="integrity"),
             pytest.param(NotFoundError("gone"), "not_found: ", id="not_found"),
-            pytest.param(ValueError("rank too high"), "invalid: ", id="value_error"),
-            # LinAlgError subclasses ValueError, so it must map to invalid.
+            pytest.param(DegenerateInputError("rank too high"), "invalid: ", id="degenerate"),
             pytest.param(np.linalg.LinAlgError("singular"), "invalid: ", id="linalg_error"),
         ],
     )
     def test_fit_delta_failure_reason(self, tmp_path, error, prefix):
-        def fit(pkg):
+        def fit(pkg, slot):
             raise error
 
         base = make_package(model_id="m-a")
@@ -429,11 +429,28 @@ class TestExecute:
 
     def test_retrain_stores_new_package(self, tmp_path):
         fresh = make_package(model_id="m-new")
-        ctx = self.make_ctx(tmp_path, retrain=lambda: fresh)
+        seen = []
+        ctx = self.make_ctx(tmp_path, retrain=lambda slot: seen.append(slot) or fresh)
         action = ControlAction(kind=ActionKind.RETRAIN)
-        event = execute(action, ctx, slot_index=0)
+        event = execute(action, ctx, slot_index=7)
+        assert seen == [7]
         assert event.kind is EventKind.MODEL_ACTIVATED
         assert active_entry(ctx.registry, "csi-pred-h4").model_id == "m-new"
+        assert ctx.registry.entries()[0].stored_at_slot == 7
+
+    @pytest.mark.parametrize("kind", [ActionKind.DELTA_UPDATE, ActionKind.RETRAIN])
+    def test_a_plain_value_error_propagates(self, tmp_path, kind):
+        # Only what a run's data can cause becomes ActionFailed; a
+        # ValueError from a capability is a fault and must not be logged away.
+        def broken(*args):
+            raise ValueError("a fault in the capability")
+
+        base = make_package(model_id="m-a")
+        ctx = self.make_ctx(tmp_path, fit_delta=broken, retrain=broken)
+        ctx.registry.store(base)
+        ctx.agent.activate(base)
+        with pytest.raises(ValueError, match="a fault in the capability"):
+            execute(ControlAction(kind=kind), ctx, slot_index=0)
 
     def test_keep_is_a_no_op(self, tmp_path):
         ctx = self.make_ctx(tmp_path)

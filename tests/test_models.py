@@ -129,8 +129,13 @@ class TestPredictor:
     def test_history_too_short(self):
         rng = np.random.default_rng(3)
         w = random_unit(rng, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(DegenerateInputError, match="too short"):
             train_predictor(static_history(w, 10), PredictorConfig(4, 4))
+
+    def test_zero_energy_history(self):
+        zeros = CsiMeasurements(np.zeros((20, 4), complex), [math.inf] * 20)
+        with pytest.raises(DegenerateInputError, match="zero energy"):
+            train_predictor(zeros, PredictorConfig(2, 1))
 
     def test_package_checksum_fresh_after_training(self):
         model = train_predictor(trace_history(slots=100), PredictorConfig(2, 2))
@@ -398,18 +403,18 @@ class TestDelta:
         return train_predictor(trace_history(slots=200), PredictorConfig(4, 2))
 
     def pairs_from(self, rng, count, n, transform=None):
-        pairs = []
+        """(predicted, truth), a (count, n) array each: row i is one pair."""
+        predicted, truth = [], []
         for _ in range(count):
             p = random_unit(rng, n)
-            g = p if transform is None else unit_norm(transform @ p)
-            pairs.append((p, g))
-        return pairs
+            predicted.append(p)
+            truth.append(p if transform is None else unit_norm(transform @ p))
+        return np.array(predicted), np.array(truth)
 
     def test_identity_pairs_give_null_correction(self):
         rng = np.random.default_rng(11)
         base = self.train_base()
-        pairs = self.pairs_from(rng, 120, 16)
-        delta = fit_adaptation_delta(base, pairs, rank=16)
+        delta = fit_adaptation_delta(base, *self.pairs_from(rng, 120, 16), rank=16)
         corr = delta.left @ delta.right.conj().T
         assert np.max(np.abs(corr)) < 1e-6
         assert np.max(np.abs(delta.bias)) < 1e-6
@@ -420,24 +425,24 @@ class TestDelta:
         q, _ = np.linalg.qr(
             rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         )
-        pairs = self.pairs_from(rng, 200, 16, transform=q)
-        delta = fit_adaptation_delta(base, pairs, rank=16)
+        predicted, truth = self.pairs_from(rng, 200, 16, transform=q)
+        delta = fit_adaptation_delta(base, predicted, truth, rank=16)
         eye = np.eye(16)
-        for p, g in pairs[:20]:
+        for p, g in zip(predicted[:20], truth[:20]):
             corrected = (eye + delta.left @ delta.right.conj().T) @ p + delta.bias
             assert sgcs(corrected, g) > 1.0 - 1e-6
 
     def test_delta_smaller_than_base(self):
         rng = np.random.default_rng(13)
         base = self.train_base()
-        delta = fit_adaptation_delta(base, self.pairs_from(rng, 60, 16), rank=4)
+        delta = fit_adaptation_delta(base, *self.pairs_from(rng, 60, 16), rank=4)
         assert delta.size_bytes < base.descriptor.storage_bytes
 
     def test_apply_delta_bumps_version_and_keeps_base(self):
         rng = np.random.default_rng(14)
         base = self.train_base()
         base_bytes = base.to_bytes()
-        delta = fit_adaptation_delta(base, self.pairs_from(rng, 60, 16), rank=2)
+        delta = fit_adaptation_delta(base, *self.pairs_from(rng, 60, 16), rank=2)
         updated = apply_delta(base, delta)
         assert updated.descriptor.model_version == base.descriptor.model_version + 1
         assert updated.descriptor.model_id == base.descriptor.model_id
@@ -463,7 +468,7 @@ class TestDelta:
     def test_mismatched_base_rejected(self):
         rng = np.random.default_rng(15)
         base = self.train_base()
-        delta = fit_adaptation_delta(base, self.pairs_from(rng, 60, 16), rank=2)
+        delta = fit_adaptation_delta(base, *self.pairs_from(rng, 60, 16), rank=2)
         delta.base_model_version += 1
         with pytest.raises(ValueError):
             apply_delta(base, delta)
@@ -471,13 +476,25 @@ class TestDelta:
     def test_insufficient_pairs_rejected(self):
         rng = np.random.default_rng(16)
         base = self.train_base()
-        with pytest.raises(ValueError):
-            fit_adaptation_delta(base, self.pairs_from(rng, 6, 16), rank=4)
+        with pytest.raises(DegenerateInputError, match="need at least rank"):
+            fit_adaptation_delta(base, *self.pairs_from(rng, 6, 16), rank=4)
+
+    def test_rank_above_the_output_dimension_rejected(self):
+        rng = np.random.default_rng(16)
+        with pytest.raises(DegenerateInputError, match="exceeds output dimension"):
+            fit_adaptation_delta(self.train_base(), *self.pairs_from(rng, 60, 16), rank=17)
+
+    def test_delta_not_smaller_than_its_base_rejected(self):
+        # At order 1 a full-rank correction outweighs the taps.
+        base = train_predictor(trace_history(slots=200), PredictorConfig(1, 2))
+        rng = np.random.default_rng(16)
+        with pytest.raises(DegenerateInputError, match="not be smaller"):
+            fit_adaptation_delta(base, *self.pairs_from(rng, 60, 16), rank=16)
 
     def test_delta_round_trip(self):
         rng = np.random.default_rng(17)
         base = self.train_base()
-        delta = fit_adaptation_delta(base, self.pairs_from(rng, 60, 16), rank=2)
+        delta = fit_adaptation_delta(base, *self.pairs_from(rng, 60, 16), rank=2)
         clone = DeltaPackage.from_bytes(delta.to_bytes())
         assert clone.rank == delta.rank
         assert np.array_equal(clone.left, delta.left)
@@ -486,7 +503,7 @@ class TestDelta:
 
     def test_header_rank_must_match_the_left_factor(self):
         rng = np.random.default_rng(17)
-        delta = fit_adaptation_delta(self.train_base(), self.pairs_from(rng, 60, 16), rank=2)
+        delta = fit_adaptation_delta(self.train_base(), *self.pairs_from(rng, 60, 16), rank=2)
         header, matrices, _ = container.read_container(delta.to_bytes())
         assert header["rank"] == "2"
         data = container.write_container(dict(header, rank="3"), matrices)
@@ -513,7 +530,7 @@ class TestCsiPredictor:
         rng = np.random.default_rng(21)
         transform = np.eye(16) + 0.1 * rng.standard_normal((16, 16))
         pairs = TestDelta().pairs_from(rng, 60, 16, transform)
-        return base, apply_delta(base, fit_adaptation_delta(base, pairs, rank=3))
+        return base, apply_delta(base, fit_adaptation_delta(base, *pairs, rank=3))
 
     def test_matches_package_arithmetic_bit_for_bit(self):
         measured = trace_history(doppler=0.1, slots=120).precoders

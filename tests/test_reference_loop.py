@@ -3,7 +3,7 @@
 Differential testing (McKeeman, "Differential Testing for Software", 1998):
 the shared scenarios and generated scenario texts run through both
 ``run_scenario`` and ``reference_loop.reference_run``; metrics.csv and
-events.log must agree on every line. A generated text either fails to
+events.log must agree on every line, and the run summaries on every value. A generated text either fails to
 parse with ConfigError or runs.
 """
 
@@ -30,6 +30,9 @@ def assert_matches_reference(config):
                       min(len(lines), len(reference)))
             pytest.fail(f"{name} line {at}: loop {lines[at:at + 1]}, "
                         f"reference {reference[at:at + 1]}")
+    # repr, so that a NaN mean_sgcs (a run that applied nothing) equals itself
+    assert {k: repr(v) for k, v in got.summary.items()} == {
+        k: repr(v) for k, v in want.summary.items()}
 
 
 @pytest.mark.parametrize("name", scenario_configs.SCENARIOS)

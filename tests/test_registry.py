@@ -2,12 +2,14 @@
 
 import math
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from lcmsim import container
 from lcmsim.cli import main
 from lcmsim.errors import IntegrityError, NotFoundError, PairingError
 from lcmsim.kpi import InputDescriptor, descriptor_divergence
@@ -16,11 +18,12 @@ from lcmsim.models import (
     ModelDescriptor,
     ModelKind,
     ModelPackage,
+    RootRef,
     apply_delta,
     finalize_package,
     verify_package,
 )
-from lcmsim.registry import ModelRegistry, pairing_ids, verify_pairing
+from lcmsim.registry import ModelRegistry, _write_atomic, pairing_ids, verify_pairing
 
 N_ANT = 4
 
@@ -603,6 +606,93 @@ PARENT_INDEX = (
     "model_id=m-b version=1 kind=csi_predictor functionality_tag=csi-pred-h4 "
     "associated_id=None status=retired stored_at_slot=0\n"
 )
+
+
+class TestIntegrityChecks:
+    """Each damaged input is otherwise well formed (a container keeps a valid
+    trailer), so that the check named in the test is what refuses it."""
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            pytest.param("model_id=m-a version=1 stray", "malformed index line", id="no_equals"),
+            pytest.param("model_id=m-a version=1 kind=csi_predictor",
+                         "index line missing field 'functionality_tag'", id="missing_field"),
+            pytest.param(PARENT_INDEX.splitlines()[0].replace("version=1", "version=one"),
+                         "bad index line", id="version_not_int"),
+        ],
+    )
+    def test_damaged_index_line_refused_on_open(self, tmp_path, line, message):
+        (tmp_path / ModelRegistry.INDEX_NAME).write_text(f"{line}\ncommit\n", encoding="utf-8")
+        with pytest.raises(IntegrityError, match=message):
+            ModelRegistry(tmp_path)
+
+    def stored_chain(self, reg):
+        return TestDeltaVersions().stored_chain(reg)
+
+    def test_store_refuses_a_root_that_is_a_delta(self, tmp_path):
+        reg = open_registry(tmp_path)
+        v1, v2, v3 = self.stored_chain(reg)
+        v4 = apply_delta(v3, make_delta(v3, seed=3))
+        over_v2 = replace(v4, root=RootRef("m-a", 2, v2.descriptor.payload_checksum))
+        with pytest.raises(IntegrityError, match="is not a full package of the same model"):
+            reg.store(over_v2)
+        assert [e.version for e in reg.entries()] == [1, 2, 3]
+
+    def test_store_refuses_a_root_of_another_model(self, tmp_path):
+        reg = open_registry(tmp_path)
+        other = make_package(model_id="m-b")
+        reg.store(other)
+        v1 = make_package()
+        reg.store(v1)
+        v2 = apply_delta(v1, make_delta(v1))
+        over_b = replace(v2, root=RootRef("m-b", 1, other.descriptor.payload_checksum))
+        with pytest.raises(IntegrityError, match="is not a full package of the same model"):
+            reg.store(over_b)
+        assert reg.orphans() == []
+
+    @pytest.mark.parametrize("model_id, version", [("m-b", 1), ("m-a", 2)],
+                             ids=["other_id", "other_version"])
+    def test_package_file_carrying_another_key_refused(self, tmp_path, model_id, version):
+        reg = open_registry(tmp_path)
+        reg.store(make_package())
+        impostor = make_package(model_id=model_id, version=version).to_bytes()
+        reg.package_path("m-a", 1).write_bytes(impostor)
+        with pytest.raises(IntegrityError, match=f"carries descriptor {model_id} v{version}"):
+            reg.fetch_by_id("m-a", 1)
+
+    def test_delta_file_naming_another_base_refused(self, tmp_path):
+        reg = open_registry(tmp_path)
+        self.stored_chain(reg)
+        # v2's file is a valid delta over the right root, but after v1, not v2.
+        reg.package_path("m-a", 3).write_bytes(reg.package_path("m-a", 2).read_bytes())
+        with pytest.raises(IntegrityError, match="carries the delta after m-a v1"):
+            reg.fetch_by_id("m-a", 3)
+
+    def test_delta_version_must_rebuild_to_its_checksum(self, tmp_path):
+        reg = open_registry(tmp_path)
+        self.stored_chain(reg)
+        path = reg.package_path("m-a", 2)
+        header, matrices, _ = container.read_container(path.read_bytes())
+        # The same correction under an extra header key: a valid file whose
+        # trailer is not the checksum that the rebuilt package serializes to.
+        path.write_bytes(container.write_container(dict(header, note="x"), matrices))
+        with pytest.raises(IntegrityError, match="does not rebuild to its checksum"):
+            reg.fetch_by_id("m-a", 2)
+
+    @pytest.mark.parametrize("stage", ["write", "rename"])
+    def test_failed_atomic_write_leaves_no_temp_file(self, tmp_path, monkeypatch, stage):
+        target = tmp_path / "index.txt"
+        target.write_bytes(b"old\n")
+        data = b"new\n"
+        if stage == "write":
+            data = "text, not bytes"
+        else:
+            monkeypatch.setattr("lcmsim.registry.os.replace", lambda src, dst: 1 / 0)
+        with pytest.raises((TypeError, ZeroDivisionError)):
+            _write_atomic(target, data)
+        assert [p.name for p in tmp_path.iterdir()] == ["index.txt"]
+        assert target.read_bytes() == b"old\n"
 
 
 class TestJournal:

@@ -313,6 +313,34 @@ predictor.horizon_slots = 1
 """
 
 
+class TestNoReferenceCycle:
+    @pytest.mark.parametrize("text", [CANONICAL_DRIFT, MILD_DRIFT],
+                             ids=["CANONICAL_DRIFT", "MILD_DRIFT"])
+    def test_a_finished_run_frees_its_loop_without_the_collector(
+        self, tmp_path, monkeypatch, text
+    ):
+        # A cycle through the loop (say, an ExecutionContext stored on it,
+        # whose capabilities are the loop's bound methods) would keep each
+        # finished run's trace and measurements alive until a full collection.
+        loops = []
+
+        class Watched(simulation._Loop):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                loops.append(weakref.ref(self))
+
+        monkeypatch.setattr(simulation, "_Loop", Watched)
+        gc.collect()
+        gc.disable()
+        try:
+            result = run_scenario(parse_scenario_config(text), str(tmp_path / "registry"))
+            alive = [ref() is not None for ref in loops]
+        finally:
+            gc.enable()
+        assert alive == [False]
+        assert result.summary["actions"]  # the run did repair through execute()
+
+
 class TestDivergenceScoring:
     @pytest.mark.parametrize("text, calls", [(MILD_DRIFT, 1), (CANONICAL_DRIFT, 2)],
                              ids=["MILD_DRIFT", "CANONICAL_DRIFT"])
