@@ -19,18 +19,16 @@ import numpy as np
 from .channel import ChannelRegime, check_schedule, generate_trace, measure_csi
 from .config import load_scenario_config, parse_scenario_config
 from .errors import ConfigError, LcmSimError, config_checked
-from .kpi import BeamKpiConfig, beam_topk_accuracy, nmse_rows, sgcs_rows
+from .kpi import nmse_rows, sgcs_rows
 from .models import (
     AutoencoderConfig,
     CsiPredictor,
     ModelKind,
     ModelPackage,
     PredictorConfig,
-    predict_beams,
     predict_csi_rows,
     predictor_config,
     train_autoencoder_joint,
-    train_beam_predictor,
     train_predictor,
 )
 from .registry import ModelRegistry
@@ -229,28 +227,6 @@ def _cmd_eval_sgcs(args) -> int:
     return 0
 
 
-def _cmd_eval_beams(args) -> int:
-    # The trace flags first: they set the beam count the KPI flags are checked against.
-    config_checked(check_schedule, [(0, _regime(args))], args.slots, args.antennas)
-    split = args.slots // 2
-    cfg = BeamKpiConfig(top_k=args.top_k, top_m=args.top_m, window_n=args.slots - split)
-    config_checked(cfg.validate, args.antennas)
-    rows = _make_trace(args).per_beam_power
-    if args.model:
-        package = _load_package(args.model, ModelKind.BEAM_PREDICTOR, "eval beams")
-    else:
-        package = train_beam_predictor(rows[:split], args.subset, rows.shape[1])
-    model_subset = [int(s) for s in package.extra["beam_subset"].split(",")]
-    history = [
-        (predict_beams(package, rows[t][model_subset]), rows[t])
-        for t in range(split, rows.shape[0])
-    ]
-    accuracy = beam_topk_accuracy(history, cfg)
-    print(f"intervals = {len(history)}")
-    print(f"top{args.top_k}_accuracy = {accuracy:.6f}")
-    return 0
-
-
 def _cmd_registry_list(args) -> int:
     with ModelRegistry(args.root) as registry:
         entries = registry.entries()
@@ -404,14 +380,6 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     _add_trace_args(p, slots_default=400)
     p.set_defaults(func=_cmd_eval_sgcs)
-    p = ev_sub.add_parser("beams")
-    p.add_argument("--model", help="beam predictor package; trained on the fly if omitted")
-    _add_trace_args(p, slots_default=400)
-    p.add_argument("--subset", type=_int_list(), default="0,4,8,12",
-                   help="measured beam indices")
-    p.add_argument("--top-k", type=int, default=4)
-    p.add_argument("--top-m", type=int, default=1)
-    p.set_defaults(func=_cmd_eval_beams)
 
     reg = sub.add_parser("registry", help="inspect or edit a model store")
     reg.add_argument("--root", required=True)

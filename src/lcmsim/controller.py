@@ -10,6 +10,7 @@ legacy non-model path).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable
@@ -113,6 +114,9 @@ class DecisionPolicy:
     descriptor_window_slots: int = 40
 
     def validate(self) -> None:
+        for name in ("delta_low", "delta_match", "delta_delta", "snr_floor_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not 0 < self.delta_low <= self.delta_match <= self.delta_delta:
             raise ValueError("need 0 < delta_low <= delta_match <= delta_delta")
         if self.cooldown_evals < 1 or self.n_recover < 1:
@@ -132,9 +136,9 @@ class DecisionInputs:
     misalignment: float
     active_model_id: str
     active_model_version: int
-    buffered_samples: int = 0
-    last_action_kind: ActionKind | None = None
-    evals_since_last_action: int = 10**9
+    buffered_samples: int
+    last_action_kind: ActionKind | None
+    evals_since_last_action: int
 
 
 def decide(inputs: DecisionInputs, policy: DecisionPolicy, registry: ModelRegistry) -> ControlAction:

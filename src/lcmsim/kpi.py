@@ -51,51 +51,6 @@ def nmse(predicted: np.ndarray, truth: np.ndarray) -> float:
     return float(nmse_rows(np.asarray(predicted).ravel(), np.asarray(truth).ravel()))
 
 
-@dataclass(frozen=True)
-class BeamKpiConfig:
-    """Top-K beam accuracy window: K predicted vs M measured best beams
-    over the N most recent intervals."""
-
-    top_k: int
-    top_m: int
-    window_n: int
-
-    def validate(self, num_beams: int) -> None:
-        for name, v in (("top_k", self.top_k), ("top_m", self.top_m)):
-            if not 1 <= v <= num_beams:
-                raise ValueError(f"{name}={v} outside [1, {num_beams}]")
-        if self.window_n < 1:
-            raise ValueError("window_n must be positive")
-
-
-def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
-    # Stable sort on negated values: ties resolve to the lowest index.
-    return np.argsort(-np.asarray(values), kind="stable")[:count]
-
-
-def beam_topk_accuracy(
-    history: Sequence[tuple[np.ndarray, np.ndarray]], cfg: BeamKpiConfig
-) -> float:
-    """Fraction of recent intervals whose top-K predicted beams overlap
-    the top-M measured beams.
-
-    ``history`` holds (predicted_powers, measured_powers) pairs, oldest
-    first; only the last ``window_n`` count.
-    """
-    if not history:
-        raise ValueError("empty history")
-    num_beams = len(history[0][0])
-    cfg.validate(num_beams)
-    recent = history[-cfg.window_n:]
-    hits = 0
-    for predicted, measured in recent:
-        pred_top = set(_top_indices(predicted, cfg.top_k).tolist())
-        meas_top = set(_top_indices(measured, cfg.top_m).tolist())
-        if pred_top & meas_top:
-            hits += 1
-    return hits / len(recent)
-
-
 @dataclass
 class InputDescriptor:
     """Summary of the input distribution a model was trained on (or is

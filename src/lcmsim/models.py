@@ -1,5 +1,5 @@
-"""Linear model zoo: CSI prediction, two-sided CSI compression, beam
-prediction, and low-rank adaptation deltas.
+"""Linear model zoo: CSI prediction, two-sided CSI compression and
+low-rank adaptation deltas.
 
 Everything here is deliberately closed-form (ridge least squares and
 truncated SVD) so training is deterministic and cheap, while keeping the
@@ -36,7 +36,6 @@ class ModelKind(str, Enum):
     CSI_PREDICTOR = "csi_predictor"
     CSI_ENCODER = "csi_encoder"
     CSI_DECODER = "csi_decoder"
-    BEAM_PREDICTOR = "beam_predictor"
 
 
 @dataclass
@@ -803,54 +802,3 @@ def _corrected(base: ModelPackage, delta: DeltaPackage, root: RootRef) -> ModelP
         extra=dict(base.extra),
         root=root,
     )
-
-
-# --------------------------------------------------------------------------
-# beam prediction
-
-def train_beam_predictor(
-    beam_power_rows: np.ndarray,
-    measured_beam_subset: Sequence[int],
-    codebook_size: int,
-) -> ModelPackage:
-    """Ridge regression from a measured beam subset to the full per-beam
-    power vector."""
-    rows = np.asarray(beam_power_rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != codebook_size:
-        raise ValueError(f"beam_power_rows must be (slots, {codebook_size})")
-    subset = list(dict.fromkeys(int(i) for i in measured_beam_subset))
-    if not subset:
-        raise ValueError("measured_beam_subset is empty")
-    if any(i < 0 or i >= codebook_size for i in subset):
-        raise ValueError("beam subset index out of range")
-    features = rows[:, subset]
-    coeff = _ridge_solve(features, rows)  # (m, codebook_size)
-    weights = coeff.T.copy()
-
-    mean_power = rows.mean(axis=0)
-    descriptor_stats = InputDescriptor(
-        mean_beam_power=mean_power / mean_power.sum(),
-        doppler_estimate=0.0,
-        mean_snr_db=math.inf,
-        window_len=rows.shape[0],
-    )
-    model_id = stable_id("beam", rows, repr(subset))
-    extra = {
-        "beam_subset": ",".join(str(i) for i in subset),
-        "codebook_size": str(codebook_size),
-    }
-    return new_package(
-        ModelKind.BEAM_PREDICTOR, [("weights", weights)], extra, model_id,
-        "beam-pred", descriptor_stats,
-    )
-
-
-def predict_beams(model: ModelPackage, measured_subset_powers: np.ndarray) -> np.ndarray:
-    """Full per-beam power estimate from subset measurements."""
-    if model.kind is not ModelKind.BEAM_PREDICTOR:
-        raise ValueError(f"not a beam predictor: {model.kind}")
-    powers = np.asarray(measured_subset_powers, dtype=np.float64).ravel()
-    weights = model.param("weights")
-    if powers.size != weights.shape[1]:
-        raise ValueError("subset length does not match the model")
-    return weights @ powers

@@ -17,7 +17,6 @@ from lcmsim.models import (
     AutoencoderConfig,
     PredictorConfig,
     train_autoencoder_joint,
-    train_beam_predictor,
     train_predictor,
 )
 from scenario_configs import QUIET_SMALL
@@ -68,9 +67,8 @@ class TestExitCodes:
         "predictor-slots-0": ["train", "predictor", "--slots", "0", "--out", "p.lcmp"],
         "predictor-order-0": ["train", "predictor", "--order", "0", "--out", "p.lcmp"],
         "predictor-short-trace": ["train", "predictor", "--slots", "10", "--out", "p.lcmp"],
-        "beams-one-antenna": ["eval", "beams", "--antennas", "1"],
-        "beams-doppler": ["eval", "beams", "--doppler", "0.7"],
-        "beams-top-k": ["eval", "beams", "--top-k", "40"],
+        "predictor-one-antenna": ["train", "predictor", "--antennas", "1", "--out", "p.lcmp"],
+        "predictor-doppler": ["train", "predictor", "--doppler", "0.7", "--out", "p.lcmp"],
         "autoencoder-latent-0": ["train", "autoencoder", "--latent", "0",
                                  "--out-encoder", "e.lcmp", "--out-decoder", "d.lcmp"],
         "autoencoder-bits": ["train", "autoencoder", "--bits", "-1",
@@ -96,10 +94,8 @@ class TestExitCodes:
         assert err.startswith("config error: ") and err.count("\n") == 1, err
         assert out == "" and list(tmp_path.iterdir()) == []
 
-    def test_eval_beams_names_the_antenna_flag(self, capsys):
-        # The trace flags are checked before the beam-KPI flags, which are
-        # checked against the beam count the antennas set.
-        rc, _, err = run_cli(capsys, self.USAGE_ERRORS["beams-one-antenna"])
+    def test_train_predictor_names_the_antenna_flag(self, capsys):
+        rc, _, err = run_cli(capsys, self.USAGE_ERRORS["predictor-one-antenna"])
         assert rc == 1
         assert err == "config error: channel.num_antennas must be at least 2\n"
 
@@ -249,17 +245,6 @@ class TestTrainEval:
         assert rc == 1
         assert "csi_predictor" in err
 
-    def test_eval_beams_self_contained(self, capsys):
-        rc, out, _ = run_cli(
-            capsys,
-            ["eval", "beams", "--seed", "4", "--slots", "160",
-             "--antennas", "8", "--doppler", "0.02", "--subset", "0,2,4"],
-        )
-        assert rc == 0
-        accuracy = float(out.split("_accuracy = ")[1].splitlines()[0])
-        assert 0.0 <= accuracy <= 1.0
-
-
 class TestSweep:
     def test_eval_period_sweep_overhead_decreases(self, capsys, quiet_cfg, tmp_path):
         out_root = tmp_path / "sweep"
@@ -374,14 +359,12 @@ class TestArtifactFailures:
         enc, dec = train_autoencoder_joint(targets, AutoencoderConfig(4, 0, 8))
         blobs = {
             "pred": train_predictor(history, PredictorConfig(2, 2)).to_bytes(),
-            "beam": train_beam_predictor(np.abs(targets) ** 2, [0, 3], 8).to_bytes(),
             "enc": enc.to_bytes(),
             "dec": dec.to_bytes(),
             "ds": export_dataset(enc, targets, vendor_index=0).to_bytes(),
         }
         damaged = {
             "pred-no-order": ("pred", "extra.order"),
-            "beam-no-subset": ("beam", "extra.beam_subset"),
             "pred-no-id": ("pred", "model_id"),
             "enc-no-bits": ("enc", "extra.bits_per_dim"),
             "dec-no-latent": ("dec", "extra.latent_dim"),
@@ -389,6 +372,9 @@ class TestArtifactFailures:
             "ds-no-id": ("ds", "associated_id"),
             "ds-no-bits": ("ds", "bits_per_dim"),
         }
+        # A beam predictor package as earlier versions wrote it: that kind is gone.
+        header, matrices, _ = container.read_container(blobs["pred"])
+        blobs["beam"] = container.write_container({**header, "kind": "beam_predictor"}, matrices)
         for name, (source, key) in damaged.items():
             blobs[name] = _without(blobs[source], key)
         for name, blob in blobs.items():
@@ -399,10 +385,9 @@ class TestArtifactFailures:
     CASES = {
         "eval-sgcs-kind": ["eval", "sgcs", "--model", "enc", *TRACE],
         "eval-sgcs-key": ["eval", "sgcs", "--model", "pred-no-order", *TRACE],
-        "eval-beams-kind": ["eval", "beams", "--model", "pred", *TRACE],
-        "eval-beams-key": ["eval", "beams", "--model", "beam-no-subset", *TRACE],
         "registry-add-kind": ["registry", "--root", "reg", "add", "--package", "ds"],
         "registry-add-key": ["registry", "--root", "reg", "add", "--package", "pred-no-id"],
+        "registry-add-beam": ["registry", "--root", "reg", "add", "--package", "beam"],
         "export-kind": ["intervendor", "export-dataset", "--encoder", "dec", *TRACE, "--out", "o"],
         "export-key": ["intervendor", "export-dataset", "--encoder", "enc-no-bits", *TRACE,
                        "--out", "o"],
@@ -437,9 +422,9 @@ class TestArtifactFailures:
 
 
 class TestCommaListFlags:
-    """--latents, --bits, --subset and --vendor-indices are parsed by one
-    argparse type: a malformed list is a usage error (exit 1), found before
-    any file is read."""
+    """--latents, --bits and --vendor-indices are parsed by one argparse
+    type: a malformed list is a usage error (exit 1), found before any file
+    is read."""
 
     CASES = {
         "latents": (["intervendor", "derive-reference", "--latents", "a", "--bits", "0"],
@@ -448,7 +433,6 @@ class TestCommaListFlags:
                  "--bits", "0,b"),
         "latents-dash": (["intervendor", "derive-reference", "--latents", "4,-",
                           "--bits", "0,0"], "--latents", "4,-"),
-        "subset": (["eval", "beams", "--subset", "0,x"], "--subset", "0,x"),
         "vendor-indices": (["intervendor", "crosspair", "--encoder", "missing.lcmp", "--decoder",
                             "missing.lcmp", "--vendor-indices", "0,x"], "--vendor-indices", "0,x"),
     }
@@ -466,7 +450,6 @@ class TestCommaListFlags:
         args = parse(["intervendor", "crosspair", "--encoder", "e", "--decoder", "d",
                       "--decoder", "d", "--vendor-indices", "0,-"])
         assert args.vendor_indices == [0, None]
-        assert parse(["eval", "beams"]).subset == [0, 4, 8, 12]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -491,7 +474,7 @@ class TestReadmeCommands:
         commands = readme_commands(
             "Train and evaluate models outside the loop:", "Two-sided collaboration:"
         )
-        assert len(commands) == 8
+        assert len(commands) == 7
         monkeypatch.chdir(tmp_path)
         for argv in commands:
             rc, _, err = run_cli(capsys, argv)

@@ -195,14 +195,22 @@ class TestScanErrors:
             (["monitoring.threshold_gamma = nan"], "threshold_gamma expects a number"),
             (["monitoring.eval_period_slots = -inf"], "eval_period_slots must be above -inf"),
             (["policy.snr_floor_db = -inf"], "snr_floor_db must be above -inf"),
+            (["policy.delta_low = inf"], "^delta_low must be finite, got inf$"),
+            (["policy.delta_match = inf"], "^delta_match must be finite, got inf$"),
+            (["policy.delta_delta = inf"], "^delta_delta must be finite, got inf$"),
+            (["policy.snr_floor_db = inf"], "^snr_floor_db must be finite, got inf$"),
         ],
         ids=["regime-nan", "regime-neg-inf", "override-nan", "override-neg-inf", "floor-nan",
-             "gamma-nan", "period-neg-inf", "floor-neg-inf"],
+             "gamma-nan", "period-neg-inf", "floor-neg-inf", "low-inf", "match-inf",
+             "delta-inf", "floor-inf"],
     )
     def test_non_finite_values_rejected_at_parse_time(self, lines, message):
         last_line = MINIMAL.count("\n") + len(lines)
-        with pytest.raises(ConfigError, match=f"line {last_line}: .*{message}"):
+        with pytest.raises(ConfigError, match=message) as raised:
             parse_scenario_config(MINIMAL + with_lines(*lines))
+        # The scan names the line of a NaN or -inf. +inf passes the scan, where
+        # it may mean a noiseless SNR, and the policy's own check refuses it.
+        assert raised.value.line == (None if lines[-1].endswith("= inf") else last_line)
 
     @settings(max_examples=30, deadline=None)
     @given(st.text(alphabet="abcdefgh.", min_size=3, max_size=20))

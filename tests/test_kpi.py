@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from lcmsim.channel import CsiMeasurements, dft_codebook, unit_norm
 from lcmsim.kpi import (
-    BeamKpiConfig,
     DescriptorRows,
     InputDescriptor,
-    beam_topk_accuracy,
     derive_input_descriptor,
     descriptor_divergence,
     lag1_terms,
@@ -90,48 +88,6 @@ class TestNmse:
     def test_scale_sensitivity(self):
         t = unit_norm(np.ones(4, complex))
         assert nmse(2 * t, t) > 0.5
-
-
-class TestBeamTopk:
-    def test_full_overlap(self):
-        powers = np.array([0.1, 0.5, 0.2, 0.2])
-        history = [(powers, powers)] * 5
-        cfg = BeamKpiConfig(top_k=1, top_m=1, window_n=5)
-        assert beam_topk_accuracy(history, cfg) == 1.0
-
-    def test_counts_recent_window_only(self):
-        hit = (np.array([1.0, 0, 0, 0]), np.array([1.0, 0, 0, 0]))
-        miss = (np.array([1.0, 0, 0, 0]), np.array([0, 0, 0, 1.0]))
-        history = [miss] * 10 + [hit] * 2
-        cfg = BeamKpiConfig(top_k=1, top_m=1, window_n=4)
-        assert beam_topk_accuracy(history, cfg) == 0.5
-
-    def test_monotone_in_k_and_m(self):
-        rng = np.random.default_rng(11)
-        history = [(rng.random(16), rng.random(16)) for _ in range(64)]
-        accs_k = [
-            beam_topk_accuracy(history, BeamKpiConfig(k, 2, 64)) for k in (1, 2, 4, 8)
-        ]
-        assert all(a <= b + 1e-12 for a, b in zip(accs_k, accs_k[1:]))
-        accs_m = [
-            beam_topk_accuracy(history, BeamKpiConfig(2, m, 64)) for m in (1, 2, 4, 8)
-        ]
-        assert all(a <= b + 1e-12 for a, b in zip(accs_m, accs_m[1:]))
-
-    def test_tie_break_lowest_index(self):
-        pred = np.array([0.5, 0.5, 0.5, 0.1])
-        meas = np.array([0.0, 0.0, 1.0, 0.0])
-        history = [(pred, meas)]
-        # Top-2 predicted must be beams {0, 1} by the tie rule, missing beam 2.
-        cfg = BeamKpiConfig(top_k=2, top_m=1, window_n=1)
-        assert beam_topk_accuracy(history, cfg) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            beam_topk_accuracy([], BeamKpiConfig(1, 1, 1))
-        history = [(np.ones(4), np.ones(4))]
-        with pytest.raises(ValueError):
-            beam_topk_accuracy(history, BeamKpiConfig(5, 1, 1))
 
 
 def static_window(w, count, snr=math.inf):

@@ -34,14 +34,12 @@ from lcmsim.models import (
     fit_adaptation_delta,
     flops_for_parameters,
     new_package,
-    predict_beams,
     predict_csi,
     predict_csi_rows,
     predictor_tag,
     stack_windows,
     storage_for_parameters,
     train_autoencoder_joint,
-    train_beam_predictor,
     train_predictor,
     verify_package,
     _ridge_solve,
@@ -599,31 +597,6 @@ class TestPredictionRows:
             predict_csi_rows(predictor, measured, [2, 5])
         with pytest.raises(DegenerateInputError):
             predict_csi_rows(CsiPredictor(4, np.zeros((16, 64), complex)), measured, [5])
-
-
-class TestBeamPredictor:
-    def test_full_subset_is_identity(self):
-        rng = np.random.default_rng(18)
-        rows = rng.random((200, 8)) + 0.1
-        model = train_beam_predictor(rows, list(range(8)), 8)
-        sample = rows[3]
-        assert np.allclose(predict_beams(model, sample), sample, atol=1e-6)
-
-    def test_learns_linear_structure(self):
-        rng = np.random.default_rng(19)
-        hidden = rng.random((300, 3))
-        mix = rng.random((3, 16))
-        rows = hidden @ mix
-        model = train_beam_predictor(rows, [0, 5, 11], 16)
-        pred = predict_beams(model, rows[42][[0, 5, 11]])
-        assert np.allclose(pred, rows[42], atol=1e-3)
-
-    def test_subset_validation(self):
-        rows = np.ones((10, 4))
-        with pytest.raises(ValueError):
-            train_beam_predictor(rows, [], 4)
-        with pytest.raises(ValueError):
-            train_beam_predictor(rows, [4], 4)
 
 
 class TestAccounting:

@@ -64,7 +64,6 @@ CLI_COMMANDS = (
                         "--out pred.lcmp"),
     ("eval-sgcs", "eval sgcs --model pred.lcmp --seed 3 --slots 400 --antennas 32 "
                   "--doppler 0.02"),
-    ("eval-beams", "eval beams --seed 4 --slots 400 --antennas 32 --subset 0,4,8,12"),
     ("train-autoencoder", "train autoencoder --seed 11 --slots 1024 --antennas 32 --latent 8 "
                           "--out-encoder enc.lcmp --out-decoder dec.lcmp"),
     ("export-dataset", "intervendor export-dataset --encoder enc.lcmp --seed 11 --slots 1024 "
